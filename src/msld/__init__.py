@@ -1,20 +1,19 @@
 """Multi-scale line detector for retinal vessel segmentation.
 
-Two interchangeable engines produce the same combined response map: a
-whole-image floating-point reference, and a raster-order streaming engine
-that keeps only a line buffer plus per-scale statistics and can run its
-datapath in configurable fixed-point arithmetic.
+Two interchangeable engines produce the same combined response map from
+one exact integer kernel (``kernel.band_sums``) of window sums and
+oriented line-sum maxima: a whole-image floating-point reference, which
+hands the kernel the whole image as one band, and a raster-order
+two-pass streaming engine, which hands it a few rows at a time, keeps
+only per-scale statistics between passes, and can run its datapath in
+configurable fixed-point arithmetic.
 """
 
 from .detector import (
     ORIENTATION_COUNT,
     LinePattern,
     MsldParams,
-    RawResponse,
-    line_mean,
     line_offsets,
-    raw_response,
-    window_mean,
 )
 from .fixedpoint import (
     FixedPoint,
@@ -41,31 +40,24 @@ from .imageio import (
     save_pnm,
 )
 from .metrics import (
-    ConfusionCounts,
     MetricsReport,
     SingleClassRoiError,
     auc,
     best_threshold,
     binarize,
-    confusion,
     report_at_threshold,
 )
 from .reference import (
     EmptyRoiError,
     ResponseMap,
     ScaleStats,
-    combine,
     msld_reference,
     scale_stats,
-    standardize,
 )
 from .streaming import (
-    LineBuffer,
     MemoryFootprint,
     StreamAccumulators,
-    line_sums_incremental,
     msld_streaming,
-    rrcm_max_subtract,
     stream_pass1,
     stream_pass2,
 )

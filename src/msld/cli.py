@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 validation failure, 2 I/O or format failure,
 3 numeric failure (empty ROI, single-class ground truth, fixed-point
-range exceeded). Output files are written atomically via a temporary
-sibling, so failed runs leave no partial outputs.
+range exceeded). Output files are written atomically via a uniquely named
+temporary sibling, so failed runs leave no partial outputs and concurrent
+runs never share a temporary.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from .imageio import (
     Mask,
     PnmFormatError,
     RgbImage,
+    encode_pnm,
     extract_inverted_green,
     full_mask,
     load_mask,
     load_pnm,
-    save_pnm,
 )
 from .metrics import (
     SingleClassRoiError,
@@ -36,7 +37,7 @@ from .metrics import (
     report_at_threshold,
 )
 from .reference import EmptyRoiError, ResponseMap, msld_reference
-from .streaming import msld_streaming, stream_pass1, stream_pass2
+from .streaming import MemoryFootprint, memory_footprint, msld_streaming, stream_pass1, stream_pass2
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -78,9 +79,15 @@ def read_response_file(path) -> ResponseMap:
 
 
 def _atomic_write_bytes(path: Path, data: bytes):
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    """Write through a uniquely named sibling, so runs never share a temporary."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _atomic_write_text(path: Path, text: str):
@@ -124,6 +131,15 @@ def _report_lines(pairs) -> str:
     return "".join(f"{key} {value}\n" for key, value in pairs)
 
 
+def _footprint_pairs(footprint: MemoryFootprint) -> list:
+    return [
+        ("line_buffer_slots", footprint.line_buffer_slots),
+        ("accumulator_words", footprint.accumulator_words),
+        ("stored_stats_values", footprint.stored_stats_values),
+        ("peak_total_bytes", footprint.peak_total_bytes),
+    ]
+
+
 def _emit_report(args, lines: str):
     sys.stdout.write(lines)
     if getattr(args, "report", None):
@@ -137,12 +153,13 @@ def cmd_segment(args) -> int:
     start = time.perf_counter()
     resp, stats, footprint = _run_engine(args.engine, img, mask, params)
     elapsed = time.perf_counter() - start
-    write_response_file(resp, args.out)
-
+    # binarize before writing anything, so a bad threshold leaves no output
     if args.threshold is not None:
         vessel = binarize(resp, mask, args.threshold)
         seg = GrayImage(np.where(vessel.inside, 255, 0).astype(np.uint8))
-        save_pnm(seg, Path(args.out).with_name(Path(args.out).name + ".seg.pgm"))
+    write_response_file(resp, args.out)
+    if args.threshold is not None:
+        _atomic_write_bytes(Path(args.out + ".seg.pgm"), encode_pnm(seg))
 
     pairs = [
         ("engine", args.engine),
@@ -153,12 +170,7 @@ def cmd_segment(args) -> int:
         ("negative_variance_clamps", stats.negative_variance_clamps),
     ]
     if footprint is not None:
-        pairs += [
-            ("line_buffer_slots", footprint.line_buffer_slots),
-            ("accumulator_words", footprint.accumulator_words),
-            ("stored_stats_values", footprint.stored_stats_values),
-            ("peak_total_bytes", footprint.peak_total_bytes),
-        ]
+        pairs += _footprint_pairs(footprint)
     _emit_report(args, _report_lines(pairs))
     return EXIT_OK
 
@@ -241,7 +253,6 @@ def cmd_bench(args) -> int:
     mode = "fixed" if args.engine == "streaming-fixed" else "float"
 
     pairs = [("engine", args.engine), ("window", params.window), ("reps", args.reps)]
-    footprint = None
     for rep in range(args.reps):
         if args.engine == "reference":
             start = time.perf_counter()
@@ -257,15 +268,8 @@ def cmd_bench(args) -> int:
                 (f"rep{rep}_pass1_seconds", f"{mid - start:.3f}"),
                 (f"rep{rep}_pass2_seconds", f"{end - mid:.3f}"),
             ]
-            if footprint is None:
-                _, _, footprint = msld_streaming(img, mask, params, mode)
-    if footprint is not None:
-        pairs += [
-            ("line_buffer_slots", footprint.line_buffer_slots),
-            ("accumulator_words", footprint.accumulator_words),
-            ("stored_stats_values", footprint.stored_stats_values),
-            ("peak_total_bytes", footprint.peak_total_bytes),
-        ]
+    if args.engine != "reference":
+        pairs += _footprint_pairs(memory_footprint(params, img.width))
     _emit_report(args, _report_lines(pairs))
     return EXIT_OK
 

@@ -1,12 +1,12 @@
-"""Line-detector geometry and per-pixel response math.
+"""Line-detector parameters and line geometry.
 
 The response at a pixel compares the brightest of 12 oriented line means
 against the mean of the surrounding W-by-W window, at every odd line
-length from 1 up to W. Lines are rasterized by stepping along the
-dominant axis so each length-L line covers exactly L distinct pixels and
-shorter lines nest inside longer ones at the same orientation. Sample
-coordinates falling outside the image are clamped to the nearest edge
-pixel.
+length from 1 up to W; ``kernel.band_sums`` forms the sums. Lines are
+rasterized by stepping along the dominant axis so each length-L line
+covers exactly L distinct pixels and shorter lines nest inside longer ones
+at the same orientation. Sample coordinates falling outside the image are
+clamped to the nearest edge pixel.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-from .imageio import GrayImage
 
 ORIENTATION_COUNT = 12
 ANGLE_STEP_DEGREES = 15.0
@@ -100,54 +98,3 @@ def line_offsets(orientation_index: int, length: int) -> LinePattern:
         for j in range(-half, half + 1):
             offsets.append((round_half_away(j * slope), j))
     return LinePattern(orientation_index, length, tuple(offsets))
-
-
-def _clamped(img: GrayImage, x: int, y: int) -> int:
-    xc = 0 if x < 0 else (img.width - 1 if x >= img.width else x)
-    yc = 0 if y < 0 else (img.height - 1 if y >= img.height else y)
-    return int(img.pixels[yc, xc])
-
-
-def window_mean(img: GrayImage, x: int, y: int, window: int) -> float:
-    """Mean of the window*window box centered on (x, y), edge-clamped."""
-    half = (window - 1) // 2
-    total = 0
-    for dy in range(-half, half + 1):
-        for dx in range(-half, half + 1):
-            total += _clamped(img, x + dx, y + dy)
-    return total / (window * window)
-
-
-def line_mean(img: GrayImage, x: int, y: int, pattern: LinePattern) -> float:
-    """Mean intensity along one oriented line centered on (x, y), edge-clamped."""
-    total = 0
-    for dx, dy in pattern.offsets:
-        total += _clamped(img, x + dx, y + dy)
-    return total / pattern.length
-
-
-@dataclass(frozen=True)
-class RawResponse:
-    """Per-scale raw responses at one pixel, with the intermediates kept."""
-
-    responses: tuple[float, ...]
-    window_mean: float
-    line_maxima: tuple[float, ...]
-
-
-def raw_response(img: GrayImage, x: int, y: int, params: MsldParams) -> RawResponse:
-    """All per-scale responses at (x, y): max oriented line mean minus window mean.
-
-    At scale 1 every line degenerates to the center pixel, so the response
-    is the pixel value minus the window mean.
-    """
-    avg = window_mean(img, x, y, params.window)
-    maxima = []
-    for length in params.scales:
-        best = max(
-            line_mean(img, x, y, line_offsets(k, length))
-            for k in range(ORIENTATION_COUNT)
-        )
-        maxima.append(best)
-    responses = tuple(m - avg for m in maxima)
-    return RawResponse(responses, avg, tuple(maxima))

@@ -187,15 +187,20 @@ def load_pnm(path) -> GrayImage | RgbImage:
     return RgbImage(flat.reshape(height, width, 3))
 
 
-def save_pnm(image: GrayImage | RgbImage, path):
-    """Write an image as binary PGM (P5) or PPM (P6) with maxval 255."""
+def encode_pnm(image: GrayImage | RgbImage) -> bytes:
+    """An image as binary PGM (P5) or PPM (P6) bytes with maxval 255."""
     if isinstance(image, GrayImage):
         header = f"P5\n{image.width} {image.height}\n255\n"
     elif isinstance(image, RgbImage):
         header = f"P6\n{image.width} {image.height}\n255\n"
     else:
         raise TypeError(f"cannot save object of type {type(image).__name__}")
-    Path(path).write_bytes(header.encode("ascii") + image.pixels.tobytes())
+    return header.encode("ascii") + image.pixels.tobytes()
+
+
+def save_pnm(image: GrayImage | RgbImage, path):
+    """Write an image as binary PGM (P5) or PPM (P6) with maxval 255."""
+    Path(path).write_bytes(encode_pnm(image))
 
 
 def extract_inverted_green(rgb: RgbImage) -> GrayImage:

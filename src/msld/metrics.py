@@ -20,22 +20,6 @@ class SingleClassRoiError(ValueError):
 
 
 @dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    def __post_init__(self):
-        if min(self.tp, self.fp, self.tn, self.fn) < 0:
-            raise ValueError("confusion counts must be non-negative")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
-@dataclass(frozen=True)
 class MetricsReport:
     """AUC plus threshold metrics over the ROI."""
 
@@ -59,19 +43,6 @@ def binarize(resp: ResponseMap, roi: Mask, threshold: float) -> Mask:
         raise ValueError(f"threshold must be finite, got {threshold}")
     _check_same_dims(resp, roi)
     return Mask(roi.inside & (resp.values > threshold))
-
-
-def confusion(pred: Mask, truth: Mask, roi: Mask) -> ConfusionCounts:
-    """Tally prediction against truth over ROI pixels only."""
-    _check_same_dims(pred, truth, roi)
-    inside = roi.inside
-    p = pred.inside[inside]
-    t = truth.inside[inside]
-    tp = int(np.count_nonzero(p & t))
-    fp = int(np.count_nonzero(p & ~t))
-    fn = int(np.count_nonzero(~p & t))
-    tn = int(np.count_nonzero(~p & ~t))
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 def _roi_scores_labels(resp: ResponseMap, truth: Mask, roi: Mask):

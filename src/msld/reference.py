@@ -1,6 +1,7 @@
 """Whole-image floating-point engine.
 
-Computes the raw response of every scale over the full image, derives
+Computes the raw response of every scale over the full image, from the
+integer kernel's sums with the whole image as one band, derives
 per-scale statistics across the ROI with a numerically stable two-pass
 method, standardizes each scale to zero mean and unit deviation, and
 averages the standardized scales together with the standardized inverted
@@ -11,12 +12,12 @@ all statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .detector import ORIENTATION_COUNT, MsldParams, line_offsets
+from .detector import MsldParams
 from .imageio import GrayImage, Mask
+from .kernel import band_sums
 
 DEGENERATE_STD = 1e-12
 
@@ -103,20 +104,6 @@ def scale_stats(values: np.ndarray, mask: Mask) -> tuple[float, float, int]:
     return mean, std, n
 
 
-def standardize(r: float, mean: float, std: float) -> float:
-    """Z-score of one value; 0 when the deviation is degenerate."""
-    if std < DEGENERATE_STD:
-        return 0.0
-    return (r - mean) / std
-
-
-def combine(scale_values: Sequence[float], igc_value: float, n_scales: int) -> float:
-    """Average of the standardized per-scale values and the channel value."""
-    if len(scale_values) != n_scales:
-        raise ValueError(f"expected {n_scales} scale values, got {len(scale_values)}")
-    return (sum(scale_values) + igc_value) / (n_scales + 1)
-
-
 def _standardize_grid(values: np.ndarray, mean: float, std: float) -> np.ndarray:
     if std < DEGENERATE_STD:
         return np.zeros_like(values)
@@ -134,42 +121,14 @@ def msld_reference(img: GrayImage, mask: Mask, params: MsldParams) -> tuple[Resp
     if mask.count == 0:
         raise EmptyRoiError("mask contains no ROI pixels")
 
-    height, width = img.pixels.shape
-    window = params.window
-    half = params.half
+    window_sums, line_maxima = band_sums(img.pixels, 0, img.height, params.window)
+    window_means = window_sums / (params.window * params.window)
     pixels = img.pixels.astype(np.float64)
-    padded = np.pad(pixels, half, mode="edge")
-
-    # Box sums via an integral image over the edge-padded grid. All partial
-    # sums stay exact in float64 for 8-bit inputs.
-    integral = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=np.float64)
-    integral[1:, 1:] = padded.cumsum(axis=0).cumsum(axis=1)
-    window_sums = (
-        integral[window:, window:]
-        - integral[:-window, window:]
-        - integral[window:, :-window]
-        + integral[:-window, :-window]
-    )
-    window_means = window_sums / (window * window)
-
-    def shifted(dx: int, dy: int) -> np.ndarray:
-        return padded[half + dy:half + dy + height, half + dx:half + dx + width]
-
-    line_sums = [pixels.copy() for _ in range(ORIENTATION_COUNT)]
 
     means: list[float] = []
     stds: list[float] = []
     combined_sum = np.zeros_like(pixels)
-    for scale in params.scales:
-        if scale > 1:
-            j = (scale - 1) // 2
-            for k in range(ORIENTATION_COUNT):
-                dx, dy = line_offsets(k, scale).offsets[-1]
-                line_sums[k] += shifted(dx, dy)
-                line_sums[k] += shifted(-dx, -dy)
-        line_max = line_sums[0].copy()
-        for k in range(1, ORIENTATION_COUNT):
-            np.maximum(line_max, line_sums[k], out=line_max)
+    for line_max, scale in zip(line_maxima, params.scales):
         raw = line_max / scale - window_means
         mean, std, _ = scale_stats(raw, mask)
         means.append(mean)

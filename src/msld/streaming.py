@@ -1,36 +1,39 @@
 """Raster-order two-pass engine with bounded auxiliary memory.
 
-Pass 1 sweeps the image once, computing every scale's raw response on the
-fly behind a line buffer and accumulating per-scale sums and squared sums
-over the ROI; finalizing them yields each scale's mean and standard
+Pass 1 sweeps the image in bands of BAND_ROWS output rows. For each band
+the integer kernel (``kernel.band_sums``) forms the window sums and the
+per-scale maxima of the oriented line sums, the engine turns them into raw
+responses one scale at a time, and the ROI values feed per-scale sums and
+squared sums; finalizing them yields each scale's mean and standard
 deviation. Pass 2 sweeps again, recomputes the identical raw responses,
 and standardizes and combines them immediately, so no per-scale response
-image is ever stored. Auxiliary state stays proportional to
-window * image-width plus a handful of per-scale words, regardless of
+image is ever stored. Auxiliary state is one band of window + BAND_ROWS - 1
+image rows with its sums, plus a handful of per-scale words, regardless of
 image height.
 
 Arithmetic runs either in IEEE doubles or in integer fixed point with a
 configurable fractional width; divisions by the constant line lengths, the
 window area, and the scale count are realized as multiplications by
 precomputed reciprocals, while the data-dependent divisions (by the ROI
-count and by each standard deviation) are true divisions.
+count and by each standard deviation) are true divisions. Taking the
+maximum over orientations on the integer sums before multiplying by the
+positive reciprocal of the line length gives the same value as scaling
+each line first, in both modes.
 
-The engine advances one image row per step and evaluates all columns of an
-output row at once, so each register of the modeled dataflow widens into a
-row vector and the pixel store keeps whole rows (window * ncols slots
-instead of the architectural (window - 1) * ncols + window of LineBuffer).
-The footprint reports the architectural slot count alongside the actual
-bytes held.
+The footprint reports the architectural line-buffer size of the modeled
+datapath, (window - 1) * ncols + window pixels, next to the bytes a band
+actually holds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal
 
 import numpy as np
 
-from .detector import ORIENTATION_COUNT, MsldParams, line_offsets
+from .detector import MsldParams
 from .fixedpoint import (
     RAW_LIMIT,
     FixedPoint,
@@ -45,102 +48,17 @@ from .fixedpoint import (
     fx_sub,
 )
 from .imageio import GrayImage, Mask
+from .kernel import band_sums, line_sum_dtype
 from .reference import DEGENERATE_STD, EmptyRoiError, ResponseMap, ScaleStats, _check_dims
 
 ArithmeticMode = Literal["float", "fixed"]
+
+BAND_ROWS = 8
 
 
 def _validate_mode(mode: str):
     if mode not in ("float", "fixed"):
         raise ValueError(f"arithmetic_mode must be 'float' or 'fixed', got {mode!r}")
-
-
-class LineBuffer:
-    """Shift register of the (window - 1) * ncols + window most recent pixels.
-
-    Sized so that the full window whose bottom-right corner is the most
-    recently pushed pixel is available exactly when that pixel arrives; its
-    center lies (window - 1) / 2 rows and columns behind the write cursor.
-    """
-
-    def __init__(self, window: int, ncols: int):
-        if window < 3 or window % 2 == 0:
-            raise ValueError(f"window must be odd and >= 3, got {window}")
-        if ncols < 1:
-            raise ValueError(f"ncols must be >= 1, got {ncols}")
-        self.window = window
-        self.ncols = ncols
-        self.capacity = (window - 1) * ncols + window
-        self._slots = np.zeros(self.capacity, dtype=np.int64)
-        self._pushed = 0
-
-    @property
-    def pushed(self) -> int:
-        return self._pushed
-
-    @property
-    def slots_used(self) -> int:
-        return min(self._pushed, self.capacity)
-
-    @property
-    def window_ready(self) -> bool:
-        return self._pushed >= self.capacity
-
-    def push(self, value: int):
-        self._slots[self._pushed % self.capacity] = value
-        self._pushed += 1
-
-    def window_pixels(self) -> np.ndarray:
-        """The window whose bottom-right corner is the last pushed pixel."""
-        if not self.window_ready:
-            raise ValueError("window is not yet fully covered by pushed pixels")
-        cursor = self._pushed - 1
-        rows = cursor - (self.window - 1 - np.arange(self.window)) * self.ncols
-        cols = -(self.window - 1 - np.arange(self.window))
-        idx = (rows[:, None] + cols[None, :]) % self.capacity
-        return self._slots[idx]
-
-
-def line_sums_incremental(line_pixels: Sequence) -> list:
-    """Per-scale sums of one oriented line, reusing each shorter scale.
-
-    line_pixels holds W samples ordered along the line with the center at
-    index (W - 1) / 2. The scale-1 sum is the center sample; each longer
-    scale adds the next pair of endpoints to the previous sum.
-    """
-    n = len(line_pixels)
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"expected an odd number of samples, got {n}")
-    half = (n - 1) // 2
-    sums = [line_pixels[half]]
-    for j in range(1, half + 1):
-        sums.append(sums[-1] + line_pixels[half - j] + line_pixels[half + j])
-    return sums
-
-
-def rrcm_max_subtract(line_means: Sequence[float], window_mean: float) -> float:
-    """Max of the twelve oriented line means minus the window mean.
-
-    The maximum is reduced by comparing pairs, mirroring a comparator tree.
-    """
-    if len(line_means) != ORIENTATION_COUNT:
-        raise ValueError(f"expected {ORIENTATION_COUNT} line means, got {len(line_means)}")
-    level = list(line_means)
-    while len(level) > 1:
-        nxt = [max(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0] - window_mean
-
-
-@dataclass(frozen=True)
-class AllocationRecord:
-    """One auxiliary buffer owned by the engine."""
-
-    label: str
-    elements: int
-    nbytes: int
 
 
 @dataclass(frozen=True)
@@ -151,27 +69,47 @@ class MemoryFootprint:
     (window - 1) * ncols + window; stored_stats_values counts the retained
     mean/std pairs (one per scale plus one for the inverted input channel);
     accumulator_words counts the running sums and the ROI counter;
-    peak_total_bytes and allocations describe the buffers actually held.
-    The input image and the output response map are excluded by definition.
+    peak_total_bytes counts the buffers one band holds: the kernel's padded
+    rows, column and window sums, line-sum maxima and running line sum,
+    the engine's four band registers (window means, one scale's raw
+    responses, the channel, the standardized sum) and the words above.
+    Expression temporaries, the input image and the output response map
+    are excluded.
     """
 
     line_buffer_slots: int
     accumulator_words: int
     stored_stats_values: int
     peak_total_bytes: int
-    allocations: tuple[AllocationRecord, ...]
 
-    @property
-    def largest_allocation_elements(self) -> int:
-        return max((a.elements for a in self.allocations), default=0)
+
+def memory_footprint(params: MsldParams, width: int) -> MemoryFootprint:
+    """Footprint of a streaming run over an image ``width`` columns wide."""
+    window, rows = params.window, BAND_ROWS
+    padded_cols = width + window - 1
+    cells = rows * width
+    kernel_bytes = (
+        (rows + window - 1) * padded_cols
+        + 4 * rows * padded_cols
+        + 4 * cells
+        + np.dtype(line_sum_dtype(window)).itemsize * (params.n_scales + 1) * cells
+    )
+    accumulator_words = 2 * (params.n_scales + 1) + 1
+    stored_stats_values = 2 * params.n_scales + 2
+    return MemoryFootprint(
+        line_buffer_slots=(window - 1) * width + window,
+        accumulator_words=accumulator_words,
+        stored_stats_values=stored_stats_values,
+        peak_total_bytes=kernel_bytes + 4 * 8 * cells + 8 * (accumulator_words + stored_stats_values),
+    )
 
 
 class StreamAccumulators:
     """Running per-scale sums of ROI responses and their squares.
 
     In fixed mode the sums are exact Python integers over the raw
-    fixed-point values; in float mode they are IEEE doubles accumulated in
-    raster order. The ROI pixel count is shared across scales and counted
+    fixed-point values; in float mode they are IEEE doubles accumulated
+    band by band in raster order. The ROI pixel count is shared across scales and counted
     once.
     """
 
@@ -190,30 +128,31 @@ class StreamAccumulators:
     def n_scales(self) -> int:
         return len(self.sum_x)
 
-    @property
-    def word_count(self) -> int:
-        return 2 * (self.n_scales + 1) + 1
+    def update_row(self, raws: Iterator[np.ndarray], igc: np.ndarray, roi: np.ndarray):
+        """Add one band: raws yields each scale's raw responses in turn.
 
-    def update_row(self, raw_rows: np.ndarray, igc_row: np.ndarray, roi_row: np.ndarray):
-        n = int(np.count_nonzero(roi_row))
+        igc holds the channel values and roi the band's ROI flags; raws is
+        not drawn from when the band holds no ROI pixel.
+        """
+        n = int(np.count_nonzero(roi))
         if n == 0:
             return
         self.roi_count += n
         if self.mode == "fixed":
             shift = 1 << self.frac_bits
-            for s in range(self.n_scales):
-                vals = raw_rows[s][roi_row]
+            for s, raw in enumerate(raws):
+                vals = raw[roi]
                 self.sum_x[s] += int(vals.sum())
                 self.sum_x2[s] += int(div_round_half_away_i64(vals * vals, shift).sum())
-            ivals = igc_row[roi_row]
+            ivals = igc[roi]
             self.igc_sum += int(ivals.sum())
             self.igc_sum2 += int(div_round_half_away_i64(ivals * ivals, shift).sum())
         else:
-            for s in range(self.n_scales):
-                vals = raw_rows[s][roi_row]
+            for s, raw in enumerate(raws):
+                vals = raw[roi]
                 self.sum_x[s] += float(vals.sum())
                 self.sum_x2[s] += float((vals * vals).sum())
-            ivals = igc_row[roi_row]
+            ivals = igc[roi]
             self.igc_sum += float(ivals.sum())
             self.igc_sum2 += float((ivals * ivals).sum())
 
@@ -243,7 +182,7 @@ class StreamAccumulators:
                     var = 0.0
                     clamps += 1
                 means.append(m)
-                stds.append(np.sqrt(var))
+                stds.append(math.sqrt(var))
         return ScaleStats(
             scale_means=tuple(means[:-1]),
             scale_stds=tuple(stds[:-1]),
@@ -264,143 +203,60 @@ def _check_fixed_range(frac_bits: int):
         )
 
 
-class _RowEngine:
-    """One raster sweep producing raw-response rows for every scale.
+class _BandEngine:
+    """Raster sweep producing raw responses band by band.
 
-    All registers are preallocated and reused row to row; the pixel store
-    keeps the window most recent image rows.
+    The kernel's integer sums of a band are turned into raw responses one
+    scale at a time, in the engine's arithmetic:
+    raw = max line sum * recip(L) - window sum * recip(W * W).
     """
 
     def __init__(self, img: GrayImage, params: MsldParams, mode: ArithmeticMode):
         _validate_mode(mode)
         self.mode = mode
         self.params = params
-        self.height, self.ncols = img.pixels.shape
         self._pixels = img.pixels
-        window, half, n_scales = params.window, params.half, params.n_scales
-        self.window, self.half, self.n_scales = window, half, n_scales
-
+        area = params.window * params.window
         if mode == "fixed":
             _check_fixed_range(params.frac_bits)
             f = params.frac_bits
-            self.frac_bits = f
-            self._scale_recips = np.array(
-                [fx_reciprocal(length, f).raw for length in params.scales], dtype=np.int64
-            )
-            self._window_recip = fx_reciprocal(window * window, f).raw
-            value_dtype = np.int64
+            self._scale_recips = [np.int64(fx_reciprocal(length, f).raw) for length in params.scales]
+            self._window_recip = np.int64(fx_reciprocal(area, f).raw)
         else:
-            self.frac_bits = None
-            self._scale_recips = np.array(
-                [1.0 / length for length in params.scales], dtype=np.float64
-            )
-            self._window_recip = 1.0 / (window * window)
-            value_dtype = np.float64
+            self._scale_recips = [np.float64(1.0 / length) for length in params.scales]
+            self._window_recip = np.float64(1.0 / area)
 
-        self._offsets = [line_offsets(k, window).offsets for k in range(ORIENTATION_COUNT)]
+    def bands(self, mask: Mask) -> Iterator[tuple[slice, np.ndarray, Iterator[np.ndarray], np.ndarray]]:
+        """Yield (rows, roi, raws, igc) for every band holding an ROI pixel.
 
-        self._allocs: list[AllocationRecord] = []
-
-        def register(label: str, arr: np.ndarray) -> np.ndarray:
-            self._allocs.append(AllocationRecord(label, arr.size, arr.nbytes))
-            return arr
-
-        ncols = self.ncols
-        self._row_store = register("row_store", np.zeros((window, ncols), dtype=np.int64))
-        self._colmap = register(
-            "column_index_maps",
-            np.stack(
-                [
-                    np.clip(np.arange(ncols) + dx, 0, ncols - 1)
-                    for dx in range(-half, half + 1)
-                ]
-            ).astype(np.intp),
-        )
-        self._samples = register("line_sample_rows", np.zeros((window, ncols), dtype=np.int64))
-        self._line_sums = register("line_sum_rows", np.zeros((n_scales, ncols), dtype=np.int64))
-        self._line_means = register("line_mean_rows", np.zeros((n_scales, ncols), dtype=value_dtype))
-        self._line_max = register("line_max_rows", np.zeros((n_scales, ncols), dtype=value_dtype))
-        self._colsum = register("window_column_sums", np.zeros(ncols, dtype=np.int64))
-        self._extmap = register(
-            "window_column_clamp_map",
-            np.clip(np.arange(-half, ncols + half), 0, ncols - 1).astype(np.intp),
-        )
-        self._extcol = register("window_extended_sums", np.zeros(ncols + 2 * half, dtype=np.int64))
-        self._wcumsum = register("window_rolling_sums", np.zeros(ncols + 2 * half + 1, dtype=np.int64))
-        self._wmean = register("window_mean_row", np.zeros(ncols, dtype=value_dtype))
-        self.raw_rows = register("raw_response_rows", np.zeros((n_scales, ncols), dtype=value_dtype))
-        self.igc_row = register("channel_row", np.zeros(ncols, dtype=value_dtype))
-        self.zsum_row = register("standardized_sum_row", np.zeros(ncols, dtype=value_dtype))
-        self._pushed = -1
-
-    @property
-    def allocations(self) -> tuple[AllocationRecord, ...]:
-        return tuple(self._allocs)
-
-    def _row(self, y: int) -> np.ndarray:
-        yc = min(max(y, 0), self.height - 1)
-        return self._row_store[yc % self.window]
-
-    def _push_through(self, target: int):
-        target = min(target, self.height - 1)
-        while self._pushed < target:
-            self._pushed += 1
-            np.copyto(self._row_store[self._pushed % self.window], self._pixels[self._pushed])
-
-    def rows(self) -> Iterator[int]:
-        """Yield each output row index after filling raw_rows and igc_row."""
-        half, height = self.half, self.height
-        for y in range(height):
-            # The dropped row occupies exactly the slot the new push reuses,
-            # so it must leave the column sums before the push happens.
-            if y == 0:
-                self._push_through(half)
-                self._colsum[:] = 0
-                for dy in range(-half, half + 1):
-                    self._colsum += self._row(dy)
+        raws yields the band's raw responses scale by scale; igc is the
+        channel in the engine's arithmetic.
+        """
+        height = self._pixels.shape[0]
+        for y0 in range(0, height, BAND_ROWS):
+            rows = slice(y0, min(y0 + BAND_ROWS, height))
+            roi = mask.inside[rows]
+            if not roi.any():
+                continue
+            window_sums, line_maxima = band_sums(self._pixels, rows.start, rows.stop, self.params.window)
+            if self.mode == "fixed":
+                igc = self._pixels[rows].astype(np.int64) << self.params.frac_bits
             else:
-                self._colsum -= self._row(y - 1 - half)
-                self._push_through(y + half)
-                self._colsum += self._row(y + half)
-            self._compute_output_row(y)
-            yield y
+                igc = self._pixels[rows].astype(np.float64)
+            yield rows, roi, self._raws(window_sums, line_maxima), igc
 
-    def _compute_output_row(self, y: int):
-        half, window = self.half, self.window
-        # window means from column sums via a rolling horizontal sum
-        np.take(self._colsum, self._extmap, out=self._extcol)
-        self._wcumsum[0] = 0
-        np.cumsum(self._extcol, out=self._wcumsum[1:])
-        window_sums = self._wcumsum[window:] - self._wcumsum[:-window]
-        np.multiply(window_sums, self._window_recip, out=self._wmean)
-
-        for k in range(ORIENTATION_COUNT):
-            for i, (dx, dy) in enumerate(self._offsets[k]):
-                np.take(self._row(y + dy), self._colmap[dx + half], out=self._samples[i])
-            np.copyto(self._line_sums[0], self._samples[half])
-            for j in range(1, half + 1):
-                np.add(self._line_sums[j - 1], self._samples[half - j], out=self._line_sums[j])
-                self._line_sums[j] += self._samples[half + j]
-            np.multiply(self._line_sums, self._scale_recips[:, None], out=self._line_means)
-            if k == 0:
-                np.copyto(self._line_max, self._line_means)
-            else:
-                np.maximum(self._line_max, self._line_means, out=self._line_max)
-
-        np.subtract(self._line_max, self._wmean[None, :], out=self.raw_rows)
-
-        if self.mode == "fixed":
-            np.left_shift(self._row(y), self.frac_bits, out=self.igc_row)
-        else:
-            np.copyto(self.igc_row, self._row(y))
+    def _raws(self, window_sums: np.ndarray, line_maxima: np.ndarray) -> Iterator[np.ndarray]:
+        window_means = window_sums * self._window_recip
+        for line_max, recip in zip(line_maxima, self._scale_recips):
+            yield line_max * recip - window_means
 
 
-def _run_pass1(engine: _RowEngine, mask: Mask) -> ScaleStats:
+def _run_pass1(engine: _BandEngine, mask: Mask) -> ScaleStats:
     params = engine.params
     frac = params.frac_bits if engine.mode == "fixed" else None
     acc = StreamAccumulators(params.n_scales, engine.mode, frac)
-    for y in engine.rows():
-        acc.update_row(engine.raw_rows, engine.igc_row, mask.inside[y])
+    for _, roi, raws, igc in engine.bands(mask):
+        acc.update_row(raws, igc, roi)
     return acc.finalize()
 
 
@@ -420,7 +276,7 @@ def stream_pass1(
     _check_dims(img.pixels.shape, mask)
     if mask.count == 0:
         raise EmptyRoiError("mask contains no ROI pixels")
-    return _run_pass1(_RowEngine(img, params, arithmetic_mode), mask)
+    return _run_pass1(_BandEngine(img, params, arithmetic_mode), mask)
 
 
 def _stats_raws(stats: ScaleStats, frac_bits: int) -> tuple[list[int], list[int], int, int]:
@@ -444,10 +300,9 @@ def _check_combine_range(
         )
 
 
-def _run_pass2(engine: _RowEngine, mask: Mask, stats: ScaleStats) -> ResponseMap:
+def _run_pass2(engine: _BandEngine, mask: Mask, stats: ScaleStats) -> ResponseMap:
     params = engine.params
-    height, ncols = engine.height, engine.ncols
-    out = np.zeros((height, ncols), dtype=np.float64)
+    out = np.zeros(mask.inside.shape, dtype=np.float64)
     n_terms = params.n_scales + 1
 
     if engine.mode == "fixed":
@@ -458,33 +313,25 @@ def _run_pass2(engine: _RowEngine, mask: Mask, stats: ScaleStats) -> ResponseMap
         _check_combine_range(
             mean_raws + [igc_mean_raw], std_raws + [igc_std_raw], f, combine_recip
         )
-        zsum = engine.zsum_row
-        for y in engine.rows():
-            zsum[:] = 0
-            for s in range(params.n_scales):
-                if std_raws[s] == 0:
-                    continue
-                num = (engine.raw_rows[s] - mean_raws[s]) << f
-                zsum += div_round_half_away_i64(num, std_raws[s])
+        for rows, roi, raws, igc in engine.bands(mask):
+            zsum = np.zeros(igc.shape, dtype=np.int64)
+            for s, raw in enumerate(raws):
+                if std_raws[s] != 0:
+                    zsum += div_round_half_away_i64((raw - mean_raws[s]) << f, std_raws[s])
             if igc_std_raw != 0:
-                num = (engine.igc_row - igc_mean_raw) << f
-                zsum += div_round_half_away_i64(num, igc_std_raw)
+                zsum += div_round_half_away_i64((igc - igc_mean_raw) << f, igc_std_raw)
             combined = div_round_half_away_i64(zsum * combine_recip, shift)
-            np.divide(combined, shift, out=out[y])
-            out[y][~mask.inside[y]] = 0.0
+            out[rows] = np.where(roi, combined / shift, 0.0)
     else:
         combine_recip = 1.0 / n_terms
-        zsum = engine.zsum_row
-        for y in engine.rows():
-            zsum[:] = 0.0
-            for s in range(params.n_scales):
-                if stats.scale_stds[s] < DEGENERATE_STD:
-                    continue
-                zsum += (engine.raw_rows[s] - stats.scale_means[s]) / stats.scale_stds[s]
+        for rows, roi, raws, igc in engine.bands(mask):
+            zsum = np.zeros(igc.shape, dtype=np.float64)
+            for s, raw in enumerate(raws):
+                if stats.scale_stds[s] >= DEGENERATE_STD:
+                    zsum += (raw - stats.scale_means[s]) / stats.scale_stds[s]
             if stats.igc_std >= DEGENERATE_STD:
-                zsum += (engine.igc_row - stats.igc_mean) / stats.igc_std
-            np.multiply(zsum, combine_recip, out=out[y])
-            out[y][~mask.inside[y]] = 0.0
+                zsum += (igc - stats.igc_mean) / stats.igc_std
+            out[rows] = np.where(roi, zsum * combine_recip, 0.0)
 
     return ResponseMap(out)
 
@@ -519,10 +366,10 @@ def stream_pass2(
     """Second raster sweep: recompute raw responses, standardize, combine.
 
     Emits each combined response as soon as its raw responses are
-    recomputed; per-scale responses exist only as single-row registers.
+    recomputed; per-scale responses exist only as one band of one scale.
     """
     _check_pass2_inputs(img, mask, params, stats, arithmetic_mode)
-    return _run_pass2(_RowEngine(img, params, arithmetic_mode), mask, stats)
+    return _run_pass2(_BandEngine(img, params, arithmetic_mode), mask, stats)
 
 
 def msld_streaming(
@@ -537,29 +384,7 @@ def msld_streaming(
     if mask.count == 0:
         raise EmptyRoiError("mask contains no ROI pixels")
 
-    engine1 = _RowEngine(img, params, arithmetic_mode)
-    stats = _run_pass1(engine1, mask)
-    pass1_allocs = engine1.allocations
-    del engine1
-
-    engine2 = _RowEngine(img, params, arithmetic_mode)
-    response = _run_pass2(engine2, mask, stats)
-    pass2_allocs = engine2.allocations
-
-    word_bytes = 8
-    n_scales = params.n_scales
-    accumulator_words = 2 * (n_scales + 1) + 1
-    stored_stats_values = 2 * n_scales + 2
-    bookkeeping = (accumulator_words + stored_stats_values) * word_bytes
-    peak_total_bytes = (
-        max(sum(a.nbytes for a in pass1_allocs), sum(a.nbytes for a in pass2_allocs))
-        + bookkeeping
-    )
-    footprint = MemoryFootprint(
-        line_buffer_slots=(params.window - 1) * img.width + params.window,
-        accumulator_words=accumulator_words,
-        stored_stats_values=stored_stats_values,
-        peak_total_bytes=peak_total_bytes,
-        allocations=pass2_allocs,
-    )
-    return response, stats, footprint
+    engine = _BandEngine(img, params, arithmetic_mode)
+    stats = _run_pass1(engine, mask)
+    response = _run_pass2(engine, mask, stats)
+    return response, stats, memory_footprint(params, img.width)

@@ -1,0 +1,102 @@
+import numpy as np
+import pytest
+
+from msld.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main, read_response_file
+from msld.imageio import GrayImage, load_mask, save_pnm
+
+
+def report(capsys) -> dict:
+    pairs = {}
+    for line in capsys.readouterr().out.splitlines():
+        key, _, value = line.partition(" ")
+        pairs[key] = value
+    return pairs
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """A 24x20 image with one bright vertical vessel, its truth and a ROI."""
+    rng = np.random.default_rng(0)
+    pixels = rng.integers(90, 110, (24, 20), dtype=np.uint8)
+    pixels[:, 9:11] += 60
+    truth = np.zeros((24, 20), dtype=np.uint8)
+    truth[:, 9:11] = 255
+    roi = np.full((24, 20), 255, dtype=np.uint8)
+    roi[:2] = 0
+    paths = {name: tmp_path / f"{name}.pgm" for name in ("image", "truth", "mask")}
+    for name, values in (("image", pixels), ("truth", truth), ("mask", roi)):
+        save_pnm(GrayImage(values), paths[name])
+    return paths
+
+
+def segment_args(paths, out, *extra):
+    return ["segment", "--input", str(paths["image"]), "--mask", str(paths["mask"]),
+            "--window", "5", "--out", str(out), *extra]
+
+
+@pytest.mark.parametrize("engine", ["reference", "streaming-float", "streaming-fixed"])
+def test_segment_eval_round_trip(inputs, tmp_path, capsys, engine):
+    out = tmp_path / "resp.msldf"
+    assert main(segment_args(inputs, out, "--engine", engine, "--threshold", "0.5")) == EXIT_OK
+    resp = read_response_file(out)
+    assert (resp.height, resp.width) == (24, 20)
+    assert (resp.values[:2] == 0).all()
+    seg = load_mask(tmp_path / "resp.msldf.seg.pgm")
+    assert np.array_equal(seg.inside, resp.values > 0.5)
+    capsys.readouterr()
+    assert main(["eval", "--input", str(out), "--truth", str(inputs["truth"]),
+                 "--mask", str(inputs["mask"])]) == EXIT_OK
+    assert float(report(capsys)["auc"]) > 0.9
+
+
+def test_bench_and_segment_report_the_same_footprint(inputs, tmp_path, capsys):
+    keys = ("line_buffer_slots", "accumulator_words", "stored_stats_values", "peak_total_bytes")
+    args = ["--input", str(inputs["image"]), "--window", "5", "--engine", "streaming-fixed"]
+    assert main(["segment", *args, "--out", str(tmp_path / "r.msldf")]) == EXIT_OK
+    seg = report(capsys)
+    assert main(["bench", *args]) == EXIT_OK
+    bench = report(capsys)
+    assert {k: seg[k] for k in keys} == {k: bench[k] for k in keys}
+    assert int(seg["line_buffer_slots"]) == 4 * 20 + 5
+
+
+def test_compare_prints_plain_numbers(inputs, capsys):
+    assert main(["compare", "--input", str(inputs["image"]), "--mask", str(inputs["mask"]),
+                 "--window", "5"]) == EXIT_OK
+    pairs = report(capsys)
+    assert len(pairs) > 10
+    for value in pairs.values():
+        float(value)
+
+
+def test_existing_temporary_of_another_run_untouched(inputs, tmp_path):
+    out = tmp_path / "resp.msldf"
+    other = tmp_path / "resp.msldf.tmp"
+    other.write_bytes(b"another run")
+    assert main(segment_args(inputs, out)) == EXIT_OK
+    assert other.read_bytes() == b"another run"
+
+
+def test_failures_exit_with_their_code_and_leave_no_output(inputs, tmp_path):
+    bad_image = tmp_path / "bad.pgm"
+    bad_image.write_bytes(b"P5\n4 4\n255\n\x00")
+    empty_roi = tmp_path / "empty.pgm"
+    save_pnm(GrayImage(np.zeros((24, 20), dtype=np.uint8)), empty_roi)
+    out = tmp_path / "out" / "resp.msldf"
+    out.parent.mkdir()
+    base = [*segment_args(inputs, out), "--report", str(out.parent / "report.txt")]
+    for code, extra in [
+        (EXIT_VALIDATION, ["--window", "4"]),
+        (EXIT_VALIDATION, ["--threshold", "nan"]),
+        (EXIT_IO, ["--input", str(bad_image)]),
+        (EXIT_NUMERIC, ["--mask", str(empty_roi)]),
+    ]:
+        assert main([*base, *extra]) == code, extra
+        assert list(out.parent.iterdir()) == []
+
+
+def test_failed_write_leaves_no_temporary(inputs, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()  # a directory cannot be replaced by the response file
+    assert main(segment_args(inputs, out)) == EXIT_IO
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["image.pgm", "mask.pgm", "out", "truth.pgm"]

@@ -3,19 +3,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msld.detector import (
-    ORIENTATION_COUNT,
-    MsldParams,
-    line_mean,
-    line_offsets,
-    raw_response,
-    window_mean,
-)
+from msld.detector import ORIENTATION_COUNT, MsldParams, line_offsets
 from msld.imageio import GrayImage
+from msld.kernel import band_sums
 
 
 def rand_image(rng, height, width):
     return GrayImage(rng.randint(0, 256, (height, width), dtype=np.uint8))
+
+
+def at_pixel(img, x, y, window):
+    """Kernel outputs at (x, y) from the one-row band y: window mean and
+    the maximum oriented line mean of every scale."""
+    window_sums, line_maxima = band_sums(img.pixels, y, y + 1, window)
+    lengths = range(1, window + 1, 2)
+    return (
+        window_sums[0, x] / (window * window),
+        [m[0, x] / length for m, length in zip(line_maxima, lengths)],
+    )
+
+
+def window_mean(img, x, y, window):
+    return at_pixel(img, x, y, window)[0]
+
+
+def raw_responses(img, x, y, params):
+    avg, line_means = at_pixel(img, x, y, params.window)
+    return [m - avg for m in line_means]
 
 
 class TestParams:
@@ -116,55 +130,67 @@ class TestWindowMean:
 class TestLineMean:
     def test_constant(self):
         img = GrayImage(np.full((7, 7), 9, dtype=np.uint8))
-        for k in range(ORIENTATION_COUNT):
-            assert line_mean(img, 3, 3, line_offsets(k, 5)) == 9.0
+        assert at_pixel(img, 3, 3, 5)[1] == [9.0, 9.0, 9.0]
 
     def test_vertical_stripe(self):
         pixels = np.zeros((7, 7), dtype=np.uint8)
         pixels[:, 3] = 100
         img = GrayImage(pixels)
-        assert line_mean(img, 3, 3, line_offsets(6, 5)) == 100.0
-        assert line_mean(img, 3, 3, line_offsets(0, 5)) == 20.0
+        # on the stripe the vertical line wins; beside it the horizontal
+        # line, like every other, crosses the stripe once
+        assert at_pixel(img, 3, 3, 5)[1][-1] == 100.0
+        assert at_pixel(img, 1, 3, 5)[1][-1] == 20.0
 
 
 class TestRawResponse:
     def test_constant_image_all_zero(self):
         img = GrayImage(np.full((9, 9), 77, dtype=np.uint8))
-        resp = raw_response(img, 4, 4, MsldParams(window=5))
-        assert resp.responses == (0.0, 0.0, 0.0)
+        assert raw_responses(img, 4, 4, MsldParams(window=5)) == [0.0, 0.0, 0.0]
 
     def test_stripe_case(self):
         pixels = np.zeros((5, 5), dtype=np.uint8)
         pixels[:, 2] = 100
-        resp = raw_response(GrayImage(pixels), 2, 2, MsldParams(window=5))
-        assert resp.window_mean == 20.0
-        assert resp.line_maxima[-1] == 100.0
-        assert resp.responses[-1] == 80.0
+        img = GrayImage(pixels)
+        avg, line_means = at_pixel(img, 2, 2, 5)
+        assert avg == 20.0
+        assert line_means[-1] == 100.0
+        assert raw_responses(img, 2, 2, MsldParams(window=5))[-1] == 80.0
 
     def test_scale_one_degenerates_to_center(self):
         rng = np.random.RandomState(9)
         img = rand_image(rng, 9, 9)
         params = MsldParams(window=5)
         for x, y in [(4, 4), (2, 6)]:
-            resp = raw_response(img, x, y, params)
             expected = img.pixels[y, x] - window_mean(img, x, y, 5)
-            assert resp.responses[0] == pytest.approx(expected, abs=1e-12)
+            assert raw_responses(img, x, y, params)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_response_is_max_minus_window_mean(self):
+        # the kernel's sums against direct edge-clamped per-pixel loops
         rng = np.random.RandomState(10)
         img = rand_image(rng, 11, 11)
         params = MsldParams(window=7)
-        resp = raw_response(img, 5, 5, params)
-        for r, m in zip(resp.responses, resp.line_maxima):
-            assert r == pytest.approx(m - resp.window_mean, abs=1e-12)
+        window_sums, line_maxima = band_sums(img.pixels, 0, 11, params.window)
+
+        def clamped(x, y):
+            return int(img.pixels[min(max(y, 0), 10), min(max(x, 0), 10)])
+
+        for x, y in [(5, 5), (0, 0), (10, 3)]:
+            assert window_sums[y, x] == sum(
+                clamped(x + dx, y + dy) for dy in range(-3, 4) for dx in range(-3, 4)
+            )
+            for s, length in enumerate(params.scales):
+                assert line_maxima[s, y, x] == max(
+                    sum(clamped(x + dx, y + dy) for dx, dy in line_offsets(k, length).offsets)
+                    for k in range(ORIENTATION_COUNT)
+                )
 
     def test_constant_shift_invariance(self):
         rng = np.random.RandomState(12)
         base = rng.randint(0, 100, (9, 9), dtype=np.uint8)
         params = MsldParams(window=5)
-        r0 = raw_response(GrayImage(base), 4, 4, params)
-        r1 = raw_response(GrayImage(base + 100), 4, 4, params)
-        for a, b in zip(r0.responses, r1.responses):
+        r0 = raw_responses(GrayImage(base), 4, 4, params)
+        r1 = raw_responses(GrayImage(base + 100), 4, 4, params)
+        for a, b in zip(r0, r1):
             assert a == pytest.approx(b, abs=1e-9)
 
     def test_quarter_turn_permutes_orientations(self):
@@ -173,7 +199,7 @@ class TestRawResponse:
         rotated = GrayImage(np.rot90(img.pixels, k=-1).copy())
         params = MsldParams(window=5)
         for x, y in [(3, 4), (5, 6), (0, 0)]:
-            a = raw_response(img, x, y, params)
-            b = raw_response(rotated, img.height - 1 - y, x, params)
-            for ra, rb in zip(a.responses, b.responses):
+            a = raw_responses(img, x, y, params)
+            b = raw_responses(rotated, img.height - 1 - y, x, params)
+            for ra, rb in zip(a, b):
                 assert ra == pytest.approx(rb, abs=1e-9)

@@ -1,0 +1,37 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from msld.kernel import band_sums
+
+
+@given(
+    height=st.integers(1, 20),
+    width=st.integers(1, 12),
+    window=st.sampled_from([3, 5, 9, 15]),
+    band=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_bands_stitch_to_the_whole_image(height, width, window, band, seed):
+    pixels = np.random.default_rng(seed).integers(0, 256, (height, width), dtype=np.uint8)
+    whole_sums, whole_maxima = band_sums(pixels, 0, height, window)
+    parts = [band_sums(pixels, y, min(y + band, height), window) for y in range(0, height, band)]
+    assert np.array_equal(np.concatenate([p[0] for p in parts], axis=0), whole_sums)
+    assert np.array_equal(np.concatenate([p[1] for p in parts], axis=1), whole_maxima)
+
+
+@pytest.mark.parametrize("window, dtype", [(127, np.int16), (129, np.int32)])
+def test_line_sums_stay_exact_at_full_scale(window, dtype):
+    pixels = np.full((2, 3), 255, dtype=np.uint8)
+    window_sums, line_maxima = band_sums(pixels, 0, 2, window)
+    assert window_sums.dtype == np.int32 and line_maxima.dtype == dtype
+    assert (window_sums == 255 * window * window).all()
+    lengths = np.arange(1, window + 1, 2)
+    assert (line_maxima == 255 * lengths[:, None, None]).all()
+
+
+def test_window_beyond_int32_rejected():
+    with pytest.raises(ValueError):
+        band_sums(np.zeros((1, 1), dtype=np.uint8), 0, 1, 2903)
