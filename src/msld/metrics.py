@@ -67,16 +67,18 @@ def auc(resp: ResponseMap, truth: Mask, roi: Mask) -> float:
     thresholds.
     """
     scores, labels, n_pos, n_neg = _roi_scores_labels(resp, truth, roi)
-    rank_sum = float(_midranks(scores)[labels].sum())
-    u = rank_sum - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
-
-
-def _midranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing the average rank of their group."""
-    n = scores.size
     order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
+    return _auc_of_order(scores[order], order, labels, n_pos, n_neg)
+
+
+def _auc_of_order(sorted_scores: np.ndarray, order: np.ndarray, labels: np.ndarray,
+                  n_pos: int, n_neg: int) -> float:
+    """Rank-sum AUC from the scores' stable ascending order.
+
+    sorted_scores is scores[order]. Ranks are 1-based, and tied scores
+    share the average rank of their group (midranks).
+    """
+    n = order.size
     boundary = np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1]))
     group_id = np.cumsum(boundary) - 1
     group_start = np.nonzero(boundary)[0]
@@ -84,7 +86,9 @@ def _midranks(scores: np.ndarray) -> np.ndarray:
     mid = group_start + (group_size - 1) / 2.0 + 1.0
     ranks = np.empty(n, dtype=np.float64)
     ranks[order] = mid[group_id]
-    return ranks
+    rank_sum = float(ranks[labels].sum())
+    u = rank_sum - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
 
 
 def _metrics_at(tp: int, fp: int, n_pos: int, n_neg: int) -> tuple[float, float, float]:
@@ -103,11 +107,11 @@ def best_threshold(resp: ResponseMap, truth: Mask, roi: Mask) -> tuple[float, Me
     larger threshold.
     """
     scores, labels, n_pos, n_neg = _roi_scores_labels(resp, truth, roi)
-    area = auc(resp, truth, roi)
     n = scores.size
 
     order = np.argsort(scores, kind="mergesort")
     sorted_scores = scores[order]
+    area = _auc_of_order(sorted_scores, order, labels, n_pos, n_neg)
     sorted_labels = labels[order]
 
     # predicted positive means score > t, so for t = sorted_scores[i] the

@@ -100,14 +100,20 @@ def scale_stats(values: np.ndarray, mask: Mask) -> tuple[float, float, int]:
     if n == 0:
         raise EmptyRoiError("mask contains no ROI pixels")
     mean = float(roi.sum() / n)
-    std = float(np.sqrt(((roi - mean) ** 2).sum() / n))
+    # roi is a fresh copy, so the deviations are squared in place
+    roi -= mean
+    roi *= roi
+    std = float(np.sqrt(roi.sum() / n))
     return mean, std, n
 
 
-def _standardize_grid(values: np.ndarray, mean: float, std: float) -> np.ndarray:
+def _standardize_into(total: np.ndarray, values: np.ndarray, mean: float, std: float):
+    """Add the standardized values to total, overwriting values."""
     if std < DEGENERATE_STD:
-        return np.zeros_like(values)
-    return (values - mean) / std
+        return
+    values -= mean
+    values /= std
+    total += values
 
 
 def msld_reference(img: GrayImage, mask: Mask, params: MsldParams) -> tuple[ResponseMap, ScaleStats]:
@@ -123,21 +129,25 @@ def msld_reference(img: GrayImage, mask: Mask, params: MsldParams) -> tuple[Resp
 
     window_sums, line_maxima = band_sums(img.pixels, 0, img.height, params.window)
     window_means = window_sums / (params.window * params.window)
-    pixels = img.pixels.astype(np.float64)
+    del window_sums
 
     means: list[float] = []
     stds: list[float] = []
-    combined_sum = np.zeros_like(pixels)
+    combined = np.zeros(window_means.shape, dtype=np.float64)
+    raw = np.empty_like(combined)
     for line_max, scale in zip(line_maxima, params.scales):
-        raw = line_max / scale - window_means
+        np.divide(line_max, scale, out=raw)
+        raw -= window_means
         mean, std, _ = scale_stats(raw, mask)
         means.append(mean)
         stds.append(std)
-        combined_sum += _standardize_grid(raw, mean, std)
+        _standardize_into(combined, raw, mean, std)
+    del line_maxima, window_means
 
-    igc_mean, igc_std, roi_count = scale_stats(pixels, mask)
-    combined_sum += _standardize_grid(pixels, igc_mean, igc_std)
-    combined = combined_sum / (params.n_scales + 1)
+    np.copyto(raw, img.pixels)
+    igc_mean, igc_std, roi_count = scale_stats(raw, mask)
+    _standardize_into(combined, raw, igc_mean, igc_std)
+    combined /= params.n_scales + 1
     combined[~mask.inside] = 0.0
 
     stats = ScaleStats(

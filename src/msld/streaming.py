@@ -46,9 +46,10 @@ from .fixedpoint import (
     fx_reciprocal,
     fx_sqrt,
     fx_sub,
+    shift_round_half_away_i64,
 )
 from .imageio import GrayImage, Mask
-from .kernel import band_sums, line_sum_dtype
+from .kernel import band_bytes, band_sums
 from .reference import DEGENERATE_STD, EmptyRoiError, ResponseMap, ScaleStats, _check_dims
 
 ArithmeticMode = Literal["float", "fixed"]
@@ -69,10 +70,12 @@ class MemoryFootprint:
     (window - 1) * ncols + window; stored_stats_values counts the retained
     mean/std pairs (one per scale plus one for the inverted input channel);
     accumulator_words counts the running sums and the ROI counter;
-    peak_total_bytes counts the buffers one band holds: the kernel's padded
-    rows, column and window sums, line-sum maxima and running line sum,
-    the engine's four band registers (window means, one scale's raw
-    responses, the channel, the standardized sum) and the words above.
+    peak_total_bytes counts the buffers one band holds: every buffer of
+    the kernel (``kernel.band_bytes``: the padded band with its spare row,
+    the padded-width column and window sums, the padded line-sum maxima and
+    running line sum, and the compact outputs), the engine's four band
+    registers (window means, one scale's raw responses, the channel, the
+    standardized sum) and the words above.
     Expression temporaries, the input image and the output response map
     are excluded.
     """
@@ -85,22 +88,15 @@ class MemoryFootprint:
 
 def memory_footprint(params: MsldParams, width: int) -> MemoryFootprint:
     """Footprint of a streaming run over an image ``width`` columns wide."""
-    window, rows = params.window, BAND_ROWS
-    padded_cols = width + window - 1
-    cells = rows * width
-    kernel_bytes = (
-        (rows + window - 1) * padded_cols
-        + 4 * rows * padded_cols
-        + 4 * cells
-        + np.dtype(line_sum_dtype(window)).itemsize * (params.n_scales + 1) * cells
-    )
+    window = params.window
+    cells = BAND_ROWS * width
     accumulator_words = 2 * (params.n_scales + 1) + 1
     stored_stats_values = 2 * params.n_scales + 2
     return MemoryFootprint(
         line_buffer_slots=(window - 1) * width + window,
         accumulator_words=accumulator_words,
         stored_stats_values=stored_stats_values,
-        peak_total_bytes=kernel_bytes + 4 * 8 * cells + 8 * (accumulator_words + stored_stats_values),
+        peak_total_bytes=band_bytes(BAND_ROWS, width, window) + 4 * 8 * cells + 8 * (accumulator_words + stored_stats_values),
     )
 
 
@@ -139,14 +135,17 @@ class StreamAccumulators:
             return
         self.roi_count += n
         if self.mode == "fixed":
-            shift = 1 << self.frac_bits
+            # squares are non-negative, so rounding them half away from zero
+            # by 2**frac_bits is adding half an ulp and shifting
+            f = self.frac_bits
+            half_ulp = 1 << (f - 1)
             for s, raw in enumerate(raws):
                 vals = raw[roi]
                 self.sum_x[s] += int(vals.sum())
-                self.sum_x2[s] += int(div_round_half_away_i64(vals * vals, shift).sum())
+                self.sum_x2[s] += int(((vals * vals + half_ulp) >> f).sum())
             ivals = igc[roi]
             self.igc_sum += int(ivals.sum())
-            self.igc_sum2 += int(div_round_half_away_i64(ivals * ivals, shift).sum())
+            self.igc_sum2 += int(((ivals * ivals + half_ulp) >> f).sum())
         else:
             for s, raw in enumerate(raws):
                 vals = raw[roi]
@@ -307,7 +306,6 @@ def _run_pass2(engine: _BandEngine, mask: Mask, stats: ScaleStats) -> ResponseMa
 
     if engine.mode == "fixed":
         f = params.frac_bits
-        shift = 1 << f
         mean_raws, std_raws, igc_mean_raw, igc_std_raw = _stats_raws(stats, f)
         combine_recip = fx_reciprocal(n_terms, f).raw
         _check_combine_range(
@@ -320,18 +318,23 @@ def _run_pass2(engine: _BandEngine, mask: Mask, stats: ScaleStats) -> ResponseMa
                     zsum += div_round_half_away_i64((raw - mean_raws[s]) << f, std_raws[s])
             if igc_std_raw != 0:
                 zsum += div_round_half_away_i64((igc - igc_mean_raw) << f, igc_std_raw)
-            combined = div_round_half_away_i64(zsum * combine_recip, shift)
-            out[rows] = np.where(roi, combined / shift, 0.0)
+            combined = shift_round_half_away_i64(zsum * combine_recip, f)
+            out[rows] = np.where(roi, combined / (1 << f), 0.0)
     else:
         combine_recip = 1.0 / n_terms
         for rows, roi, raws, igc in engine.bands(mask):
             zsum = np.zeros(igc.shape, dtype=np.float64)
             for s, raw in enumerate(raws):
                 if stats.scale_stds[s] >= DEGENERATE_STD:
-                    zsum += (raw - stats.scale_means[s]) / stats.scale_stds[s]
+                    raw -= stats.scale_means[s]
+                    raw /= stats.scale_stds[s]
+                    zsum += raw
             if stats.igc_std >= DEGENERATE_STD:
-                zsum += (igc - stats.igc_mean) / stats.igc_std
-            out[rows] = np.where(roi, zsum * combine_recip, 0.0)
+                igc -= stats.igc_mean
+                igc /= stats.igc_std
+                zsum += igc
+            zsum *= combine_recip
+            out[rows] = np.where(roi, zsum, 0.0)
 
     return ResponseMap(out)
 

@@ -20,6 +20,7 @@ from msld.fixedpoint import (
     fx_sqrt,
     fx_sub,
     fx_to_real,
+    shift_round_half_away_i64,
 )
 
 F = 18
@@ -168,6 +169,23 @@ class TestRoundingHelpers:
         got = div_round_half_away_i64(arr, den)
         expected = [div_round_half_away(int(n), den) for n in nums]
         assert got.tolist() == expected
+
+    @given(
+        frac_bits=st.integers(1, 40),
+        nums=st.lists(st.integers(-2**61, 2**61), min_size=1, max_size=32),
+        odd=st.lists(st.integers(-2**20, 2**20), min_size=1, max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_shifts_match_power_of_two_division(self, frac_bits, nums, odd):
+        # (2q + 1) * 2**(frac_bits - 1) lies exactly halfway between multiples
+        halves = [(2 * q + 1) << (frac_bits - 1) for q in odd]
+        arr = np.array(nums + halves, dtype=np.int64)
+        expected = div_round_half_away_i64(arr, 1 << frac_bits)
+        assert np.array_equal(shift_round_half_away_i64(arr, frac_bits), expected)
+        # the unsigned form the streaming accumulators use on squares
+        nonneg = np.abs(arr)
+        unsigned = (nonneg + (1 << (frac_bits - 1))) >> frac_bits
+        assert np.array_equal(unsigned, div_round_half_away_i64(nonneg, 1 << frac_bits))
 
 
 def test_from_int_scales_exactly():

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msld.kernel import band_sums
+from msld.kernel import band_bytes, band_sums, line_sum_dtype
 
 
 @given(
@@ -35,3 +37,24 @@ def test_line_sums_stay_exact_at_full_scale(window, dtype):
 def test_window_beyond_int32_rejected():
     with pytest.raises(ValueError):
         band_sums(np.zeros((1, 1), dtype=np.uint8), 0, 1, 2903)
+
+
+@pytest.mark.parametrize("height, width, window, y0, y1", [
+    (40, 64, 15, 8, 16), (584, 565, 15, 0, 8), (5, 7, 9, 0, 5), (3, 2, 129, 1, 3),
+])
+def test_outputs_are_compact_and_inside_the_modeled_bytes(height, width, window, y0, y1):
+    pixels = np.random.default_rng(height).integers(0, 256, (height, width), dtype=np.uint8)
+    band_sums(pixels, y0, y1, window)  # fills the line-geometry cache outside the trace
+    tracemalloc.start()
+    try:
+        window_sums, line_maxima = band_sums(pixels, y0, y1, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = y1 - y0
+    assert window_sums.dtype == np.int32 and window_sums.shape == (rows, width)
+    assert line_maxima.dtype == line_sum_dtype(window)
+    assert line_maxima.shape == ((window + 1) // 2, rows, width)
+    assert window_sums.flags.c_contiguous and line_maxima.flags.c_contiguous
+    modeled = band_bytes(rows, width, window)
+    assert window_sums.nbytes + line_maxima.nbytes <= peak <= modeled
