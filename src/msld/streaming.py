@@ -89,14 +89,17 @@ class MemoryFootprint:
 def memory_footprint(params: MsldParams, width: int) -> MemoryFootprint:
     """Footprint of a streaming run over an image ``width`` columns wide."""
     window = params.window
-    cells = BAND_ROWS * width
     accumulator_words = 2 * (params.n_scales + 1) + 1
     stored_stats_values = 2 * params.n_scales + 2
     return MemoryFootprint(
         line_buffer_slots=(window - 1) * width + window,
         accumulator_words=accumulator_words,
         stored_stats_values=stored_stats_values,
-        peak_total_bytes=band_bytes(BAND_ROWS, width, window) + 4 * 8 * cells + 8 * (accumulator_words + stored_stats_values),
+        peak_total_bytes=(
+            band_bytes(BAND_ROWS, width, window)
+            + 4 * 8 * BAND_ROWS * width
+            + 8 * (accumulator_words + stored_stats_values)
+        ),
     )
 
 

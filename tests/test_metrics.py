@@ -26,21 +26,22 @@ def scored_rois(draw):
     return ResponseMap(values), Mask(truth), Mask(roi)
 
 
-def roc_points(scores, labels):
-    """(FPR, TPR) as exact fractions at every threshold, predicting score > t."""
+def rates(scores, labels, t):
+    """Exact (SE, SP, ACC) when a pixel is predicted vessel for score > t."""
     n_pos = sum(labels)
     n_neg = len(labels) - n_pos
-    thresholds = [-np.inf] + sorted(set(scores))
-    points = []
-    for t in thresholds:
-        tp = sum(1 for s, y in zip(scores, labels) if s > t and y)
-        fp = sum(1 for s, y in zip(scores, labels) if s > t and not y)
-        points.append((Fraction(fp, n_neg), Fraction(tp, n_pos)))
-    return sorted(points)
+    tp = sum(1 for s, y in zip(scores, labels) if s > t and y)
+    tn = sum(1 for s, y in zip(scores, labels) if s <= t and not y)
+    return Fraction(tp, n_pos), Fraction(tn, n_neg), Fraction(tp + tn, len(labels))
 
 
 def trapezoid_auc(scores, labels):
-    points = roc_points(scores, labels)
+    """Area under the ROC through the points of every threshold."""
+    points = []
+    for t in [-np.inf] + sorted(set(scores)):
+        se, sp, _ = rates(scores, labels, t)
+        points.append((1 - sp, se))
+    points.sort()
     return sum((x1 - x0) * (y0 + y1) / 2 for (x0, y0), (x1, y1) in zip(points, points[1:]))
 
 
@@ -55,23 +56,19 @@ def test_auc_is_the_trapezoidal_roc_area(case):
     assert auc(*case) == pytest.approx(float(trapezoid_auc(scores, labels)), abs=1e-12)
 
 
-def metrics_at(scores, labels, t):
-    n_pos = sum(labels)
-    n_neg = len(labels) - n_pos
-    tp = sum(1 for s, y in zip(scores, labels) if s > t and y)
-    tn = sum(1 for s, y in zip(scores, labels) if s <= t and not y)
-    return Fraction(tp, n_pos), Fraction(tn, n_neg), Fraction(tp + tn, len(labels))
-
-
 @given(scored_rois())
 @settings(max_examples=150, deadline=None)
 def test_best_threshold_breaks_ties_by_specificity_then_larger_threshold(case):
     scores, labels = roi_lists(*case)
-    # accuracy first, then specificity, then the larger threshold
-    best = max(set(scores), key=lambda t: (metrics_at(scores, labels, t)[2],
-                                           metrics_at(scores, labels, t)[1], t))
+
+    def preference(t):
+        # accuracy first, then specificity, then the larger threshold
+        _, sp, acc = rates(scores, labels, t)
+        return acc, sp, t
+
+    best = max(set(scores), key=preference)
     threshold, report = best_threshold(*case)
-    se, sp, acc = metrics_at(scores, labels, best)
+    se, sp, acc = rates(scores, labels, best)
     assert threshold == best
     assert (report.se, report.sp, report.acc) == (float(se), float(sp), float(acc))
     assert report.auc == auc(*case) and report.roi_count == len(scores)
