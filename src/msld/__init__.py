@@ -1,12 +1,13 @@
 """Multi-scale line detector for retinal vessel segmentation.
 
-Two interchangeable engines produce the same combined response map from
+One raster-order two-pass engine produces the combined response map from
 one exact integer kernel (``kernel.band_sums``) of window sums and
-oriented line-sum maxima: a whole-image floating-point reference, which
-hands the kernel the whole image as one band, and a raster-order
-two-pass streaming engine, which hands it a few rows at a time, keeps
-only per-scale statistics between passes, and can run its datapath in
-configurable fixed-point arithmetic.
+oriented line-sum maxima. It keeps only per-scale statistics between
+passes and runs its datapath in floating point, with exact integer
+statistics, or in configurable fixed point. The streaming entry point
+hands the kernel a few rows at a time; the whole-image reference is the
+float datapath with one band as high as the image, and gives the same
+map and statistics.
 """
 
 from .detector import (

@@ -1,25 +1,23 @@
-"""Whole-image floating-point engine.
+"""Whole-image engine and the result types both engines share.
 
-Computes the raw response of every scale over the full image, from the
-integer kernel's sums with the whole image as one band, derives
-per-scale statistics across the ROI with a numerically stable two-pass
-method, standardizes each scale to zero mean and unit deviation, and
-averages the standardized scales together with the standardized inverted
-input channel. Pixels outside the ROI are emitted as 0 and excluded from
-all statistics.
+``msld_reference`` is the streaming engine's float datapath run with one
+band as high as the image: the kernel's sums of that band are formed once
+and read by both passes. Its map and statistics are therefore the same
+values as ``msld_streaming(..., "float")``'s. ``scale_stats`` is the one
+statistics formula of float mode: it rounds the exact rational mean and
+variance of integer ROI sums once. Pixels outside the ROI are emitted as 0
+and excluded from all statistics.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detector import MsldParams
 from .imageio import GrayImage, Mask
-from .kernel import band_sums
-
-DEGENERATE_STD = 1e-12
 
 
 class EmptyRoiError(ValueError):
@@ -59,7 +57,9 @@ class ScaleStats:
     Carries one (mean, std) pair per scale plus the pair for the inverted
     input channel, the ROI pixel count, the fractional width used to produce
     them (None for float arithmetic), and the number of times a negative
-    variance had to be clamped to zero.
+    variance had to be clamped to zero. Only the fixed-point datapath can
+    clamp: float statistics are exact rationals, whose variance is never
+    negative.
     """
 
     scale_means: tuple[float, ...]
@@ -83,78 +83,29 @@ class ScaleStats:
         return len(self.scale_means)
 
 
-def _check_dims(img_shape, mask: Mask, what: str = "mask"):
-    if (mask.height, mask.width) != tuple(img_shape):
-        raise ValueError(
-            f"{what} dimensions {mask.width}x{mask.height} do not match "
-            f"image {img_shape[1]}x{img_shape[0]}"
-        )
+def scale_stats(sum_x: int, sum_x2: int, roi_count: int, divisor: int = 1) -> tuple[float, float]:
+    """ROI mean and population standard deviation of the values x / divisor.
 
-
-def scale_stats(values: np.ndarray, mask: Mask) -> tuple[float, float, int]:
-    """ROI mean and population standard deviation of one response grid."""
-    values = np.asarray(values, dtype=np.float64)
-    _check_dims(values.shape, mask)
-    roi = values[mask.inside]
-    n = roi.size
-    if n == 0:
+    Takes the exact integer sums of x and x * x over roi_count ROI pixels
+    and rounds the exact rationals once: mean = sum_x / (n * divisor) and
+    variance = (n * sum_x2 - sum_x**2) / (n * divisor)**2, whose square root
+    is the deviation.
+    """
+    if roi_count == 0:
         raise EmptyRoiError("mask contains no ROI pixels")
-    mean = float(roi.sum() / n)
-    # roi is a fresh copy, so the deviations are squared in place
-    roi -= mean
-    roi *= roi
-    std = float(np.sqrt(roi.sum() / n))
-    return mean, std, n
-
-
-def _standardize_into(total: np.ndarray, values: np.ndarray, mean: float, std: float):
-    """Add the standardized values to total, overwriting values."""
-    if std < DEGENERATE_STD:
-        return
-    values -= mean
-    values /= std
-    total += values
+    scaled_count = roi_count * divisor
+    variance = (roi_count * sum_x2 - sum_x * sum_x) / (scaled_count * scaled_count)
+    return sum_x / scaled_count, math.sqrt(variance)
 
 
 def msld_reference(img: GrayImage, mask: Mask, params: MsldParams) -> tuple[ResponseMap, ScaleStats]:
     """Run the full pipeline over an inverted-channel image.
 
-    Returns the combined response map and the per-scale ROI statistics
-    (floats, and always with a zero clamp counter: the stable two-pass
-    statistics cannot go negative).
+    Returns the combined response map and the per-scale ROI statistics of
+    the streaming engine's float datapath over one band as high as the
+    image.
     """
-    _check_dims(img.pixels.shape, mask)
-    if mask.count == 0:
-        raise EmptyRoiError("mask contains no ROI pixels")
+    # streaming builds on this module's types, so it is imported on use
+    from .streaming import sweep
 
-    window_sums, line_maxima = band_sums(img.pixels, 0, img.height, params.window)
-    window_means = window_sums / (params.window * params.window)
-    del window_sums
-
-    means: list[float] = []
-    stds: list[float] = []
-    combined = np.zeros(window_means.shape, dtype=np.float64)
-    raw = np.empty_like(combined)
-    for line_max, scale in zip(line_maxima, params.scales):
-        np.divide(line_max, scale, out=raw)
-        raw -= window_means
-        mean, std, _ = scale_stats(raw, mask)
-        means.append(mean)
-        stds.append(std)
-        _standardize_into(combined, raw, mean, std)
-    del line_maxima, window_means
-
-    np.copyto(raw, img.pixels)
-    igc_mean, igc_std, roi_count = scale_stats(raw, mask)
-    _standardize_into(combined, raw, igc_mean, igc_std)
-    combined /= params.n_scales + 1
-    combined[~mask.inside] = 0.0
-
-    stats = ScaleStats(
-        scale_means=tuple(means),
-        scale_stds=tuple(stds),
-        igc_mean=igc_mean,
-        igc_std=igc_std,
-        roi_count=roi_count,
-    )
-    return ResponseMap(combined), stats
+    return sweep(img, mask, params, "float", img.height)

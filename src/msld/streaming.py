@@ -1,24 +1,29 @@
 """Raster-order two-pass engine with bounded auxiliary memory.
 
-Pass 1 sweeps the image in bands of BAND_ROWS output rows. For each band
-the integer kernel (``kernel.band_sums``) forms the window sums and the
-per-scale maxima of the oriented line sums, the engine turns them into raw
-responses one scale at a time, and the ROI values feed per-scale sums and
-squared sums; finalizing them yields each scale's mean and standard
-deviation. Pass 2 sweeps again, recomputes the identical raw responses,
-and standardizes and combines them immediately, so no per-scale response
-image is ever stored. Auxiliary state is one band of window + BAND_ROWS - 1
+Both engines are this one: ``msld_streaming`` sweeps the image in bands
+of BAND_ROWS output rows, and ``reference.msld_reference`` runs the float
+datapath with one band as high as the image, whose sums are then formed
+once and kept for the second pass. For each band the integer kernel
+(``kernel.band_sums``) forms the window sums and the per-scale maxima of
+the oriented line sums. Pass 1 feeds their ROI values to per-scale
+accumulators; finalizing them yields each scale's mean and standard
+deviation. Pass 2 sweeps again, recomputes the identical sums, and
+standardizes and combines them immediately, so no per-scale response image
+is ever stored. Auxiliary state is one band of window + BAND_ROWS - 1
 image rows with its sums, plus a handful of per-scale words, regardless of
 image height.
 
 Arithmetic runs either in IEEE doubles or in integer fixed point with a
-configurable fractional width; divisions by the constant line lengths, the
-window area, and the scale count are realized as multiplications by
-precomputed reciprocals, while the data-dependent divisions (by the ROI
-count and by each standard deviation) are true divisions. Taking the
-maximum over orientations on the integer sums before multiplying by the
-positive reciprocal of the line length gives the same value as scaling
-each line first, in both modes.
+configurable fractional width. In float mode the statistics are exact
+rationals of integer sums, rounded once, and each band of the combined map
+is one affine form of the kernel sums and the pixel. The fixed-point
+datapath models the hardware: divisions by the constant line lengths, the
+window area, and the scale count are multiplications by precomputed
+reciprocals, while the data-dependent divisions (by the ROI count and by
+each standard deviation) are true divisions. Taking the maximum over
+orientations on the integer sums before multiplying by the positive
+reciprocal of the line length gives the same value as scaling each line
+first.
 
 The footprint reports the architectural line-buffer size of the modeled
 datapath, (window - 1) * ncols + window pixels, next to the bytes a band
@@ -27,9 +32,9 @@ actually holds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from functools import lru_cache
+from typing import Iterable, Iterator, Literal
 
 import numpy as np
 
@@ -50,11 +55,13 @@ from .fixedpoint import (
 )
 from .imageio import GrayImage, Mask
 from .kernel import band_bytes, band_sums
-from .reference import DEGENERATE_STD, EmptyRoiError, ResponseMap, ScaleStats, _check_dims
+from .reference import EmptyRoiError, ResponseMap, ScaleStats, scale_stats
 
 ArithmeticMode = Literal["float", "fixed"]
 
 BAND_ROWS = 8
+
+DEGENERATE_STD = 1e-12
 
 
 def _validate_mode(mode: str):
@@ -73,9 +80,12 @@ class MemoryFootprint:
     peak_total_bytes counts the buffers one band holds: every buffer of
     the kernel (``kernel.band_bytes``: the padded band with its spare row,
     the padded-width column and window sums, the padded line-sum maxima and
-    running line sum, and the compact outputs), the engine's four band
-    registers (window means, one scale's raw responses, the channel, the
-    standardized sum) and the words above.
+    running line sum, and the compact outputs), four 8-byte band registers
+    and the words above. The registers bound both datapaths: fixed mode
+    holds the window means, one scale's raw responses, the channel and the
+    standardized sum; float mode holds the ROI values of the window sums,
+    of one scale's maxima and of the channel in pass 1, and one term of
+    the affine form in pass 2, which it adds to the output rows.
     Expression temporaries, the input image and the output response map
     are excluded.
     """
@@ -104,162 +114,178 @@ def memory_footprint(params: MsldParams, width: int) -> MemoryFootprint:
 
 
 class StreamAccumulators:
-    """Running per-scale sums of ROI responses and their squares.
+    """Running exact integer ROI sums of every scale's raw responses and of the channel.
 
-    In fixed mode the sums are exact Python integers over the raw
-    fixed-point values; in float mode they are IEEE doubles accumulated
-    band by band in raster order. The ROI pixel count is shared across scales and counted
-    once.
+    ``update_row`` takes the kernel's integer sums of one band. In float
+    mode a scale's sums are of v = W*W * S_L - L * B, the raw response
+    S_L / L - B / (W*W) scaled by L * W*W to an integer (S_L the scale's
+    maximal line sum, B the window sum), and of v * v. They are combined in
+    Python integers from the ROI sums of S_L, S_L * S_L, S_L * B, B and
+    B * B, taken over blocks of pixels small enough that no int64 partial
+    sum can wrap, and ``finalize`` rounds their exact rationals once
+    (``scale_stats``). In fixed mode they are the modeled hardware's sums of the quantized raw
+    responses and of their squares rounded to frac_bits. The channel's sums
+    of pixels and squared pixels and the ROI pixel count are kept the same
+    way in both modes, and are shared across scales.
     """
 
-    def __init__(self, n_scales: int, mode: ArithmeticMode, frac_bits: int | None):
+    def __init__(self, params: MsldParams, mode: ArithmeticMode):
         _validate_mode(mode)
+        self.params = params
         self.mode = mode
-        self.frac_bits = frac_bits
-        zero = 0 if mode == "fixed" else 0.0
-        self.sum_x = [zero] * n_scales
-        self.sum_x2 = [zero] * n_scales
-        self.igc_sum = zero
-        self.igc_sum2 = zero
+        self.sum_x = [0] * params.n_scales
+        self.sum_x2 = [0] * params.n_scales
+        self.igc_sum = 0
+        self.igc_sum2 = 0
         self.roi_count = 0
+        # ROI pixels are added at most this many at a time: no product of two
+        # kernel sums exceeds the largest window sum squared, so no int64
+        # partial sum of a block can wrap, and in a band as high as the image
+        # the gathers stay small beside the kept kernel sums
+        self._block = max(1, min(1 << 16, (2**63 - 1) // (255 * params.window**2) ** 2))
 
-    @property
-    def n_scales(self) -> int:
-        return len(self.sum_x)
+    def update_row(self, window_sums: np.ndarray, line_maxima: np.ndarray,
+                   channel: np.ndarray, roi: np.ndarray):
+        """Add one band: its kernel sums, channel rows and ROI flags."""
+        inside = np.flatnonzero(roi)
+        self.roi_count += inside.size
+        for start in range(0, inside.size, self._block):
+            self._add_pixels(window_sums, line_maxima, channel, inside[start:start + self._block])
 
-    def update_row(self, raws: Iterator[np.ndarray], igc: np.ndarray, roi: np.ndarray):
-        """Add one band: raws yields each scale's raw responses in turn.
+    def _add_pixels(self, window_sums: np.ndarray, line_maxima: np.ndarray,
+                    channel: np.ndarray, inside: np.ndarray):
+        """Add the band pixels at the flat indices inside.
 
-        igc holds the channel values and roi the band's ROI flags; raws is
-        not drawn from when the band holds no ROI pixel.
+        Gathering by index is several times faster than by a boolean mask
+        when the ROI is scattered.
         """
-        n = int(np.count_nonzero(roi))
-        if n == 0:
-            return
-        self.roi_count += n
+        pixels = channel.reshape(-1).take(inside).astype(np.int64)
+        self.igc_sum += int(pixels.sum())
+        self.igc_sum2 += int(pixels @ pixels)
+        window = self.params.window
+        wsums = window_sums.reshape(-1).take(inside).astype(np.int64)
+        maxima = (line_max.reshape(-1).take(inside) for line_max in line_maxima)
         if self.mode == "fixed":
             # squares are non-negative, so rounding them half away from zero
             # by 2**frac_bits is adding half an ulp and shifting
-            f = self.frac_bits
+            f = self.params.frac_bits
             half_ulp = 1 << (f - 1)
-            for s, raw in enumerate(raws):
-                vals = raw[roi]
-                self.sum_x[s] += int(vals.sum())
-                self.sum_x2[s] += int(((vals * vals + half_ulp) >> f).sum())
-            ivals = igc[roi]
-            self.igc_sum += int(ivals.sum())
-            self.igc_sum2 += int(((ivals * ivals + half_ulp) >> f).sum())
-        else:
-            for s, raw in enumerate(raws):
-                vals = raw[roi]
-                self.sum_x[s] += float(vals.sum())
-                self.sum_x2[s] += float((vals * vals).sum())
-            ivals = igc[roi]
-            self.igc_sum += float(ivals.sum())
-            self.igc_sum2 += float((ivals * ivals).sum())
+            for s, raw in enumerate(_fixed_raws(wsums, maxima, window, f)):
+                self.sum_x[s] += int(raw.sum())
+                self.sum_x2[s] += int(((raw * raw + half_ulp) >> f).sum())
+            return
+        area = window * window
+        sum_b, sum_bb = int(wsums.sum()), int(wsums @ wsums)
+        for s, (length, line_max) in enumerate(zip(self.params.scales, maxima)):
+            line_max = line_max.astype(np.int64)
+            self.sum_x[s] += area * int(line_max.sum()) - length * sum_b
+            self.sum_x2[s] += (area * area * int(line_max @ line_max)
+                               - 2 * area * length * int(line_max @ wsums)
+                               + length * length * sum_bb)
 
     def finalize(self) -> ScaleStats:
         if self.roi_count == 0:
             raise EmptyRoiError("mask contains no ROI pixels")
+        n = self.roi_count
         clamps = 0
-        means: list[float] = []
-        stds: list[float] = []
-        pairs = list(zip(self.sum_x + [self.igc_sum], self.sum_x2 + [self.igc_sum2]))
         if self.mode == "fixed":
-            f = self.frac_bits
-            n_fx = fx_from_int(self.roi_count, f)
-            for sx, sx2 in pairs:
+            f = self.params.frac_bits
+            n_fx = fx_from_int(n, f)
+            # a pixel p is p << f in fixed point, and its square needs no rounding
+            pairs = []
+            for sx, sx2 in zip(self.sum_x + [self.igc_sum << f], self.sum_x2 + [self.igc_sum2 << f]):
                 m = fx_div(FixedPoint(sx, f), n_fx)
                 var = fx_sub(fx_div(FixedPoint(sx2, f), n_fx), fx_mul(m, m))
                 if var.raw < 0:
                     var = FixedPoint(0, f)
                     clamps += 1
-                means.append(m.value)
-                stds.append(fx_sqrt(var).value)
+                pairs.append((m.value, fx_sqrt(var).value))
         else:
-            for sx, sx2 in pairs:
-                m = sx / self.roi_count
-                var = sx2 / self.roi_count - m * m
-                if var < 0.0:
-                    var = 0.0
-                    clamps += 1
-                means.append(m)
-                stds.append(math.sqrt(var))
+            area = self.params.window ** 2
+            divisors = [length * area for length in self.params.scales] + [1]
+            pairs = [scale_stats(sx, sx2, n, d) for sx, sx2, d
+                     in zip(self.sum_x + [self.igc_sum], self.sum_x2 + [self.igc_sum2], divisors)]
+        means, stds = zip(*pairs)
         return ScaleStats(
-            scale_means=tuple(means[:-1]),
-            scale_stds=tuple(stds[:-1]),
+            scale_means=means[:-1],
+            scale_stds=stds[:-1],
             igc_mean=means[-1],
             igc_std=stds[-1],
-            roi_count=self.roi_count,
-            frac_bits=self.frac_bits,
+            roi_count=n,
+            frac_bits=self.params.frac_bits if self.mode == "fixed" else None,
             negative_variance_clamps=clamps,
         )
 
 
-def _check_fixed_range(frac_bits: int):
-    peak = 2 * (255 << frac_bits) ** 2 + (1 << frac_bits)
-    if peak >= RAW_LIMIT:
+@lru_cache(maxsize=None)
+def _fixed_recips(window: int, frac_bits: int) -> tuple[tuple[np.int64, ...], np.int64]:
+    """Quantized reciprocals of every line length and of the window area."""
+    if 2 * (255 << frac_bits) ** 2 + (1 << frac_bits) >= RAW_LIMIT:
         raise FixedPointOverflowError(
             f"frac_bits={frac_bits} exceeds the vectorized int64 range "
             "(squares of responses must fit a signed 64-bit word)"
         )
+    scale_recips = tuple(np.int64(fx_reciprocal(length, frac_bits).raw)
+                         for length in range(1, window + 1, 2))
+    return scale_recips, np.int64(fx_reciprocal(window * window, frac_bits).raw)
+
+
+def _fixed_raws(window_sums: np.ndarray, line_maxima: Iterable[np.ndarray],
+                window: int, frac_bits: int) -> Iterator[np.ndarray]:
+    """Each scale's quantized raw responses in turn, as int64 arrays:
+    max line sum * recip(L) - window sum * recip(W * W)."""
+    scale_recips, window_recip = _fixed_recips(window, frac_bits)
+    window_means = window_sums * window_recip
+    for line_max, recip in zip(line_maxima, scale_recips):
+        yield line_max * recip - window_means
 
 
 class _BandEngine:
-    """Raster sweep producing raw responses band by band.
+    """Raster sweep of the integer kernel over bands of band_rows output rows.
 
-    The kernel's integer sums of a band are turned into raw responses one
-    scale at a time, in the engine's arithmetic:
-    raw = max line sum * recip(L) - window sum * recip(W * W).
+    A band as high as the image is the whole sweep: its sums are formed
+    once and kept for the second pass.
     """
 
-    def __init__(self, img: GrayImage, params: MsldParams, mode: ArithmeticMode):
-        _validate_mode(mode)
+    def __init__(self, img: GrayImage, params: MsldParams, mode: ArithmeticMode, band_rows: int):
         self.mode = mode
         self.params = params
-        self._pixels = img.pixels
-        area = params.window * params.window
-        if mode == "fixed":
-            _check_fixed_range(params.frac_bits)
-            f = params.frac_bits
-            self._scale_recips = [np.int64(fx_reciprocal(length, f).raw) for length in params.scales]
-            self._window_recip = np.int64(fx_reciprocal(area, f).raw)
-        else:
-            self._scale_recips = [np.float64(1.0 / length) for length in params.scales]
-            self._window_recip = np.float64(1.0 / area)
+        self.pixels = img.pixels
+        self.band_rows = band_rows
+        self._whole_image_sums = None
 
-    def bands(self, mask: Mask) -> Iterator[tuple[slice, np.ndarray, Iterator[np.ndarray], np.ndarray]]:
-        """Yield (rows, roi, raws, igc) for every band holding an ROI pixel.
-
-        raws yields the band's raw responses scale by scale; igc is the
-        channel in the engine's arithmetic.
-        """
-        height = self._pixels.shape[0]
-        for y0 in range(0, height, BAND_ROWS):
-            rows = slice(y0, min(y0 + BAND_ROWS, height))
+    def bands(self, mask: Mask) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+        """Yield (rows, roi, window_sums, line_maxima) for every band holding an ROI pixel."""
+        height = self.pixels.shape[0]
+        for y0 in range(0, height, self.band_rows):
+            rows = slice(y0, min(y0 + self.band_rows, height))
             roi = mask.inside[rows]
             if not roi.any():
                 continue
-            window_sums, line_maxima = band_sums(self._pixels, rows.start, rows.stop, self.params.window)
-            if self.mode == "fixed":
-                igc = self._pixels[rows].astype(np.int64) << self.params.frac_bits
-            else:
-                igc = self._pixels[rows].astype(np.float64)
-            yield rows, roi, self._raws(window_sums, line_maxima), igc
-
-    def _raws(self, window_sums: np.ndarray, line_maxima: np.ndarray) -> Iterator[np.ndarray]:
-        window_means = window_sums * self._window_recip
-        for line_max, recip in zip(line_maxima, self._scale_recips):
-            yield line_max * recip - window_means
+            sums = self._whole_image_sums
+            if sums is None:
+                sums = band_sums(self.pixels, rows.start, rows.stop, self.params.window)
+                if self.band_rows >= height:
+                    self._whole_image_sums = sums
+            yield rows, roi, *sums
 
 
 def _run_pass1(engine: _BandEngine, mask: Mask) -> ScaleStats:
-    params = engine.params
-    frac = params.frac_bits if engine.mode == "fixed" else None
-    acc = StreamAccumulators(params.n_scales, engine.mode, frac)
-    for _, roi, raws, igc in engine.bands(mask):
-        acc.update_row(raws, igc, roi)
+    acc = StreamAccumulators(engine.params, engine.mode)
+    for rows, roi, window_sums, line_maxima in engine.bands(mask):
+        acc.update_row(window_sums, line_maxima, engine.pixels[rows], roi)
     return acc.finalize()
+
+
+def _check_inputs(img: GrayImage, mask: Mask, arithmetic_mode: str):
+    """Reject an unknown mode and a mask of other dimensions; an empty ROI
+    is rejected by ``StreamAccumulators.finalize``."""
+    _validate_mode(arithmetic_mode)
+    if (mask.height, mask.width) != (img.height, img.width):
+        raise ValueError(
+            f"mask dimensions {mask.width}x{mask.height} do not match "
+            f"image {img.width}x{img.height}"
+        )
 
 
 def stream_pass1(
@@ -270,15 +296,13 @@ def stream_pass1(
 ) -> ScaleStats:
     """Single raster sweep accumulating per-scale ROI statistics.
 
-    Raw responses are consumed immediately and never stored; negative
-    variances produced by the sum-of-squares formula are clamped to zero
-    and counted on the returned stats.
+    Raw responses are consumed immediately and never stored. Float
+    statistics are exact rationals rounded once; fixed-point variances that
+    the sum-of-squares formula makes negative are clamped to zero and
+    counted on the returned stats.
     """
-    _validate_mode(arithmetic_mode)
-    _check_dims(img.pixels.shape, mask)
-    if mask.count == 0:
-        raise EmptyRoiError("mask contains no ROI pixels")
-    return _run_pass1(_BandEngine(img, params, arithmetic_mode), mask)
+    _check_inputs(img, mask, arithmetic_mode)
+    return _run_pass1(_BandEngine(img, params, arithmetic_mode, BAND_ROWS), mask)
 
 
 def _stats_raws(stats: ScaleStats, frac_bits: int) -> tuple[list[int], list[int], int, int]:
@@ -302,50 +326,71 @@ def _check_combine_range(
         )
 
 
+def _float_terms(params: MsldParams, stats: ScaleStats) -> tuple[list, float, float, float]:
+    """The float combined map as an affine form of the kernel sums and the pixel.
+
+    Averaging the z-scores (S_L / L - B / (W*W) - mean_L) / std_L of the
+    non-degenerate scales and (p - igc_mean) / igc_std of the channel gives
+    sum_L a_L * S_L - b * B + c * p - offset. Returns ([(scale index, a_L)],
+    b, c, offset).
+    """
+    weight = 1.0 / (params.n_scales + 1)
+    area = params.window * params.window
+    scale_terms = []
+    window_coeff = channel_coeff = offset = 0.0
+    for s, (length, mean, std) in enumerate(zip(params.scales, stats.scale_means, stats.scale_stds)):
+        if std >= DEGENERATE_STD:
+            scale_terms.append((s, weight / (length * std)))
+            window_coeff += weight / (area * std)
+            offset += weight * mean / std
+    if stats.igc_std >= DEGENERATE_STD:
+        channel_coeff = weight / stats.igc_std
+        offset += weight * stats.igc_mean / stats.igc_std
+    return scale_terms, window_coeff, channel_coeff, offset
+
+
 def _run_pass2(engine: _BandEngine, mask: Mask, stats: ScaleStats) -> ResponseMap:
     params = engine.params
     out = np.zeros(mask.inside.shape, dtype=np.float64)
-    n_terms = params.n_scales + 1
 
     if engine.mode == "fixed":
         f = params.frac_bits
         mean_raws, std_raws, igc_mean_raw, igc_std_raw = _stats_raws(stats, f)
-        combine_recip = fx_reciprocal(n_terms, f).raw
+        combine_recip = fx_reciprocal(params.n_scales + 1, f).raw
         _check_combine_range(
             mean_raws + [igc_mean_raw], std_raws + [igc_std_raw], f, combine_recip
         )
-        for rows, roi, raws, igc in engine.bands(mask):
-            zsum = np.zeros(igc.shape, dtype=np.int64)
-            for s, raw in enumerate(raws):
+        for rows, roi, window_sums, line_maxima in engine.bands(mask):
+            zsum = np.zeros(window_sums.shape, dtype=np.int64)
+            for s, raw in enumerate(_fixed_raws(window_sums, line_maxima, params.window, f)):
                 if std_raws[s] != 0:
                     zsum += div_round_half_away_i64((raw - mean_raws[s]) << f, std_raws[s])
             if igc_std_raw != 0:
+                igc = engine.pixels[rows].astype(np.int64) << f
                 zsum += div_round_half_away_i64((igc - igc_mean_raw) << f, igc_std_raw)
-            combined = shift_round_half_away_i64(zsum * combine_recip, f)
-            out[rows] = np.where(roi, combined / (1 << f), 0.0)
+            np.divide(shift_round_half_away_i64(zsum * combine_recip, f), 1 << f, out=out[rows])
+            out[rows][~roi] = 0.0
     else:
-        combine_recip = 1.0 / n_terms
-        for rows, roi, raws, igc in engine.bands(mask):
-            zsum = np.zeros(igc.shape, dtype=np.float64)
-            for s, raw in enumerate(raws):
-                if stats.scale_stds[s] >= DEGENERATE_STD:
-                    raw -= stats.scale_means[s]
-                    raw /= stats.scale_stds[s]
-                    zsum += raw
-            if stats.igc_std >= DEGENERATE_STD:
-                igc -= stats.igc_mean
-                igc /= stats.igc_std
-                zsum += igc
-            zsum *= combine_recip
-            out[rows] = np.where(roi, zsum, 0.0)
+        scale_terms, window_coeff, channel_coeff, offset = _float_terms(params, stats)
+        term = np.empty((min(engine.band_rows, out.shape[0]), out.shape[1]))
+        for rows, roi, window_sums, line_maxima in engine.bands(mask):
+            combined = out[rows]
+            band_term = term[:combined.shape[0]]
+            np.multiply(engine.pixels[rows], channel_coeff, out=combined)
+            np.multiply(window_sums, window_coeff, out=band_term)
+            combined -= band_term
+            for s, coeff in scale_terms:
+                np.multiply(line_maxima[s], coeff, out=band_term)
+                combined += band_term
+            combined -= offset
+            combined[~roi] = 0.0
 
     return ResponseMap(out)
 
 
 def _check_pass2_inputs(img: GrayImage, mask: Mask, params: MsldParams,
                         stats: ScaleStats, arithmetic_mode: str):
-    _validate_mode(arithmetic_mode)
-    _check_dims(img.pixels.shape, mask)
+    _check_inputs(img, mask, arithmetic_mode)
     if stats.n_scales != params.n_scales:
         raise ValueError(
             f"stats carry {stats.n_scales} scales but params require {params.n_scales}"
@@ -369,13 +414,22 @@ def stream_pass2(
     stats: ScaleStats,
     arithmetic_mode: ArithmeticMode = "float",
 ) -> ResponseMap:
-    """Second raster sweep: recompute raw responses, standardize, combine.
+    """Second raster sweep: recompute the band sums, standardize, combine.
 
-    Emits each combined response as soon as its raw responses are
-    recomputed; per-scale responses exist only as one band of one scale.
+    Emits each band of the combined map as soon as its sums are recomputed;
+    per-scale responses exist only as one band of one scale.
     """
     _check_pass2_inputs(img, mask, params, stats, arithmetic_mode)
-    return _run_pass2(_BandEngine(img, params, arithmetic_mode), mask, stats)
+    return _run_pass2(_BandEngine(img, params, arithmetic_mode, BAND_ROWS), mask, stats)
+
+
+def sweep(img: GrayImage, mask: Mask, params: MsldParams, arithmetic_mode: ArithmeticMode,
+          band_rows: int) -> tuple[ResponseMap, ScaleStats]:
+    """Both passes over bands of band_rows rows; the entry points fix the height."""
+    _check_inputs(img, mask, arithmetic_mode)
+    engine = _BandEngine(img, params, arithmetic_mode, band_rows)
+    stats = _run_pass1(engine, mask)
+    return _run_pass2(engine, mask, stats), stats
 
 
 def msld_streaming(
@@ -384,13 +438,6 @@ def msld_streaming(
     params: MsldParams,
     arithmetic_mode: ArithmeticMode = "float",
 ) -> tuple[ResponseMap, ScaleStats, MemoryFootprint]:
-    """Run both passes and report the auxiliary-memory footprint."""
-    _validate_mode(arithmetic_mode)
-    _check_dims(img.pixels.shape, mask)
-    if mask.count == 0:
-        raise EmptyRoiError("mask contains no ROI pixels")
-
-    engine = _BandEngine(img, params, arithmetic_mode)
-    stats = _run_pass1(engine, mask)
-    response = _run_pass2(engine, mask, stats)
+    """Run both passes over bands of BAND_ROWS rows and report the auxiliary-memory footprint."""
+    response, stats = sweep(img, mask, params, arithmetic_mode, BAND_ROWS)
     return response, stats, memory_footprint(params, img.width)

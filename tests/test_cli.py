@@ -67,6 +67,10 @@ def test_compare_prints_plain_numbers(inputs, capsys):
     assert len(pairs) > 10
     for value in pairs.values():
         float(value)
+    # streaming-float is the reference engine at another band height
+    float_keys = ["float_max_abs_diff"] + [k for k in pairs if k.startswith("float_") and k.endswith("_delta")]
+    assert len(float_keys) == 1 + 2 * 3 + 2
+    assert {k: pairs[k] for k in float_keys} == dict.fromkeys(float_keys, "0.0")
 
 
 def test_existing_temporary_of_another_run_untouched(inputs, tmp_path):

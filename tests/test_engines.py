@@ -2,6 +2,8 @@
 fixed-point outputs."""
 
 import hashlib
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,25 +21,34 @@ from msld import (
     stream_pass1,
     stream_pass2,
 )
+from msld import streaming
+from msld.kernel import band_sums
 
 FLOAT_TOL = 1e-9
 
 
-def float_maps(pixels, roi, window):
+def float_runs(pixels, roi, window):
+    """Maps and stats of every float entry point, keyed by entry point."""
     img, mask = GrayImage(pixels), Mask(roi)
     params = MsldParams(window=window)
     stats = stream_pass1(img, mask, params, "float")
+    streaming = msld_streaming(img, mask, params, "float")[:2]
     return {
-        "reference": msld_reference(img, mask, params)[0].values,
-        "streaming-float": msld_streaming(img, mask, params, "float")[0].values,
-        "pass1+pass2": stream_pass2(img, mask, params, stats, "float").values,
+        "reference": msld_reference(img, mask, params),
+        "streaming-float": streaming,
+        "pass1+pass2": (stream_pass2(img, mask, params, stats, "float"), stats),
     }
 
 
 def assert_match_oracle(pixels, roi, window):
     expected = np.array(combined_map_bruteforce(pixels, roi.tolist(), window))
-    for name, values in float_maps(pixels, roi, window).items():
-        assert np.abs(values - expected).max() <= FLOAT_TOL, name
+    runs = float_runs(pixels, roi, window)
+    ref_map, ref_stats = runs["reference"]
+    for name, (resp, stats) in runs.items():
+        # one engine at two band heights: the same values, not just close ones
+        assert np.array_equal(resp.values, ref_map.values), name
+        assert stats == ref_stats, name
+        assert np.abs(resp.values - expected).max() <= FLOAT_TOL, name
 
 
 @st.composite
@@ -67,7 +78,40 @@ def test_single_pixel_roi():
 
 
 def test_constant_image():
-    assert_match_oracle(np.full((6, 8), 77, dtype=np.uint8), np.ones((6, 8), dtype=bool), 5)
+    pixels, roi = np.full((6, 8), 77, dtype=np.uint8), np.ones((6, 8), dtype=bool)
+    assert_match_oracle(pixels, roi, 5)
+    for name, (_, stats) in float_runs(pixels, roi, 5).items():
+        assert stats.scale_stds + (stats.igc_std,) == (0.0,) * 4, name
+        assert stats.negative_variance_clamps == 0, name
+
+
+def exact_stats(pixels, roi, window):
+    """(scale means, scale stds, channel mean, channel std) from band_sums in Python ints."""
+    window_sums, line_maxima = band_sums(pixels, 0, pixels.shape[0], window)
+    area, n = window * window, int(roi.sum())
+
+    def rounded(values, divisor):
+        sx, sx2 = values.sum(), (values * values).sum()
+        nd = n * divisor
+        return float(Fraction(sx, nd)), math.sqrt(Fraction(n * sx2 - sx * sx, nd * nd))
+
+    sums = window_sums[roi].astype(object)
+    scales = [rounded(area * line_max[roi].astype(object) - length * sums, length * area)
+              for length, line_max in zip(range(1, window + 1, 2), line_maxima)]
+    igc = rounded(pixels[roi].astype(object), 1)
+    return tuple(m for m, _ in scales), tuple(s for _, s in scales), *igc
+
+
+def test_exact_sums_do_not_wrap():
+    # one whole-image band at W=255: its sum of squared window sums is
+    # about 40000 * 2.75e14, beyond int64
+    pixels = np.random.default_rng(4).integers(250, 256, (200, 200), dtype=np.uint8)
+    roi = np.ones((200, 200), dtype=bool)
+    img, mask, params = GrayImage(pixels), Mask(roi), MsldParams(window=255)
+    expected = exact_stats(pixels, roi, 255)
+    for stats in (msld_reference(img, mask, params)[1],
+                  msld_streaming(img, mask, params, "float")[1]):
+        assert (stats.scale_means, stats.scale_stds, stats.igc_mean, stats.igc_std) == expected
 
 
 def test_window_larger_than_image():
@@ -85,6 +129,19 @@ def test_line_sums_beyond_int16():
     # 255 * 129 exceeds int16, so the kernel sums in int32
     pixels = np.array([[255, 255, 0], [255, 0, 255]], dtype=np.uint8)
     assert_match_oracle(pixels, np.ones((2, 3), dtype=bool), 129)
+
+
+def test_reference_forms_its_band_sums_once(monkeypatch):
+    calls = []
+
+    def counted(pixels, y0, y1, window):
+        calls.append((y0, y1))
+        return band_sums(pixels, y0, y1, window)
+
+    monkeypatch.setattr(streaming, "band_sums", counted)
+    pixels = np.random.default_rng(5).integers(0, 256, (20, 9), dtype=np.uint8)
+    msld_reference(GrayImage(pixels), Mask(np.ones((20, 9), dtype=bool)), MsldParams(window=5))
+    assert calls == [(0, 20)]
 
 
 @pytest.mark.parametrize("mode", ["float", "fixed"])
