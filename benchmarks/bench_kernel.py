@@ -5,16 +5,17 @@ collecting it):
 
     PYTHONPATH=src python -m pytest benchmarks/bench_kernel.py
 
-The streaming engine calls the kernel on bands of ``BAND_ROWS`` rows, so
-per-call overhead dominates at 64 columns and the adds themselves at 565;
-the reference calls it once on the whole image.
+The streaming engine calls the kernel on bands of
+``streaming.band_height(width, height)`` rows, and so does ``sweep`` here:
+36 rows at 565 columns, 8 rows on 64-row tiles, where per-call overhead
+dominates. The reference calls it once on the whole image.
 """
 
 import numpy as np
 import pytest
 
 from msld.kernel import band_sums
-from msld.streaming import BAND_ROWS
+from msld.streaming import band_height
 
 WINDOW = 15
 
@@ -24,14 +25,15 @@ def image(height: int, width: int) -> np.ndarray:
 
 
 def sweep(pixels: np.ndarray):
-    height = pixels.shape[0]
-    for y0 in range(0, height, BAND_ROWS):
-        band_sums(pixels, y0, min(y0 + BAND_ROWS, height), WINDOW)
+    height, width = pixels.shape
+    rows = band_height(width, height)
+    for y0 in range(0, height, rows):
+        band_sums(pixels, y0, min(y0 + rows, height), WINDOW)
 
 
-@pytest.mark.parametrize("width", [565, 64])
-def test_band_sweep(benchmark, width):
-    benchmark(sweep, image(584, width))
+@pytest.mark.parametrize("height, width", [(584, 565), (64, 64)])
+def test_band_sweep(benchmark, height, width):
+    benchmark(sweep, image(height, width))
 
 
 def test_whole_image(benchmark):

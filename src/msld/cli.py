@@ -52,8 +52,8 @@ ENGINES = ("reference", "streaming-float", "streaming-fixed")
 def write_response_file(resp: ResponseMap, path):
     """Header line 'MSLDF <width> <height>' then row-major little-endian f32."""
     header = f"{RESPONSE_MAGIC} {resp.width} {resp.height}\n".encode("ascii")
-    payload = resp.values.astype("<f4").tobytes()
-    _atomic_write_bytes(Path(path), header + payload)
+    # astype copies into a new C-contiguous array, which is written as is
+    _atomic_write_bytes(Path(path), header, resp.values.astype("<f4"))
 
 
 def read_response_file(path) -> ResponseMap:
@@ -78,12 +78,14 @@ def read_response_file(path) -> ResponseMap:
     return ResponseMap(values.reshape(height, width))
 
 
-def _atomic_write_bytes(path: Path, data: bytes):
-    """Write through a uniquely named sibling, so runs never share a temporary."""
+def _atomic_write_bytes(path: Path, *chunks):
+    """Write the byte buffers in turn through a uniquely named sibling, so
+    runs never share a temporary."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "xb") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -269,7 +271,7 @@ def cmd_bench(args) -> int:
                 (f"rep{rep}_pass2_seconds", f"{end - mid:.3f}"),
             ]
     if args.engine != "reference":
-        pairs += _footprint_pairs(memory_footprint(params, img.width))
+        pairs += _footprint_pairs(memory_footprint(params, img.width, img.height))
     _emit_report(args, _report_lines(pairs))
     return EXIT_OK
 

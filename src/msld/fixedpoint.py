@@ -32,10 +32,12 @@ def div_round_half_away(num: int, den: int) -> int:
 def div_round_half_away_i64(num: np.ndarray, den: int) -> np.ndarray:
     """Vectorized div_round_half_away for int64 arrays; den a positive scalar.
 
-    Callers must guarantee 2*|num| + den fits int64.
+    One floor division: adding the sign word num >> 63 (-1 for a negative
+    num, else 0) turns floor((2*num + den) / (2*den)) into rounding halves
+    away from zero on the negative side too. Callers must guarantee
+    2*|num| + den fits int64.
     """
-    q = (2 * np.abs(num) + den) // (2 * den)
-    return np.where(num < 0, -q, q)
+    return (2 * num + den + (num >> 63)) // (2 * den)
 
 
 def shift_round_half_away_i64(num: np.ndarray, frac_bits: int) -> np.ndarray:

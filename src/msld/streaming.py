@@ -1,17 +1,25 @@
 """Raster-order two-pass engine with bounded auxiliary memory.
 
 Both engines are this one: ``msld_streaming`` sweeps the image in bands
-of BAND_ROWS output rows, and ``reference.msld_reference`` runs the float
-datapath with one band as high as the image, whose sums are then formed
-once and kept for the second pass. For each band the integer kernel
-(``kernel.band_sums``) forms the window sums and the per-scale maxima of
-the oriented line sums. Pass 1 feeds their ROI values to per-scale
-accumulators; finalizing them yields each scale's mean and standard
-deviation. Pass 2 sweeps again, recomputes the identical sums, and
-standardizes and combines them immediately, so no per-scale response image
-is ever stored. Auxiliary state is one band of window + BAND_ROWS - 1
-image rows with its sums, plus a handful of per-scale words, regardless of
-image height.
+of ``band_height(width, height)`` output rows, and
+``reference.msld_reference`` runs the float datapath with one band as high
+as the image, whose sums are then formed once and kept for the second
+pass. For each band the integer kernel (``kernel.band_sums``) forms the
+window sums and the per-scale maxima of the oriented line sums. Pass 1
+feeds their ROI values to per-scale accumulators; finalizing them yields
+each scale's mean and standard deviation. Pass 2 sweeps again, recomputes
+the identical sums, and standardizes and combines them immediately, so no
+per-scale response image is ever stored. Auxiliary state is one band of
+window + rows - 1 image rows with its sums, plus a handful of per-scale
+words, regardless of image height.
+
+The band height is max(8, min(BAND_PIXELS // width, height // 8)) rows.
+The first term spends a fixed pixel budget per kernel call, so per-call
+overhead is amortized on wide images while the rows stay bounded
+independently of the height; the second keeps a band to at most an eighth
+of the image, so short images (64-row tiles) keep 8-row bands instead of
+one image-high band with the reference's footprint. The height changes no
+output bit: pass 1 sums exact integers and pass 2 works per pixel.
 
 Arithmetic runs either in IEEE doubles or in integer fixed point with a
 configurable fractional width. In float mode the statistics are exact
@@ -59,7 +67,10 @@ from .reference import EmptyRoiError, ResponseMap, ScaleStats, scale_stats
 
 ArithmeticMode = Literal["float", "fixed"]
 
-BAND_ROWS = 8
+# pixels per band above the 8-row floor: at DRIVE width (565 columns, 36
+# rows) the largest budget of a sweep at which the float engine's measured
+# peak stays that of the response write
+BAND_PIXELS = 20480
 
 DEGENERATE_STD = 1e-12
 
@@ -77,17 +88,17 @@ class MemoryFootprint:
     (window - 1) * ncols + window; stored_stats_values counts the retained
     mean/std pairs (one per scale plus one for the inverted input channel);
     accumulator_words counts the running sums and the ROI counter;
-    peak_total_bytes counts the buffers one band holds: every buffer of
-    the kernel (``kernel.band_bytes``: the padded band with its spare row,
-    the padded-width column and window sums, the padded line-sum maxima and
-    running line sum, and the compact outputs), four 8-byte band registers
-    and the words above. The registers bound both datapaths: fixed mode
-    holds the window means, one scale's raw responses, the channel and the
-    standardized sum; float mode holds the ROI values of the window sums,
-    of one scale's maxima and of the channel in pass 1, and one term of
-    the affine form in pass 2, which it adds to the output rows.
-    Expression temporaries, the input image and the output response map
-    are excluded.
+    peak_total_bytes counts the buffers one band of ``band_height`` rows
+    holds: every buffer of the kernel (``kernel.band_bytes``: the padded
+    band with its spare row, the padded-width column and window sums, the
+    padded line-sum maxima and running line sum, and the compact outputs),
+    four 8-byte band registers and the words above. The registers bound
+    both datapaths: fixed mode holds the window means, one scale's raw
+    responses, the channel and the standardized sum; float mode holds the
+    ROI values of the window sums, of one scale's maxima and of the
+    channel in pass 1, and one term of the affine form in pass 2, which it
+    adds to the output rows. Expression temporaries, the input image and
+    the output response map are excluded.
     """
 
     line_buffer_slots: int
@@ -96,9 +107,16 @@ class MemoryFootprint:
     peak_total_bytes: int
 
 
-def memory_footprint(params: MsldParams, width: int) -> MemoryFootprint:
-    """Footprint of a streaming run over an image ``width`` columns wide."""
+def band_height(width: int, height: int) -> int:
+    """Output rows per band of the streaming engine over a width x height image."""
+    return max(8, min(BAND_PIXELS // width, height // 8))
+
+
+def memory_footprint(params: MsldParams, width: int, height: int) -> MemoryFootprint:
+    """Footprint of a streaming run over a width x height image, whose
+    bands are ``band_height(width, height)`` rows high."""
     window = params.window
+    rows = band_height(width, height)
     accumulator_words = 2 * (params.n_scales + 1) + 1
     stored_stats_values = 2 * params.n_scales + 2
     return MemoryFootprint(
@@ -106,8 +124,8 @@ def memory_footprint(params: MsldParams, width: int) -> MemoryFootprint:
         accumulator_words=accumulator_words,
         stored_stats_values=stored_stats_values,
         peak_total_bytes=(
-            band_bytes(BAND_ROWS, width, window)
-            + 4 * 8 * BAND_ROWS * width
+            band_bytes(rows, width, window)
+            + 4 * 8 * rows * width
             + 8 * (accumulator_words + stored_stats_values)
         ),
     )
@@ -302,7 +320,8 @@ def stream_pass1(
     counted on the returned stats.
     """
     _check_inputs(img, mask, arithmetic_mode)
-    return _run_pass1(_BandEngine(img, params, arithmetic_mode, BAND_ROWS), mask)
+    engine = _BandEngine(img, params, arithmetic_mode, band_height(img.width, img.height))
+    return _run_pass1(engine, mask)
 
 
 def _stats_raws(stats: ScaleStats, frac_bits: int) -> tuple[list[int], list[int], int, int]:
@@ -420,7 +439,8 @@ def stream_pass2(
     per-scale responses exist only as one band of one scale.
     """
     _check_pass2_inputs(img, mask, params, stats, arithmetic_mode)
-    return _run_pass2(_BandEngine(img, params, arithmetic_mode, BAND_ROWS), mask, stats)
+    engine = _BandEngine(img, params, arithmetic_mode, band_height(img.width, img.height))
+    return _run_pass2(engine, mask, stats)
 
 
 def sweep(img: GrayImage, mask: Mask, params: MsldParams, arithmetic_mode: ArithmeticMode,
@@ -438,6 +458,7 @@ def msld_streaming(
     params: MsldParams,
     arithmetic_mode: ArithmeticMode = "float",
 ) -> tuple[ResponseMap, ScaleStats, MemoryFootprint]:
-    """Run both passes over bands of BAND_ROWS rows and report the auxiliary-memory footprint."""
-    response, stats = sweep(img, mask, params, arithmetic_mode, BAND_ROWS)
-    return response, stats, memory_footprint(params, img.width)
+    """Run both passes over bands of ``band_height`` rows and report the
+    auxiliary-memory footprint."""
+    response, stats = sweep(img, mask, params, arithmetic_mode, band_height(img.width, img.height))
+    return response, stats, memory_footprint(params, img.width, img.height)

@@ -1,8 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from msld.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main, read_response_file
+from msld.cli import (
+    EXIT_IO,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_VALIDATION,
+    main,
+    read_response_file,
+    write_response_file,
+)
 from msld.imageio import GrayImage, load_mask, save_pnm
+from msld.reference import ResponseMap
 
 
 def report(capsys) -> dict:
@@ -97,6 +108,18 @@ def test_failures_exit_with_their_code_and_leave_no_output(inputs, tmp_path):
     ]:
         assert main([*base, *extra]) == code, extra
         assert list(out.parent.iterdir()) == []
+
+
+def test_response_write_allocates_one_payload(tmp_path):
+    resp = ResponseMap(np.random.default_rng(1).random((256, 256)))
+    tracemalloc.start()
+    try:
+        write_response_file(resp, tmp_path / "r.msldf")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 256 * 256 + 16384
+    assert read_response_file(tmp_path / "r.msldf") == ResponseMap(resp.values.astype(np.float32))
 
 
 def test_failed_write_leaves_no_temporary(inputs, tmp_path):

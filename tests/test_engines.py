@@ -22,7 +22,7 @@ from msld import (
     stream_pass2,
 )
 from msld import streaming
-from msld.kernel import band_sums
+from msld.kernel import band_bytes, band_sums
 
 FLOAT_TOL = 1e-9
 
@@ -52,9 +52,9 @@ def assert_match_oracle(pixels, roi, window):
 
 
 @st.composite
-def cases(draw):
-    height = draw(st.integers(1, 11))
-    width = draw(st.integers(1, 11))
+def cases(draw, max_side=11):
+    height = draw(st.integers(1, max_side))
+    width = draw(st.integers(1, max_side))
     window = draw(st.sampled_from([3, 5, 7, 9]))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -142,6 +142,56 @@ def test_reference_forms_its_band_sums_once(monkeypatch):
     pixels = np.random.default_rng(5).integers(0, 256, (20, 9), dtype=np.uint8)
     msld_reference(GrayImage(pixels), Mask(np.ones((20, 9), dtype=bool)), MsldParams(window=5))
     assert calls == [(0, 20)]
+
+
+@given(cases(max_side=40), st.sampled_from(["float", "fixed"]))
+@settings(max_examples=40, deadline=None)
+def test_band_height_changes_no_bit(case, mode):
+    # pass 1 sums exact integers and pass 2 works per pixel
+    pixels, roi, window = case
+    img, mask, params = GrayImage(pixels), Mask(roi), MsldParams(window=window)
+    height, width = pixels.shape
+    runs = [streaming.sweep(img, mask, params, mode, rows)
+            for rows in (1, 8, streaming.band_height(width, height), height)]
+    for resp, stats in runs[1:]:
+        assert np.array_equal(resp.values, runs[0][0].values)
+        assert stats == runs[0][1]
+
+
+@given(st.integers(1, 5000), st.integers(1, 5000))
+def test_band_height_rule(width, height):
+    rows = streaming.band_height(width, height)
+    assert 8 <= rows <= max(8, height // 8)
+    if rows > 8:
+        assert rows * width <= streaming.BAND_PIXELS
+
+
+@pytest.mark.parametrize("width, height", [(565, 584), (2048, 1536), (64, 64), (40, 100), (3, 7)])
+def test_footprint_models_the_band(width, height):
+    params = MsldParams(window=15)
+    rows = streaming.band_height(width, height)
+    footprint = streaming.memory_footprint(params, width, height)
+    words = footprint.accumulator_words + footprint.stored_stats_values
+    registers = 4 * 8 * rows * width
+    assert footprint.peak_total_bytes == band_bytes(rows, width, 15) + registers + 8 * words
+    assert footprint.line_buffer_slots == 14 * width + 15
+
+
+def test_streaming_sweeps_bands_of_the_budget_height(monkeypatch):
+    calls = []
+
+    def counted(pixels, y0, y1, window):
+        calls.append((y0, y1))
+        return band_sums(pixels, y0, y1, window)
+
+    monkeypatch.setattr(streaming, "band_sums", counted)
+    pixels = np.random.default_rng(6).integers(0, 256, (100, 40), dtype=np.uint8)
+    img, mask, params = GrayImage(pixels), Mask(np.ones((100, 40), dtype=bool)), MsldParams(window=5)
+    msld_streaming(img, mask, params)
+    stream_pass2(img, mask, params, stream_pass1(img, mask, params))
+    # an eighth of 100 rows caps the 512 rows the budget allows at 40 columns
+    bands = [(y0, min(y0 + 12, 100)) for y0 in range(0, 100, 12)]
+    assert calls == bands * 4
 
 
 @pytest.mark.parametrize("mode", ["float", "fixed"])

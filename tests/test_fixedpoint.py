@@ -165,10 +165,17 @@ class TestRoundingHelpers:
     )
     @settings(max_examples=200, deadline=None)
     def test_vector_matches_scalar(self, nums, den):
-        arr = np.array(nums, dtype=np.int64)
-        got = div_round_half_away_i64(arr, den)
-        expected = [div_round_half_away(int(n), den) for n in nums]
-        assert got.tolist() == expected
+        for d in (den, 2 * den):
+            # zero, +-1, +-the largest |num| with 2*|num| + d < 2**63, and
+            # +-(d - 1) / 2, d / 2, (d + 1) / 2 and the same one period on:
+            # d / 2 is an exact half when d is even (always so for 2 * den)
+            limit = (2**63 - 1 - d) // 2
+            near_halves = [k * d + h for k in (0, 1)
+                           for h in ((d - 1) // 2, d // 2, (d + 1) // 2)]
+            edges = [0, 1, limit] + near_halves
+            values = nums + edges + [-v for v in edges]
+            got = div_round_half_away_i64(np.array(values, dtype=np.int64), d)
+            assert got.tolist() == [div_round_half_away(v, d) for v in values]
 
     @given(
         frac_bits=st.integers(1, 40),
