@@ -67,15 +67,16 @@ def read_response_file(path) -> ResponseMap:
     try:
         width, height = int(parts[1]), int(parts[2])
     except ValueError:
-        raise PnmFormatError(f"bad response dimensions {data[:newline]!r}") from None
+        width = height = 0
+    if width <= 0 or height <= 0:
+        raise PnmFormatError(f"bad response dimensions {data[:newline]!r}")
     count = width * height
-    payload = data[newline + 1:]
-    if len(payload) < 4 * count:
-        raise PnmFormatError(
-            f"truncated response payload: expected {4 * count} bytes, found {len(payload)}"
-        )
-    values = np.frombuffer(payload, dtype="<f4", count=count).astype(np.float64)
-    return ResponseMap(values.reshape(height, width))
+    payload_bytes = len(data) - (newline + 1)
+    if payload_bytes != 4 * count:
+        raise PnmFormatError(f"response payload must be {4 * count} bytes, found {payload_bytes}")
+    # a view of the file bytes; astype makes the one float64 copy
+    values = np.frombuffer(data, dtype="<f4", count=count, offset=newline + 1)
+    return ResponseMap(values.astype(np.float64).reshape(height, width))
 
 
 def _atomic_write_bytes(path: Path, *chunks):

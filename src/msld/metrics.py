@@ -3,6 +3,11 @@
 All counts and rates consider ROI pixels only; pixels outside the mask
 never enter a confusion cell. A pixel is predicted vessel when its
 response is strictly greater than the threshold.
+
+The ROI scores are sorted once and reduced to their groups of equal value.
+The AUC, the best threshold and the rates at a fixed threshold are integer
+counts per tie group, so no result depends on the order of the pixels or
+on the order the sort leaves inside a group.
 """
 
 from __future__ import annotations
@@ -37,15 +42,25 @@ def _check_same_dims(*grids):
         raise ValueError(f"dimension mismatch: {sorted(shapes)}")
 
 
-def binarize(resp: ResponseMap, roi: Mask, threshold: float) -> Mask:
-    """Vessel mask: ROI pixels whose response exceeds the threshold."""
+def _check_threshold(threshold: float):
     if not np.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
+
+
+def binarize(resp: ResponseMap, roi: Mask, threshold: float) -> Mask:
+    """Vessel mask: ROI pixels whose response exceeds the threshold."""
+    _check_threshold(threshold)
     _check_same_dims(resp, roi)
     return Mask(roi.inside & (resp.values > threshold))
 
 
-def _roi_scores_labels(resp: ResponseMap, truth: Mask, roi: Mask):
+def _tie_groups(resp: ResponseMap, truth: Mask, roi: Mask):
+    """The ROI scores reduced to their groups of equal value.
+
+    Returns (values, upto, pos_upto, n_pos, n_neg): per group in ascending
+    order, its score, the count of ROI scores at or below it and the count
+    of positives among those.
+    """
     _check_same_dims(resp, truth, roi)
     inside = roi.inside
     scores = resp.values[inside]
@@ -57,7 +72,34 @@ def _roi_scores_labels(resp: ResponseMap, truth: Mask, roi: Mask):
             f"ROI ground truth has {n_pos} positives and {n_neg} negatives; "
             "both classes are required"
         )
-    return scores, labels, n_pos, n_neg
+    order = np.argsort(scores)
+    sorted_scores = scores[order]
+    upto = np.append(np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1, scores.size)
+    pos_upto = np.cumsum(labels[order])[upto - 1]
+    return sorted_scores[upto - 1], upto, pos_upto, n_pos, n_neg
+
+
+def _auc_of_groups(upto, pos_upto, n_pos: int, n_neg: int) -> float:
+    """Rank-sum AUC; tied scores share the average rank of their group.
+
+    A group at 0-based sorted positions start..upto-1 has the 1-based
+    midrank (start + 1 + upto) / 2, so twice the positives' rank sum is an
+    exact integer.
+    """
+    start = np.concatenate(([0], upto[:-1]))
+    rank_sum2 = int(np.dot(np.diff(pos_upto, prepend=0), start + upto + 1))
+    return (rank_sum2 / 2 - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _report(area: float, upto: int, pos_upto: int, n_pos: int, n_neg: int,
+            threshold: float) -> MetricsReport:
+    """Rates at a threshold with upto ROI scores, pos_upto of them positive, at or below it."""
+    tp = n_pos - pos_upto
+    tn = upto - pos_upto
+    return MetricsReport(
+        auc=area, se=tp / n_pos, sp=tn / n_neg, acc=(tp + tn) / (n_pos + n_neg),
+        threshold=float(threshold), roi_count=n_pos + n_neg,
+    )
 
 
 def auc(resp: ResponseMap, truth: Mask, roi: Mask) -> float:
@@ -66,38 +108,8 @@ def auc(resp: ResponseMap, truth: Mask, roi: Mask) -> float:
     Equals the exact trapezoidal area under the ROC curve swept over all
     thresholds.
     """
-    scores, labels, n_pos, n_neg = _roi_scores_labels(resp, truth, roi)
-    order = np.argsort(scores, kind="mergesort")
-    return _auc_of_order(scores[order], order, labels, n_pos, n_neg)
-
-
-def _auc_of_order(sorted_scores: np.ndarray, order: np.ndarray, labels: np.ndarray,
-                  n_pos: int, n_neg: int) -> float:
-    """Rank-sum AUC from the scores' stable ascending order.
-
-    sorted_scores is scores[order]. Ranks are 1-based, and tied scores
-    share the average rank of their group (midranks).
-    """
-    n = order.size
-    boundary = np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1]))
-    group_id = np.cumsum(boundary) - 1
-    group_start = np.nonzero(boundary)[0]
-    group_size = np.diff(np.concatenate((group_start, [n])))
-    mid = group_start + (group_size - 1) / 2.0 + 1.0
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = mid[group_id]
-    rank_sum = float(ranks[labels].sum())
-    u = rank_sum - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
-
-
-def _metrics_at(tp: int, fp: int, n_pos: int, n_neg: int) -> tuple[float, float, float]:
-    fn = n_pos - tp
-    tn = n_neg - fp
-    se = tp / n_pos
-    sp = tn / n_neg
-    acc = (tp + tn) / (n_pos + n_neg)
-    return se, sp, acc
+    _, upto, pos_upto, n_pos, n_neg = _tie_groups(resp, truth, roi)
+    return _auc_of_groups(upto, pos_upto, n_pos, n_neg)
 
 
 def best_threshold(resp: ResponseMap, truth: Mask, roi: Mask) -> tuple[float, MetricsReport]:
@@ -106,34 +118,16 @@ def best_threshold(resp: ResponseMap, truth: Mask, roi: Mask) -> tuple[float, Me
     Ties on accuracy are broken toward higher specificity, then toward the
     larger threshold.
     """
-    scores, labels, n_pos, n_neg = _roi_scores_labels(resp, truth, roi)
-    n = scores.size
-
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    area = _auc_of_order(sorted_scores, order, labels, n_pos, n_neg)
-    sorted_labels = labels[order]
-
-    # predicted positive means score > t, so for t = sorted_scores[i] the
-    # positives are everything after the last index holding that value
-    pos_suffix = np.concatenate(([0], np.cumsum(sorted_labels[::-1])))[::-1]
-    last_of_value = np.concatenate((sorted_scores[:-1] != sorted_scores[1:], [True]))
-    cand = np.nonzero(last_of_value)[0]
-
-    tp = pos_suffix[cand + 1]
-    fp = (n - (cand + 1)) - tp
-    tn = n_neg - fp
-    acc = (tp + tn) / n
-    sp = tn / n_neg
-    # primary key last; stable sort keeps ascending-threshold order within ties
-    pick = np.lexsort((sp, acc))[-1]
-
-    threshold = float(sorted_scores[cand[pick]])
-    se_v, sp_v, acc_v = _metrics_at(int(tp[pick]), int(fp[pick]), n_pos, n_neg)
-    report = MetricsReport(
-        auc=area, se=se_v, sp=sp_v, acc=acc_v,
-        threshold=threshold, roi_count=n,
-    )
+    values, upto, pos_upto, n_pos, n_neg = _tie_groups(resp, truth, roi)
+    # at t = a group's value, tp are the positives above it and tn the
+    # negatives at or below it; accuracy and specificity rank the groups as
+    # the integers tp + tn and tn do
+    tn = upto - pos_upto
+    key = (n_pos - pos_upto + tn) * (n_neg + 1) + tn
+    pick = key.size - 1 - int(np.argmax(key[::-1]))
+    threshold = float(values[pick])
+    report = _report(_auc_of_groups(upto, pos_upto, n_pos, n_neg),
+                     int(upto[pick]), int(pos_upto[pick]), n_pos, n_neg, threshold)
     return threshold, report
 
 
@@ -141,13 +135,8 @@ def report_at_threshold(
     resp: ResponseMap, truth: Mask, roi: Mask, threshold: float
 ) -> MetricsReport:
     """AUC plus SE/SP/ACC at one fixed threshold."""
-    scores, labels, n_pos, n_neg = _roi_scores_labels(resp, truth, roi)
-    area = auc(resp, truth, roi)
-    pred = scores > threshold
-    tp = int(np.count_nonzero(pred & labels))
-    fp = int(np.count_nonzero(pred & ~labels))
-    se, sp, acc = _metrics_at(tp, fp, n_pos, n_neg)
-    return MetricsReport(
-        auc=area, se=se, sp=sp, acc=acc,
-        threshold=float(threshold), roi_count=scores.size,
-    )
+    _check_threshold(threshold)
+    values, upto, pos_upto, n_pos, n_neg = _tie_groups(resp, truth, roi)
+    below = int(np.searchsorted(values, threshold, side="right"))
+    at = (int(upto[below - 1]), int(pos_upto[below - 1])) if below else (0, 0)
+    return _report(_auc_of_groups(upto, pos_upto, n_pos, n_neg), *at, n_pos, n_neg, threshold)

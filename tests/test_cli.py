@@ -122,6 +122,55 @@ def test_response_write_allocates_one_payload(tmp_path):
     assert read_response_file(tmp_path / "r.msldf") == ResponseMap(resp.values.astype(np.float32))
 
 
+def test_response_read_allocates_the_file_and_one_map(tmp_path):
+    write_response_file(ResponseMap(np.random.default_rng(2).random((256, 256))), tmp_path / "r.msldf")
+    tracemalloc.start()
+    try:
+        resp = read_response_file(tmp_path / "r.msldf")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file's bytes and the float64 map, but no copy of the payload
+    assert peak <= (4 + 8) * 256 * 256 + 16384
+    assert (resp.height, resp.width) == (256, 256)
+
+
+def test_eval_failures_exit_with_their_code_and_write_no_report(inputs, tmp_path):
+    resp = tmp_path / "resp.msldf"
+    write_response_file(ResponseMap(np.random.default_rng(3).random((24, 20))), resp)
+    payload = resp.read_bytes()
+    malformed = {
+        "truncated": payload[:-4],
+        "trailing": payload + b"\0",
+        "negative": b"MSLDF -2 -2\n",
+        "empty": b"MSLDF 0 20\n",
+    }
+    for name, data in malformed.items():
+        (tmp_path / f"{name}.msldf").write_bytes(data)
+    # vessel pixels only in rows 0-1, which the ROI leaves out
+    single_class = np.zeros((24, 20), dtype=np.uint8)
+    single_class[:2] = 255
+    other_dims = np.zeros((20, 24), dtype=np.uint8)
+    for name, values in (("single_class", single_class), ("other_dims", other_dims)):
+        save_pnm(GrayImage(values), tmp_path / f"{name}.pgm")
+    out = tmp_path / "out"
+    out.mkdir()
+    base = ["eval", "--input", str(resp), "--truth", str(inputs["truth"]),
+            "--mask", str(inputs["mask"]), "--report", str(out / "report.txt")]
+    assert main([*base, "--threshold", "0.5"]) == EXIT_OK
+    (out / "report.txt").unlink()
+    cases = [(EXIT_IO, ["--input", str(tmp_path / f"{name}.msldf")]) for name in malformed]
+    cases += [
+        (EXIT_NUMERIC, ["--truth", str(tmp_path / "single_class.pgm")]),
+        (EXIT_VALIDATION, ["--truth", str(tmp_path / "other_dims.pgm")]),
+        (EXIT_VALIDATION, ["--mask", str(tmp_path / "other_dims.pgm")]),
+        (EXIT_VALIDATION, ["--threshold", "nan"]),
+    ]
+    for code, extra in cases:
+        assert main([*base, *extra]) == code, extra
+        assert list(out.iterdir()) == []
+
+
 def test_failed_write_leaves_no_temporary(inputs, tmp_path):
     out = tmp_path / "out"
     out.mkdir()  # a directory cannot be replaced by the response file

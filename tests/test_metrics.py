@@ -91,3 +91,44 @@ def test_single_class_roi_rejected():
     for run in (auc, best_threshold):
         with pytest.raises(SingleClassRoiError):
             run(resp, truth, roi)
+
+
+def rearranged(case, seed):
+    """The same pixels flipped, transposed and randomly permuted."""
+    grids = (case[0].values, case[1].inside, case[2].inside)
+    perm = np.random.default_rng(seed).permutation(grids[0].size)
+    for move in (lambda g: g[::-1, ::-1], lambda g: g.T,
+                 lambda g: g.ravel()[perm].reshape(g.shape)):
+        values, truth, roi = (move(g) for g in grids)
+        yield ResponseMap(values), Mask(truth), Mask(roi)
+
+
+def assert_order_free(case, seed):
+    thresholds = [-1.0, *sorted(set(roi_lists(*case)[0]))[:3], 0.3]
+
+    def results(c):
+        return auc(*c), best_threshold(*c), [report_at_threshold(*c, t) for t in thresholds]
+
+    expected = results(case)
+    for moved in rearranged(case, seed):
+        assert results(moved) == expected
+
+
+@given(scored_rois(), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_metrics_do_not_depend_on_the_pixel_order(case, seed):
+    assert_order_free(case, seed)
+
+
+def test_large_tie_heavy_auc_is_the_exact_mann_whitney_count():
+    rng = np.random.default_rng(11)
+    levels = rng.integers(0, 24, (100, 100))
+    truth = rng.random((100, 100)) < levels / 30.0
+    roi = rng.random((100, 100)) < 0.8
+    case = ResponseMap(levels / 8.0 - 1.0), Mask(truth), Mask(roi)
+    # pairs of a positive over a negative count 1, tied pairs count 1/2
+    pos = np.bincount(levels[roi & truth], minlength=24).tolist()
+    neg = np.bincount(levels[roi & ~truth], minlength=24).tolist()
+    wins = sum(p * (2 * sum(neg[:v]) + neg[v]) for v, p in enumerate(pos))
+    assert auc(*case) == float(Fraction(wins, 2 * sum(pos) * sum(neg)))
+    assert_order_free(case, 12)
