@@ -75,8 +75,12 @@ def read_response_file(path) -> ResponseMap:
     if payload_bytes != 4 * count:
         raise PnmFormatError(f"response payload must be {4 * count} bytes, found {payload_bytes}")
     # a view of the file bytes; astype makes the one float64 copy
-    values = np.frombuffer(data, dtype="<f4", count=count, offset=newline + 1)
-    return ResponseMap(values.astype(np.float64).reshape(height, width))
+    values = np.frombuffer(data, dtype="<f4", count=count, offset=newline + 1).astype(np.float64)
+    # no sum of float32 values overflows a double, so the sum is finite
+    # exactly when every value is, and it allocates no per-pixel flags
+    if not np.isfinite(values.sum()):
+        raise PnmFormatError("response payload holds NaN or infinite values")
+    return ResponseMap(values.reshape(height, width))
 
 
 def _atomic_write_bytes(path: Path, *chunks):
@@ -107,13 +111,8 @@ def _load_gray_input(path) -> GrayImage:
 def _load_roi(mask_path, img: GrayImage) -> Mask:
     if mask_path is None:
         return full_mask(img.width, img.height)
-    mask = load_mask(mask_path)
-    if (mask.height, mask.width) != (img.height, img.width):
-        raise ValueError(
-            f"mask dimensions {mask.width}x{mask.height} do not match "
-            f"image {img.width}x{img.height}"
-        )
-    return mask
+    # the engines reject a mask of other dimensions
+    return load_mask(mask_path)
 
 
 def _params(args) -> MsldParams:

@@ -6,12 +6,12 @@ of ``band_height(width, height)`` output rows, and
 as the image, whose sums are then formed once and kept for the second
 pass. For each band the integer kernel (``kernel.band_sums``) forms the
 window sums and the per-scale maxima of the oriented line sums. Pass 1
-feeds their ROI values to per-scale accumulators; finalizing them yields
-each scale's mean and standard deviation. Pass 2 sweeps again, recomputes
-the identical sums, and standardizes and combines them immediately, so no
-per-scale response image is ever stored. Auxiliary state is one band of
-window + rows - 1 image rows with its sums, plus a handful of per-scale
-words, regardless of image height.
+adds their ROI values to exact integer sums, the same in both arithmetic
+modes; finalizing them yields each scale's mean and standard deviation.
+Pass 2 sweeps again, recomputes the identical sums, and standardizes and
+combines them immediately, so no per-scale response image is ever stored.
+Auxiliary state is one band of window + rows - 1 image rows with its sums,
+plus a handful of per-scale words, regardless of image height.
 
 The band height is max(8, min(BAND_PIXELS // width, height // 8)) rows.
 The first term spends a fixed pixel budget per kernel call, so per-call
@@ -23,11 +23,11 @@ output bit: pass 1 sums exact integers and pass 2 works per pixel.
 
 Arithmetic runs either in IEEE doubles or in integer fixed point with a
 configurable fractional width. In float mode the statistics are exact
-rationals of integer sums, rounded once, and each band of the combined map
-is one affine form of the kernel sums and the pixel. The fixed-point
+rationals of the pass-1 sums, rounded once, and each band of the combined
+map is one affine form of the kernel sums and the pixel. The fixed-point
 datapath models the hardware: divisions by the constant line lengths, the
 window area, and the scale count are multiplications by precomputed
-reciprocals, while the data-dependent divisions (by the ROI count and by
+reciprocals, and the data-dependent divisions (by the ROI count and by
 each standard deviation) are true divisions. Taking the maximum over
 orientations on the integer sums before multiplying by the positive
 reciprocal of the line length gives the same value as scaling each line
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Literal
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -93,12 +93,12 @@ class MemoryFootprint:
     band with its spare row, the padded-width column and window sums, the
     padded line-sum maxima and running line sum, and the compact outputs),
     four 8-byte band registers and the words above. The registers bound
-    both datapaths: fixed mode holds the window means, one scale's raw
-    responses, the channel and the standardized sum; float mode holds the
-    ROI values of the window sums, of one scale's maxima and of the
-    channel in pass 1, and one term of the affine form in pass 2, which it
-    adds to the output rows. Expression temporaries, the input image and
-    the output response map are excluded.
+    both datapaths: in pass 1 both modes hold the ROI values of the window
+    sums, of one scale's maxima and of the channel; in pass 2 fixed mode
+    holds the window means, one scale's raw-response numerators, the
+    channel and the standardized sum, and float mode one term of the affine
+    form, which it adds to the output rows. Expression temporaries, the
+    input image and the output response map are excluded.
     """
 
     line_buffer_slots: int
@@ -132,27 +132,31 @@ def memory_footprint(params: MsldParams, width: int, height: int) -> MemoryFootp
 
 
 class StreamAccumulators:
-    """Running exact integer ROI sums of every scale's raw responses and of the channel.
+    """Running exact integer ROI sums of the kernel outputs and of the channel.
 
-    ``update_row`` takes the kernel's integer sums of one band. In float
-    mode a scale's sums are of v = W*W * S_L - L * B, the raw response
-    S_L / L - B / (W*W) scaled by L * W*W to an integer (S_L the scale's
-    maximal line sum, B the window sum), and of v * v. They are combined in
-    Python integers from the ROI sums of S_L, S_L * S_L, S_L * B, B and
-    B * B, taken over blocks of pixels small enough that no int64 partial
-    sum can wrap, and ``finalize`` rounds their exact rationals once
-    (``scale_stats``). In fixed mode they are the modeled hardware's sums of the quantized raw
-    responses and of their squares rounded to frac_bits. The channel's sums
-    of pixels and squared pixels and the ROI pixel count are kept the same
-    way in both modes, and are shared across scales.
+    ``update_row`` adds, in Python integers, the ROI sums of every scale's
+    maximal line sum S_L, of S_L * S_L and S_L * B (B the window sum), and
+    of B, B * B, the pixels and the squared pixels, over blocks of pixels
+    small enough that no int64 partial sum can wrap. Both arithmetic modes
+    keep these sums; ``finalize`` forms from them the exact sums of a
+    scale's raw response x = alpha * S_L - beta * B and of x * x. In float
+    mode alpha = W*W and beta = L, so x is S_L / L - B / (W*W) scaled by
+    L * W*W to an integer, and the exact rationals are rounded once
+    (``scale_stats``). In fixed mode alpha and beta are the quantized
+    reciprocals of L and W*W, so x is the modeled hardware's quantized raw
+    response, and the sum of x * x, with 2 * frac_bits fractional bits, is
+    rounded to frac_bits once.
     """
 
     def __init__(self, params: MsldParams, mode: ArithmeticMode):
         _validate_mode(mode)
         self.params = params
         self.mode = mode
-        self.sum_x = [0] * params.n_scales
-        self.sum_x2 = [0] * params.n_scales
+        self.line_sum = [0] * params.n_scales
+        self.line_sum2 = [0] * params.n_scales
+        self.line_window_sum = [0] * params.n_scales
+        self.window_sum = 0
+        self.window_sum2 = 0
         self.igc_sum = 0
         self.igc_sum2 = 0
         self.roi_count = 0
@@ -180,26 +184,20 @@ class StreamAccumulators:
         pixels = channel.reshape(-1).take(inside).astype(np.int64)
         self.igc_sum += int(pixels.sum())
         self.igc_sum2 += int(pixels @ pixels)
-        window = self.params.window
         wsums = window_sums.reshape(-1).take(inside).astype(np.int64)
-        maxima = (line_max.reshape(-1).take(inside) for line_max in line_maxima)
-        if self.mode == "fixed":
-            # squares are non-negative, so rounding them half away from zero
-            # by 2**frac_bits is adding half an ulp and shifting
-            f = self.params.frac_bits
-            half_ulp = 1 << (f - 1)
-            for s, raw in enumerate(_fixed_raws(wsums, maxima, window, f)):
-                self.sum_x[s] += int(raw.sum())
-                self.sum_x2[s] += int(((raw * raw + half_ulp) >> f).sum())
-            return
-        area = window * window
-        sum_b, sum_bb = int(wsums.sum()), int(wsums @ wsums)
-        for s, (length, line_max) in enumerate(zip(self.params.scales, maxima)):
-            line_max = line_max.astype(np.int64)
-            self.sum_x[s] += area * int(line_max.sum()) - length * sum_b
-            self.sum_x2[s] += (area * area * int(line_max @ line_max)
-                               - 2 * area * length * int(line_max @ wsums)
-                               + length * length * sum_bb)
+        self.window_sum += int(wsums.sum())
+        self.window_sum2 += int(wsums @ wsums)
+        for s, line_max in enumerate(line_maxima):
+            line_max = line_max.reshape(-1).take(inside).astype(np.int64)
+            self.line_sum[s] += int(line_max.sum())
+            self.line_sum2[s] += int(line_max @ line_max)
+            self.line_window_sum[s] += int(line_max @ wsums)
+
+    def _raw_sums(self, s: int, alpha: int, beta: int) -> tuple[int, int]:
+        """Exact ROI sums of x and x * x for x = alpha * S_L - beta * B at scale s."""
+        return (alpha * self.line_sum[s] - beta * self.window_sum,
+                alpha * alpha * self.line_sum2[s] - 2 * alpha * beta * self.line_window_sum[s]
+                + beta * beta * self.window_sum2)
 
     def finalize(self) -> ScaleStats:
         if self.roi_count == 0:
@@ -209,20 +207,26 @@ class StreamAccumulators:
         if self.mode == "fixed":
             f = self.params.frac_bits
             n_fx = fx_from_int(n, f)
-            # a pixel p is p << f in fixed point, and its square needs no rounding
+            recips, window_recip = _fixed_recips(self.params.window, f)
+            sums = [self._raw_sums(s, int(r), int(window_recip)) for s, r in enumerate(recips)]
+            # a pixel p is p << f in fixed point, and p * p has 2f fractional bits
+            sums.append((self.igc_sum << f, self.igc_sum2 << 2 * f))
             pairs = []
-            for sx, sx2 in zip(self.sum_x + [self.igc_sum << f], self.sum_x2 + [self.igc_sum2 << f]):
+            for sx, sx2 in sums:
                 m = fx_div(FixedPoint(sx, f), n_fx)
-                var = fx_sub(fx_div(FixedPoint(sx2, f), n_fx), fx_mul(m, m))
+                # sx2 >= 0, so rounding it half away from zero to f bits is
+                # adding half an ulp and shifting
+                mean_sq = fx_div(FixedPoint((sx2 + (1 << (f - 1))) >> f, f), n_fx)
+                var = fx_sub(mean_sq, fx_mul(m, m))
                 if var.raw < 0:
                     var = FixedPoint(0, f)
                     clamps += 1
                 pairs.append((m.value, fx_sqrt(var).value))
         else:
             area = self.params.window ** 2
-            divisors = [length * area for length in self.params.scales] + [1]
-            pairs = [scale_stats(sx, sx2, n, d) for sx, sx2, d
-                     in zip(self.sum_x + [self.igc_sum], self.sum_x2 + [self.igc_sum2], divisors)]
+            pairs = [scale_stats(*self._raw_sums(s, area, length), n, length * area)
+                     for s, length in enumerate(self.params.scales)]
+            pairs.append(scale_stats(self.igc_sum, self.igc_sum2, n))
         means, stds = zip(*pairs)
         return ScaleStats(
             scale_means=means[:-1],
@@ -240,22 +244,13 @@ def _fixed_recips(window: int, frac_bits: int) -> tuple[tuple[np.int64, ...], np
     """Quantized reciprocals of every line length and of the window area."""
     if 2 * (255 << frac_bits) ** 2 + (1 << frac_bits) >= RAW_LIMIT:
         raise FixedPointOverflowError(
-            f"frac_bits={frac_bits} exceeds the vectorized int64 range "
-            "(squares of responses must fit a signed 64-bit word)"
+            f"frac_bits={frac_bits} exceeds the vectorized int64 range (the cap "
+            "2 * (255 << frac_bits)**2 < 2**63 keeps pass 2's z numerators, "
+            "(raw - mean) << frac_bits, inside a signed 64-bit word)"
         )
     scale_recips = tuple(np.int64(fx_reciprocal(length, frac_bits).raw)
                          for length in range(1, window + 1, 2))
     return scale_recips, np.int64(fx_reciprocal(window * window, frac_bits).raw)
-
-
-def _fixed_raws(window_sums: np.ndarray, line_maxima: Iterable[np.ndarray],
-                window: int, frac_bits: int) -> Iterator[np.ndarray]:
-    """Each scale's quantized raw responses in turn, as int64 arrays:
-    max line sum * recip(L) - window sum * recip(W * W)."""
-    scale_recips, window_recip = _fixed_recips(window, frac_bits)
-    window_means = window_sums * window_recip
-    for line_max, recip in zip(line_maxima, scale_recips):
-        yield line_max * recip - window_means
 
 
 class _BandEngine:
@@ -379,11 +374,16 @@ def _run_pass2(engine: _BandEngine, mask: Mask, stats: ScaleStats) -> ResponseMa
         _check_combine_range(
             mean_raws + [igc_mean_raw], std_raws + [igc_std_raw], f, combine_recip
         )
+        scale_recips, window_recip = _fixed_recips(params.window, f)
         for rows, roi, window_sums, line_maxima in engine.bands(mask):
             zsum = np.zeros(window_sums.shape, dtype=np.int64)
-            for s, raw in enumerate(_fixed_raws(window_sums, line_maxima, params.window, f)):
+            window_means = window_sums * window_recip
+            for s, (line_max, recip) in enumerate(zip(line_maxima, scale_recips)):
+                # one expression, so that no raw-response array
+                # line_max * recip(L) - window mean outlives its scale
                 if std_raws[s] != 0:
-                    zsum += div_round_half_away_i64((raw - mean_raws[s]) << f, std_raws[s])
+                    zsum += div_round_half_away_i64(
+                        (line_max * recip - window_means - mean_raws[s]) << f, std_raws[s])
             if igc_std_raw != 0:
                 igc = engine.pixels[rows].astype(np.int64) << f
                 zsum += div_round_half_away_i64((igc - igc_mean_raw) << f, igc_std_raw)

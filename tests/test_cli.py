@@ -97,6 +97,8 @@ def test_failures_exit_with_their_code_and_leave_no_output(inputs, tmp_path):
     bad_image.write_bytes(b"P5\n4 4\n255\n\x00")
     empty_roi = tmp_path / "empty.pgm"
     save_pnm(GrayImage(np.zeros((24, 20), dtype=np.uint8)), empty_roi)
+    other_dims = tmp_path / "other_dims.pgm"
+    save_pnm(GrayImage(np.full((20, 24), 255, dtype=np.uint8)), other_dims)
     out = tmp_path / "out" / "resp.msldf"
     out.parent.mkdir()
     base = [*segment_args(inputs, out), "--report", str(out.parent / "report.txt")]
@@ -105,6 +107,7 @@ def test_failures_exit_with_their_code_and_leave_no_output(inputs, tmp_path):
         (EXIT_VALIDATION, ["--threshold", "nan"]),
         (EXIT_IO, ["--input", str(bad_image)]),
         (EXIT_NUMERIC, ["--mask", str(empty_roi)]),
+        (EXIT_VALIDATION, ["--mask", str(other_dims)]),
     ]:
         assert main([*base, *extra]) == code, extra
         assert list(out.parent.iterdir()) == []
@@ -144,6 +147,8 @@ def test_eval_failures_exit_with_their_code_and_write_no_report(inputs, tmp_path
         "trailing": payload + b"\0",
         "negative": b"MSLDF -2 -2\n",
         "empty": b"MSLDF 0 20\n",
+        "nan": payload[:-4] + np.array([np.nan], "<f4").tobytes(),
+        "inf": payload[:-4] + np.array([-np.inf], "<f4").tobytes(),
     }
     for name, data in malformed.items():
         (tmp_path / f"{name}.msldf").write_bytes(data)

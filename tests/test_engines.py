@@ -22,6 +22,16 @@ from msld import (
     stream_pass2,
 )
 from msld import streaming
+from msld.fixedpoint import (
+    FixedPoint,
+    div_round_half_away,
+    fx_div,
+    fx_from_int,
+    fx_mul,
+    fx_reciprocal,
+    fx_sqrt,
+    fx_sub,
+)
 from msld.kernel import band_bytes, band_sums
 
 FLOAT_TOL = 1e-9
@@ -102,6 +112,55 @@ def exact_stats(pixels, roi, window):
     return tuple(m for m, _ in scales), tuple(s for _, s in scales), *igc
 
 
+def exact_fixed_stats(pixels, roi, window, frac_bits):
+    """Fixed-mode (scale means, scale stds, channel mean, channel std, clamps):
+    exact Python-int sums of the quantized raw responses
+    S_L * recip(L) - B * recip(W*W) and of their squares, each sum of
+    squares rounded to frac_bits once, then finalize's mean and variance."""
+    f = frac_bits
+    window_sums, line_maxima = band_sums(pixels, 0, pixels.shape[0], window)
+    n = fx_from_int(int(roi.sum()), f)
+    clamps = 0
+
+    def rounded(values):
+        nonlocal clamps
+        mean = fx_div(FixedPoint(values.sum(), f), n)
+        sum_sq = FixedPoint(div_round_half_away((values * values).sum(), 1 << f), f)
+        var = fx_sub(fx_div(sum_sq, n), fx_mul(mean, mean))
+        clamps += var.raw < 0
+        return mean.value, fx_sqrt(FixedPoint(max(var.raw, 0), f)).value
+
+    window_means = window_sums[roi].astype(object) * fx_reciprocal(window * window, f).raw
+    scales = [rounded(line_max[roi].astype(object) * fx_reciprocal(length, f).raw - window_means)
+              for length, line_max in zip(range(1, window + 1, 2), line_maxima)]
+    igc = rounded(pixels[roi].astype(object) * (1 << f))
+    return tuple(m for m, _ in scales), tuple(s for _, s in scales), *igc, clamps
+
+
+def stats_tuple(stats):
+    return (stats.scale_means, stats.scale_stds, stats.igc_mean, stats.igc_std,
+            stats.negative_variance_clamps)
+
+
+@given(cases(), st.sampled_from([8, 12, 18, 23]))
+@settings(max_examples=40, deadline=None)
+def test_fixed_stats_round_the_exact_sums_once(case, frac_bits):
+    pixels, roi, window = case
+    params = MsldParams(window=window, frac_bits=frac_bits)
+    stats = stream_pass1(GrayImage(pixels), Mask(roi), params, "fixed")
+    assert stats_tuple(stats) == exact_fixed_stats(pixels, roi, window, frac_bits)
+
+
+def test_fixed_sum_of_squares_rounded_once():
+    # rounding each pixel's square to 18 bits before summing gave
+    # 65.23471450805664 here; the exact value is 65.2347164
+    pixels = np.random.default_rng(622).integers(0, 256, (12, 12), dtype=np.uint8)
+    roi = np.ones((12, 12), dtype=bool)
+    stats = stream_pass1(GrayImage(pixels), Mask(roi), MsldParams(window=5, frac_bits=18), "fixed")
+    assert stats_tuple(stats) == exact_fixed_stats(pixels, roi, 5, 18)
+    assert stats.scale_stds[0] == 65.2347183227539
+
+
 def test_exact_sums_do_not_wrap():
     # one whole-image band at W=255: its sum of squared window sums is
     # about 40000 * 2.75e14, beyond int64
@@ -112,6 +171,8 @@ def test_exact_sums_do_not_wrap():
     for stats in (msld_reference(img, mask, params)[1],
                   msld_streaming(img, mask, params, "float")[1]):
         assert (stats.scale_means, stats.scale_stds, stats.igc_mean, stats.igc_std) == expected
+    fixed = stream_pass1(img, mask, params, "fixed")
+    assert stats_tuple(fixed) == exact_fixed_stats(pixels, roi, 255, params.frac_bits)
 
 
 def test_window_larger_than_image():
