@@ -37,7 +37,7 @@ from .metrics import (
     report_at_threshold,
 )
 from .reference import EmptyRoiError, ResponseMap, msld_reference
-from .streaming import MemoryFootprint, memory_footprint, msld_streaming, stream_pass1, stream_pass2
+from .streaming import memory_footprint, msld_streaming, stream_pass1, stream_pass2
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -46,7 +46,8 @@ EXIT_NUMERIC = 3
 
 RESPONSE_MAGIC = "MSLDF"
 
-ENGINES = ("reference", "streaming-float", "streaming-fixed")
+# engine name -> arithmetic mode of the streaming engine; None is the reference
+ENGINES = {"reference": None, "streaming-float": "float", "streaming-fixed": "fixed"}
 
 
 def write_response_file(resp: ResponseMap, path):
@@ -108,10 +109,11 @@ def _load_gray_input(path) -> GrayImage:
     return image
 
 
-def _load_roi(mask_path, img: GrayImage) -> Mask:
+def _load_roi(mask_path, grid) -> Mask:
+    """The mask file, or the full frame of the grid; the engines and
+    ``metrics`` reject a mask of other dimensions."""
     if mask_path is None:
-        return full_mask(img.width, img.height)
-    # the engines reject a mask of other dimensions
+        return full_mask(grid.width, grid.height)
     return load_mask(mask_path)
 
 
@@ -120,26 +122,15 @@ def _params(args) -> MsldParams:
 
 
 def _run_engine(engine: str, img, mask, params):
-    """Returns (response, stats_or_None, footprint_or_None)."""
-    if engine == "reference":
-        resp, stats = msld_reference(img, mask, params)
-        return resp, stats, None
-    mode = "fixed" if engine == "streaming-fixed" else "float"
-    resp, stats, footprint = msld_streaming(img, mask, params, mode)
-    return resp, stats, footprint
+    """Returns (response, stats, footprint_or_None)."""
+    mode = ENGINES[engine]
+    if mode is None:
+        return (*msld_reference(img, mask, params), None)
+    return msld_streaming(img, mask, params, mode)
 
 
 def _report_lines(pairs) -> str:
     return "".join(f"{key} {value}\n" for key, value in pairs)
-
-
-def _footprint_pairs(footprint: MemoryFootprint) -> list:
-    return [
-        ("line_buffer_slots", footprint.line_buffer_slots),
-        ("accumulator_words", footprint.accumulator_words),
-        ("stored_stats_values", footprint.stored_stats_values),
-        ("peak_total_bytes", footprint.peak_total_bytes),
-    ]
 
 
 def _emit_report(args, lines: str):
@@ -172,7 +163,7 @@ def cmd_segment(args) -> int:
         ("negative_variance_clamps", stats.negative_variance_clamps),
     ]
     if footprint is not None:
-        pairs += _footprint_pairs(footprint)
+        pairs += vars(footprint).items()
     _emit_report(args, _report_lines(pairs))
     return EXIT_OK
 
@@ -180,22 +171,7 @@ def cmd_segment(args) -> int:
 def cmd_eval(args) -> int:
     resp = read_response_file(args.input)
     truth = load_mask(args.truth)
-    img_dims = (resp.height, resp.width)
-    if (truth.height, truth.width) != img_dims:
-        raise ValueError(
-            f"truth dimensions {truth.width}x{truth.height} do not match "
-            f"response {resp.width}x{resp.height}"
-        )
-    if args.mask is not None:
-        roi = load_mask(args.mask)
-        if (roi.height, roi.width) != img_dims:
-            raise ValueError(
-                f"mask dimensions {roi.width}x{roi.height} do not match "
-                f"response {resp.width}x{resp.height}"
-            )
-    else:
-        roi = full_mask(resp.width, resp.height)
-
+    roi = _load_roi(args.mask, resp)
     if args.threshold is not None:
         report = report_at_threshold(resp, truth, roi, args.threshold)
     else:
@@ -214,36 +190,31 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    """Diff fixed mode against the float reference; streaming-float equals
+    the reference by construction, so it is not run."""
     img = _load_gray_input(args.input)
     mask = _load_roi(args.mask, img)
     params = _params(args)
 
     ref_resp, ref_stats = msld_reference(img, mask, params)
-    inside = mask.inside
-    pairs = [("window", params.window), ("frac_bits", params.frac_bits)]
-    for mode in ("float", "fixed"):
-        resp, stats, _ = msld_streaming(img, mask, params, mode)
-        diff = np.abs(resp.values[inside] - ref_resp.values[inside])
+    resp, stats, _ = msld_streaming(img, mask, params, "fixed")
+    diff = np.abs(resp.values[mask.inside] - ref_resp.values[mask.inside])
+    pairs = [
+        ("window", params.window),
+        ("frac_bits", params.frac_bits),
+        ("fixed_max_abs_diff", repr(float(diff.max()))),
+        ("fixed_mean_abs_diff", repr(float(diff.mean()))),
+        ("fixed_negative_variance_clamps", stats.negative_variance_clamps),
+    ]
+    for s, scale in enumerate(params.scales):
         pairs += [
-            (f"{mode}_max_abs_diff", repr(float(diff.max()))),
-            (f"{mode}_mean_abs_diff", repr(float(diff.mean()))),
-            (f"{mode}_negative_variance_clamps", stats.negative_variance_clamps),
+            (f"fixed_scale{scale}_mean_delta", repr(stats.scale_means[s] - ref_stats.scale_means[s])),
+            (f"fixed_scale{scale}_std_delta", repr(stats.scale_stds[s] - ref_stats.scale_stds[s])),
         ]
-        for s, scale in enumerate(params.scales):
-            pairs += [
-                (
-                    f"{mode}_scale{scale}_mean_delta",
-                    repr(stats.scale_means[s] - ref_stats.scale_means[s]),
-                ),
-                (
-                    f"{mode}_scale{scale}_std_delta",
-                    repr(stats.scale_stds[s] - ref_stats.scale_stds[s]),
-                ),
-            ]
-        pairs += [
-            (f"{mode}_igc_mean_delta", repr(stats.igc_mean - ref_stats.igc_mean)),
-            (f"{mode}_igc_std_delta", repr(stats.igc_std - ref_stats.igc_std)),
-        ]
+    pairs += [
+        ("fixed_igc_mean_delta", repr(stats.igc_mean - ref_stats.igc_mean)),
+        ("fixed_igc_std_delta", repr(stats.igc_std - ref_stats.igc_std)),
+    ]
     _emit_report(args, _report_lines(pairs))
     return EXIT_OK
 
@@ -252,16 +223,15 @@ def cmd_bench(args) -> int:
     img = _load_gray_input(args.input)
     mask = _load_roi(args.mask, img)
     params = _params(args)
-    mode = "fixed" if args.engine == "streaming-fixed" else "float"
+    mode = ENGINES[args.engine]
 
     pairs = [("engine", args.engine), ("window", params.window), ("reps", args.reps)]
     for rep in range(args.reps):
-        if args.engine == "reference":
-            start = time.perf_counter()
+        start = time.perf_counter()
+        if mode is None:
             msld_reference(img, mask, params)
             pairs.append((f"rep{rep}_seconds", f"{time.perf_counter() - start:.3f}"))
         else:
-            start = time.perf_counter()
             stats = stream_pass1(img, mask, params, mode)
             mid = time.perf_counter()
             stream_pass2(img, mask, params, stats, mode)
@@ -270,8 +240,8 @@ def cmd_bench(args) -> int:
                 (f"rep{rep}_pass1_seconds", f"{mid - start:.3f}"),
                 (f"rep{rep}_pass2_seconds", f"{end - mid:.3f}"),
             ]
-    if args.engine != "reference":
-        pairs += _footprint_pairs(memory_footprint(params, img.width, img.height))
+    if mode is not None:
+        pairs += vars(memory_footprint(params, img.width, img.height)).items()
     _emit_report(args, _report_lines(pairs))
     return EXIT_OK
 
@@ -314,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--report", help="also write the report lines to this file")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_cmp = sub.add_parser("compare", help="diff streaming engines against the reference")
+    p_cmp = sub.add_parser("compare", help="diff fixed mode against the float reference")
     add_common(p_cmp, need_out=False)
     p_cmp.set_defaults(func=cmd_compare)
 

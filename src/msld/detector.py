@@ -37,15 +37,12 @@ class MsldParams:
 
     window: int = 15
     frac_bits: int = 18
-    orientations: int = ORIENTATION_COUNT
 
     def __post_init__(self):
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"window must be odd and >= 3, got {self.window}")
         if self.frac_bits < 1:
             raise ValueError(f"frac_bits must be >= 1, got {self.frac_bits}")
-        if self.orientations != ORIENTATION_COUNT:
-            raise ValueError(f"orientations is fixed at {ORIENTATION_COUNT}")
 
     @property
     def scales(self) -> tuple[int, ...]:

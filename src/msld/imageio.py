@@ -58,13 +58,9 @@ class RgbImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.pixels, dtype=np.uint8)
-        if arr.ndim != 3 or arr.shape[2] != 3:
+        arr = _frozen_array(self.pixels, np.uint8, 3, "RgbImage.pixels")
+        if arr.shape[2] != 3:
             raise ValueError(f"RgbImage.pixels must have shape (h, w, 3), got {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"RgbImage must be at least 1x1, got shape {arr.shape}")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 
     @property

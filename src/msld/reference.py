@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import MsldParams
-from .imageio import GrayImage, Mask
+from .imageio import GrayImage, Mask, _frozen_array
 
 
 class EmptyRoiError(ValueError):
@@ -31,11 +31,7 @@ class ResponseMap:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"ResponseMap.values must be 2-dimensional, got {arr.ndim}")
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
+        arr = _frozen_array(self.values, np.float64, 2, "ResponseMap.values")
         object.__setattr__(self, "values", arr)
 
     @property

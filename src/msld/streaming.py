@@ -87,18 +87,20 @@ class MemoryFootprint:
     line_buffer_slots is the architectural pixel-store size
     (window - 1) * ncols + window; stored_stats_values counts the retained
     mean/std pairs (one per scale plus one for the inverted input channel);
-    accumulator_words counts the running sums and the ROI counter;
-    peak_total_bytes counts the buffers one band of ``band_height`` rows
-    holds: every buffer of the kernel (``kernel.band_bytes``: the padded
-    band with its spare row, the padded-width column and window sums, the
-    padded line-sum maxima and running line sum, and the compact outputs),
-    four 8-byte band registers and the words above. The registers bound
-    both datapaths: in pass 1 both modes hold the ROI values of the window
-    sums, of one scale's maxima and of the channel; in pass 2 fixed mode
-    holds the window means, one scale's raw-response numerators, the
-    channel and the standardized sum, and float mode one term of the affine
-    form, which it adds to the output rows. Expression temporaries, the
-    input image and the output response map are excluded.
+    accumulator_words counts the running sums of ``StreamAccumulators``
+    (three per scale, four of the window sums and the channel) and the ROI
+    counter; peak_total_bytes counts the buffers one band of
+    ``band_height`` rows holds: every buffer of the kernel
+    (``kernel.band_bytes``: the padded band with its spare row, the
+    padded-width column and window sums, the padded line-sum maxima and
+    running line sum, and the compact outputs), four 8-byte band registers
+    and the words above. The registers bound both datapaths: in pass 1
+    both modes hold the ROI values of the window sums, of one scale's
+    maxima and of the channel; in pass 2 fixed mode holds the window means,
+    one scale's raw-response numerators, the channel and the standardized
+    sum, and float mode one term of the affine form, which it adds to the
+    output rows. Expression temporaries, the input image and the output
+    response map are excluded.
     """
 
     line_buffer_slots: int
@@ -117,7 +119,7 @@ def memory_footprint(params: MsldParams, width: int, height: int) -> MemoryFootp
     bands are ``band_height(width, height)`` rows high."""
     window = params.window
     rows = band_height(width, height)
-    accumulator_words = 2 * (params.n_scales + 1) + 1
+    accumulator_words = 3 * params.n_scales + 5
     stored_stats_values = 2 * params.n_scales + 2
     return MemoryFootprint(
         line_buffer_slots=(window - 1) * width + window,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,8 +50,10 @@ class TestParams:
             MsldParams(window=5, frac_bits=0)
 
     def test_orientations_fixed(self):
-        with pytest.raises(ValueError):
-            MsldParams(window=5, orientations=8)
+        # the count is the constant ORIENTATION_COUNT, not an option
+        assert "orientations" not in {f.name for f in dataclasses.fields(MsldParams)}
+        with pytest.raises(TypeError):
+            MsldParams(window=5, orientations=12)
 
 
 class TestLineOffsets:

@@ -236,6 +236,8 @@ def test_footprint_models_the_band(width, height):
     registers = 4 * 8 * rows * width
     assert footprint.peak_total_bytes == band_bytes(rows, width, 15) + registers + 8 * words
     assert footprint.line_buffer_slots == 14 * width + 15
+    # three sums per scale, four of the window sums and the channel, the ROI counter
+    assert footprint.accumulator_words == 3 * params.n_scales + 5 == 29
 
 
 def test_streaming_sweeps_bands_of_the_budget_height(monkeypatch):

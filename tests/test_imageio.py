@@ -11,6 +11,7 @@ from msld.imageio import (
     load_pnm,
     save_pnm,
 )
+from msld.reference import ResponseMap
 
 
 def test_load_p2_single_pixel(tmp_path):
@@ -136,3 +137,24 @@ def test_images_are_immutable():
     img = GrayImage(np.zeros((2, 2), dtype=np.uint8))
     with pytest.raises(ValueError):
         img.pixels[0, 0] = 1
+
+
+@pytest.mark.parametrize("make, shape", [
+    (GrayImage, (0, 3)), (GrayImage, (3, 0)), (GrayImage, (3,)),
+    (Mask, (3, 0)),
+    (RgbImage, (0, 3, 3)), (RgbImage, (3, 3, 4)), (RgbImage, (3, 3)),
+    (ResponseMap, (0, 3)), (ResponseMap, (3, 0)), (ResponseMap, (3, 3, 1)),
+])
+def test_every_grid_is_at_least_one_by_one(make, shape):
+    with pytest.raises(ValueError):
+        make(np.zeros(shape))
+
+
+@pytest.mark.parametrize("make, shape", [
+    (GrayImage, (2, 3)), (Mask, (2, 3)), (RgbImage, (2, 3, 3)), (ResponseMap, (2, 3)),
+])
+def test_every_grid_is_frozen_and_contiguous(make, shape):
+    grid = make(np.zeros(shape)[:, ::-1])
+    (arr,) = vars(grid).values()
+    assert arr.flags.c_contiguous and not arr.flags.writeable
+    assert (grid.height, grid.width) == shape[:2]
