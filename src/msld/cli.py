@@ -10,6 +10,7 @@ runs never share a temporary.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -246,6 +247,7 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="msld",

@@ -52,10 +52,6 @@ class MsldParams:
     def n_scales(self) -> int:
         return (self.window + 1) // 2
 
-    @property
-    def half(self) -> int:
-        return (self.window - 1) // 2
-
 
 @dataclass(frozen=True)
 class LinePattern:

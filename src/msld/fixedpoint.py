@@ -40,17 +40,6 @@ def div_round_half_away_i64(num: np.ndarray, den: int) -> np.ndarray:
     return (2 * num + den + (num >> 63)) // (2 * den)
 
 
-def shift_round_half_away_i64(num: np.ndarray, frac_bits: int) -> np.ndarray:
-    """div_round_half_away_i64(num, 2**frac_bits) by shifts, for frac_bits >= 1.
-
-    The arithmetic shift floors; adding the sign word num >> 63 (-1 for a
-    negative num, else 0) to num + 2**(frac_bits - 1) makes the floor round
-    halves away from zero on both sides. Callers must guarantee
-    |num| + 2**(frac_bits - 1) fits int64.
-    """
-    return (num + (num >> 63) + (1 << (frac_bits - 1))) >> frac_bits
-
-
 @dataclass(frozen=True)
 class FixedPoint:
     """Integer-scaled real value with ``frac_bits`` fractional bits."""

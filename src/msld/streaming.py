@@ -23,15 +23,17 @@ output bit: pass 1 sums exact integers and pass 2 works per pixel.
 
 Arithmetic runs either in IEEE doubles or in integer fixed point with a
 configurable fractional width. In float mode the statistics are exact
-rationals of the pass-1 sums, rounded once, and each band of the combined
-map is one affine form of the kernel sums and the pixel. The fixed-point
-datapath models the hardware: divisions by the constant line lengths, the
-window area, and the scale count are multiplications by precomputed
-reciprocals, and the data-dependent divisions (by the ROI count and by
-each standard deviation) are true divisions. Taking the maximum over
-orientations on the integer sums before multiplying by the positive
-reciprocal of the line length gives the same value as scaling each line
-first.
+rationals of the pass-1 sums, rounded once. The fixed-point datapath models
+the hardware: divisions by the constant line lengths, the window area, and
+the scale count are multiplications by precomputed reciprocals, and the
+data-dependent divisions (by the ROI count and by each standard deviation)
+are made once per scale, between the passes. In both modes each band of
+the combined map is then one affine form of the kernel sums and the pixel,
+with float coefficients or with integer ones of guard bits beyond the
+fractional width, which fixed mode multiplies and accumulates in int64 and
+rounds once. Taking the maximum over orientations on the integer sums
+before multiplying by the positive reciprocal of the line length gives the
+same value as scaling each line first.
 
 The footprint reports the architectural line-buffer size of the modeled
 datapath, (window - 1) * ncols + window pixels, next to the bytes a band
@@ -41,6 +43,7 @@ actually holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Literal
 
@@ -51,6 +54,7 @@ from .fixedpoint import (
     RAW_LIMIT,
     FixedPoint,
     FixedPointOverflowError,
+    div_round_half_away,
     div_round_half_away_i64,
     fx_div,
     fx_from_int,
@@ -59,7 +63,6 @@ from .fixedpoint import (
     fx_reciprocal,
     fx_sqrt,
     fx_sub,
-    shift_round_half_away_i64,
 )
 from .imageio import GrayImage, Mask
 from .kernel import band_bytes, band_sums
@@ -96,11 +99,10 @@ class MemoryFootprint:
     running line sum, and the compact outputs), four 8-byte band registers
     and the words above. The registers bound both datapaths: in pass 1
     both modes hold the ROI values of the window sums, of one scale's
-    maxima and of the channel; in pass 2 fixed mode holds the window means,
-    one scale's raw-response numerators, the channel and the standardized
-    sum, and float mode one term of the affine form, which it adds to the
-    output rows. Expression temporaries, the input image and the output
-    response map are excluded.
+    maxima and of the channel; in pass 2 both modes hold one term of the
+    affine form, which float mode adds to the output rows and fixed mode to
+    an int64 accumulator. Expression temporaries, the input image and the
+    output response map are excluded.
     """
 
     line_buffer_slots: int
@@ -210,7 +212,7 @@ class StreamAccumulators:
             f = self.params.frac_bits
             n_fx = fx_from_int(n, f)
             recips, window_recip = _fixed_recips(self.params.window, f)
-            sums = [self._raw_sums(s, int(r), int(window_recip)) for s, r in enumerate(recips)]
+            sums = [self._raw_sums(s, r, window_recip) for s, r in enumerate(recips)]
             # a pixel p is p << f in fixed point, and p * p has 2f fractional bits
             sums.append((self.igc_sum << f, self.igc_sum2 << 2 * f))
             pairs = []
@@ -242,17 +244,10 @@ class StreamAccumulators:
 
 
 @lru_cache(maxsize=None)
-def _fixed_recips(window: int, frac_bits: int) -> tuple[tuple[np.int64, ...], np.int64]:
+def _fixed_recips(window: int, frac_bits: int) -> tuple[tuple[int, ...], int]:
     """Quantized reciprocals of every line length and of the window area."""
-    if 2 * (255 << frac_bits) ** 2 + (1 << frac_bits) >= RAW_LIMIT:
-        raise FixedPointOverflowError(
-            f"frac_bits={frac_bits} exceeds the vectorized int64 range (the cap "
-            "2 * (255 << frac_bits)**2 < 2**63 keeps pass 2's z numerators, "
-            "(raw - mean) << frac_bits, inside a signed 64-bit word)"
-        )
-    scale_recips = tuple(np.int64(fx_reciprocal(length, frac_bits).raw)
-                         for length in range(1, window + 1, 2))
-    return scale_recips, np.int64(fx_reciprocal(window * window, frac_bits).raw)
+    scale_recips = tuple(fx_reciprocal(length, frac_bits).raw for length in range(1, window + 1, 2))
+    return scale_recips, fx_reciprocal(window * window, frac_bits).raw
 
 
 class _BandEngine:
@@ -321,27 +316,6 @@ def stream_pass1(
     return _run_pass1(engine, mask)
 
 
-def _stats_raws(stats: ScaleStats, frac_bits: int) -> tuple[list[int], list[int], int, int]:
-    means = [fx_from_real(m, frac_bits).raw for m in stats.scale_means]
-    stds = [fx_from_real(s, frac_bits).raw for s in stats.scale_stds]
-    return means, stds, fx_from_real(stats.igc_mean, frac_bits).raw, fx_from_real(stats.igc_std, frac_bits).raw
-
-
-def _check_combine_range(
-    mean_raws: list[int], std_raws: list[int], frac_bits: int, combine_recip: int
-):
-    zbound = 0
-    for m, s in zip(mean_raws, std_raws):
-        if s == 0:
-            continue
-        zbound += (((255 << frac_bits) + abs(m)) << frac_bits) // s + 1
-    if 2 * zbound * combine_recip + (1 << frac_bits) >= RAW_LIMIT:
-        raise FixedPointOverflowError(
-            "standardized responses exceed the vectorized int64 range "
-            "(a near-degenerate standard deviation inflates the z values)"
-        )
-
-
 def _float_terms(params: MsldParams, stats: ScaleStats) -> tuple[list, float, float, float]:
     """The float combined map as an affine form of the kernel sums and the pixel.
 
@@ -365,47 +339,83 @@ def _float_terms(params: MsldParams, stats: ScaleStats) -> tuple[list, float, fl
     return scale_terms, window_coeff, channel_coeff, offset
 
 
+def _guard_bits(window: int) -> int:
+    """Guard bits g beyond frac_bits of the fixed pass-2 coefficients.
+
+    Each coefficient is off by at most half a unit of 2**-(f + g), weighed
+    by S_L <= 255 * L, B <= 255 * W*W, the pixel <= 255 or 1 (the offset);
+    2**g > 255 * (sum L + W*W + 1) + 1 keeps their sum below half an ulp.
+    """
+    return (255 * (((window + 1) // 2) ** 2 + window * window + 1) + 1).bit_length()
+
+
+def _rounded(q: Fraction) -> int:
+    return div_round_half_away(q.numerator, q.denominator)
+
+
+def _fixed_terms(params: MsldParams, stats: ScaleStats) -> tuple[list, np.int64, np.int64, np.int64]:
+    """The fixed combined map as an affine form with int64 coefficients.
+
+    The modeled datapath averages, with the reciprocal r_C of the scale
+    count, the z-scores (S_L * r_L - B * r_W - m_L) / s_L of the scales and
+    (p - m_p) / s_p of the channel whose std s is not zero, with the
+    reciprocals and the statistics quantized to f fractional bits. That is
+    sum_L a_L * S_L - b * B + c * p - offset, each coefficient rounded once
+    to f + ``_guard_bits`` fractional bits. Returns ([(scale index, a_L)],
+    b, c, offset) like ``_float_terms``. Raises FixedPointOverflowError
+    unless every partial sum of the form, doubled and plus 2**g, fits int64:
+    the precondition of its final rounding, ``div_round_half_away_i64``.
+    """
+    f, window = params.frac_bits, params.window
+    g = _guard_bits(window)
+    scale_recips, window_recip = _fixed_recips(window, f)
+    # a coefficient in units of 2**-(f + g) is r_C * 2**g times its f-bit
+    # numerator over the f-bit std
+    unit = fx_reciprocal(params.n_scales + 1, f).raw << g
+    inv_stds, offset = [], Fraction(0)
+    for mean, std in zip(stats.scale_means + (stats.igc_mean,), stats.scale_stds + (stats.igc_std,)):
+        std = fx_from_real(std, f).raw
+        inv_stds.append(Fraction(unit, std) if std else Fraction(0))
+        offset += fx_from_real(mean, f).raw * inv_stds[-1]
+    # the channel's raw response is the pixel shifted by f: its reciprocal is 2**f
+    *scale_coeffs, channel_coeff = [_rounded(r * inv) for r, inv in zip(scale_recips + (1 << f,), inv_stds)]
+    window_coeff, offset = _rounded(window_recip * sum(inv_stds[:-1])), _rounded(offset)
+    # every coefficient but the offset is non-negative
+    largest = max(window_coeff * 255 * window * window,
+                  255 * (channel_coeff + sum(a * length for a, length in zip(scale_coeffs, params.scales))))
+    if 2 * (largest + abs(offset)) + (1 << g) >= RAW_LIMIT:
+        raise FixedPointOverflowError(
+            "the fixed combined map exceeds the vectorized int64 range "
+            "(a near-degenerate standard deviation inflates its coefficients)"
+        )
+    return ([(s, np.int64(a)) for s, a in enumerate(scale_coeffs) if a],
+            np.int64(window_coeff), np.int64(channel_coeff), np.int64(offset))
+
+
 def _run_pass2(engine: _BandEngine, mask: Mask, stats: ScaleStats) -> ResponseMap:
+    """One band loop for both modes: float mode forms the affine form in the
+    output rows, fixed mode in an int64 accumulator that it rounds once."""
     params = engine.params
     out = np.zeros(mask.inside.shape, dtype=np.float64)
-
-    if engine.mode == "fixed":
-        f = params.frac_bits
-        mean_raws, std_raws, igc_mean_raw, igc_std_raw = _stats_raws(stats, f)
-        combine_recip = fx_reciprocal(params.n_scales + 1, f).raw
-        _check_combine_range(
-            mean_raws + [igc_mean_raw], std_raws + [igc_std_raw], f, combine_recip
-        )
-        scale_recips, window_recip = _fixed_recips(params.window, f)
-        for rows, roi, window_sums, line_maxima in engine.bands(mask):
-            zsum = np.zeros(window_sums.shape, dtype=np.int64)
-            window_means = window_sums * window_recip
-            for s, (line_max, recip) in enumerate(zip(line_maxima, scale_recips)):
-                # one expression, so that no raw-response array
-                # line_max * recip(L) - window mean outlives its scale
-                if std_raws[s] != 0:
-                    zsum += div_round_half_away_i64(
-                        (line_max * recip - window_means - mean_raws[s]) << f, std_raws[s])
-            if igc_std_raw != 0:
-                igc = engine.pixels[rows].astype(np.int64) << f
-                zsum += div_round_half_away_i64((igc - igc_mean_raw) << f, igc_std_raw)
-            np.divide(shift_round_half_away_i64(zsum * combine_recip, f), 1 << f, out=out[rows])
-            out[rows][~roi] = 0.0
-    else:
-        scale_terms, window_coeff, channel_coeff, offset = _float_terms(params, stats)
-        term = np.empty((min(engine.band_rows, out.shape[0]), out.shape[1]))
-        for rows, roi, window_sums, line_maxima in engine.bands(mask):
-            combined = out[rows]
-            band_term = term[:combined.shape[0]]
-            np.multiply(engine.pixels[rows], channel_coeff, out=combined)
-            np.multiply(window_sums, window_coeff, out=band_term)
-            combined -= band_term
-            for s, coeff in scale_terms:
-                np.multiply(line_maxima[s], coeff, out=band_term)
-                combined += band_term
-            combined -= offset
-            combined[~roi] = 0.0
-
+    fixed = engine.mode == "fixed"
+    scale_terms, window_coeff, channel_coeff, offset = (_fixed_terms if fixed else _float_terms)(params, stats)
+    term = np.empty((min(engine.band_rows, out.shape[0]), out.shape[1]),
+                    dtype=np.int64 if fixed else np.float64)
+    acc = np.empty_like(term) if fixed else None
+    guard = 1 << _guard_bits(params.window)
+    for rows, roi, window_sums, line_maxima in engine.bands(mask):
+        combined = acc[:rows.stop - rows.start] if fixed else out[rows]
+        band_term = term[:combined.shape[0]]
+        np.multiply(engine.pixels[rows], channel_coeff, out=combined)
+        np.multiply(window_sums, window_coeff, out=band_term)
+        combined -= band_term
+        for s, coeff in scale_terms:
+            np.multiply(line_maxima[s], coeff, out=band_term)
+            combined += band_term
+        combined -= offset
+        if fixed:
+            np.divide(div_round_half_away_i64(combined, guard), 1 << params.frac_bits, out=out[rows])
+        out[rows][~roi] = 0.0
     return ResponseMap(out)
 
 

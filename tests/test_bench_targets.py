@@ -41,3 +41,12 @@ def test_benchmark_target_resolves(module, attr):
 
 def test_line_offsets_keeps_its_cache_statistics():
     assert callable(msld.detector.line_offsets.cache_info)
+
+
+def test_wrapped_names_are_imported_not_copied():
+    # the benchmark's wrappers replace these names in the modules that
+    # import them; a module that stopped importing one would go uncounted
+    from msld import cli, fixedpoint, imageio, streaming
+
+    assert streaming.div_round_half_away_i64 is fixedpoint.div_round_half_away_i64
+    assert cli.load_pnm is imageio.load_pnm

@@ -1,3 +1,4 @@
+import argparse
 import tracemalloc
 
 import numpy as np
@@ -82,6 +83,21 @@ def test_compare_prints_plain_numbers(inputs, capsys):
     assert not [k for k in pairs if k.startswith("float_")]
     assert len([k for k in pairs if k.startswith("fixed_")]) == 3 + 2 * 3 + 2
     assert list(pairs)[:2] == ["window", "frac_bits"] and len(pairs) == 2 + 11
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    missing = str(tmp_path / "missing.msldf")
+    for _ in range(2):
+        assert main(["eval", "--input", missing, "--truth", missing]) == EXIT_IO
+    assert built.count("msld") <= 1
 
 
 def test_existing_temporary_of_another_run_untouched(inputs, tmp_path):

@@ -16,6 +16,7 @@ from msld import (
     GrayImage,
     Mask,
     MsldParams,
+    ScaleStats,
     msld_reference,
     msld_streaming,
     stream_pass1,
@@ -24,9 +25,11 @@ from msld import (
 from msld import streaming
 from msld.fixedpoint import (
     FixedPoint,
+    FixedPointOverflowError,
     div_round_half_away,
     fx_div,
     fx_from_int,
+    fx_from_real,
     fx_mul,
     fx_reciprocal,
     fx_sqrt,
@@ -175,6 +178,83 @@ def test_exact_sums_do_not_wrap():
     assert stats_tuple(fixed) == exact_fixed_stats(pixels, roi, 255, params.frac_bits)
 
 
+def exact_fixed_map(pixels, roi, window, stats):
+    """The fixed combined map at the ROI pixels as exact rationals: the z-scores
+    of the quantized raw responses S_L * recip(L) - B * recip(W*W) and of the
+    pixel against the stats quantized to frac_bits, summed over the scales of
+    non-zero quantized std and scaled by recip(scale count), with no rounding."""
+    f = stats.frac_bits
+    window_sums, line_maxima = band_sums(pixels, 0, pixels.shape[0], window)
+    scale_recips, window_recip = streaming._fixed_recips(window, f)
+
+    def quantized(v):
+        return Fraction(fx_from_real(v, f).raw, 1 << f)
+
+    scales = [(line_max[roi].tolist(), recip, quantized(mean), quantized(std))
+              for line_max, recip, mean, std
+              in zip(line_maxima, scale_recips, stats.scale_means, stats.scale_stds)]
+    igc_mean, igc_std = quantized(stats.igc_mean), quantized(stats.igc_std)
+    combine = Fraction(fx_reciprocal(len(scales) + 1, f).raw, 1 << f)
+    values = []
+    for i, (b, p) in enumerate(zip(window_sums[roi].tolist(), pixels[roi].tolist())):
+        z = sum((Fraction(sums[i] * recip - b * window_recip, 1 << f) - mean) / std
+                for sums, recip, mean, std in scales if std)
+        if igc_std:
+            z += (p - igc_mean) / igc_std
+        values.append(combine * z)
+    return values
+
+
+def assert_within_one_ulp(pixels, roi, window, resp, stats):
+    exact = exact_fixed_map(pixels, roi, window, stats)
+    ulp = Fraction(1, 1 << stats.frac_bits)
+    for got, want in zip(resp.values[roi].tolist(), exact):
+        assert abs(Fraction(got) - want) <= ulp
+
+
+@given(cases(), st.sampled_from([8, 12, 18, 23, 26, 30]))
+@settings(max_examples=40, deadline=None)
+def test_fixed_map_within_one_ulp_of_exact_affine_form(case, frac_bits):
+    # each coefficient rounded once with guard bits, the sum rounded once
+    pixels, roi, window = case
+    params = MsldParams(window=window, frac_bits=frac_bits)
+    resp, stats, _ = msld_streaming(GrayImage(pixels), Mask(roi), params, "fixed")
+    assert_within_one_ulp(pixels, roi, window, resp, stats)
+
+
+@pytest.mark.parametrize("mean", [0.0, -4096.0])
+def test_pass2_range_check_boundary(mean):
+    # uniform scale stds at W=129, f=23: the smallest std the range check
+    # accepts runs within the bound; one ulp less raises. With zero means the
+    # partial sums of the products come closest to the int64 limit, with a
+    # large offset the final sum that div_round_half_away_i64 doubles
+    pixels = np.array([[255, 255, 0], [255, 0, 255]], dtype=np.uint8)
+    roi = np.ones(pixels.shape, dtype=bool)
+    img, mask, params = GrayImage(pixels), Mask(roi), MsldParams(window=129, frac_bits=23)
+
+    def stats_at(ulps):
+        return ScaleStats(scale_means=(mean,) * params.n_scales,
+                          scale_stds=(ulps / (1 << 23),) * params.n_scales,
+                          igc_mean=170.0, igc_std=120.0, roi_count=mask.count, frac_bits=23)
+
+    def accepted(ulps):
+        try:
+            streaming._fixed_terms(params, stats_at(ulps))
+        except FixedPointOverflowError:
+            return False
+        return True
+
+    lo, hi = 1, 1 << 20
+    assert not accepted(lo) and accepted(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if accepted(mid) else (mid, hi)
+    stats = stats_at(hi)
+    assert_within_one_ulp(pixels, roi, 129, stream_pass2(img, mask, params, stats, "fixed"), stats)
+    with pytest.raises(FixedPointOverflowError):
+        stream_pass2(img, mask, params, stats_at(lo), "fixed")
+
+
 def test_window_larger_than_image():
     pixels = np.random.default_rng(2).integers(0, 256, (4, 5), dtype=np.uint8)
     assert_match_oracle(pixels, np.ones((4, 5), dtype=bool), 9)
@@ -268,15 +348,17 @@ def test_empty_roi_rejected(mode):
             run()
 
 
-# sha256 of the float64 streaming-fixed maps, recorded from the per-row
-# engine that preceded the band kernel: the fixed datapath is bit-true.
+# sha256 of the float64 streaming-fixed maps, recorded from the pass 2
+# that multiplies and accumulates coefficients rounded once with guard bits
+# (each map was within one ulp of exact_fixed_map when pinned): the fixed
+# datapath is bit-true.
 # (seed, height, width, window, frac_bits) -> digest
 FIXED_DIGESTS = {
-    (0, 13, 17, 5, 18): "89344234923063827294bbe46242f27fc286bd5ddf5aace14c7814b3c77ed31f",
-    (1, 20, 9, 7, 18): "c1e2446a3c1c09ddf551c4d8f2ec28dda2f4ab96bdedc8710735b271e4a5171e",
-    (2, 11, 11, 15, 12): "1dbbe719d5816a6603e8b807dae0cf10a48d550f75225c93d70f9d495895682a",
-    (3, 32, 24, 9, 23): "ef107f8d7b7fd6a3a9679a42d9f40df925f6d0d3781a502730112273fb2705c0",
-    (4, 3, 40, 5, 8): "1af1358eb5881e30074c82743c7cf46066a3422976ad89c52601d400898ac4ec",
+    (0, 13, 17, 5, 18): "b5fb46f7e15247d6603f7ad68b4c1ba64f8e5fac9d0513c86a2cb846816b2880",
+    (1, 20, 9, 7, 18): "b6e30834c512be262db2fbdea6c3d863a646ac3f46d9a907ecf62e2d05661a77",
+    (2, 11, 11, 15, 12): "c0da673f1cc47b89aa839f22143007adfa33d573edcc4ebeee708e1a0439630e",
+    (3, 32, 24, 9, 23): "986123729b8ec698d2f29453ee48aa395ac73fc3f7d328d70041ad8ad6dc6787",
+    (4, 3, 40, 5, 8): "7d07c04ec597c5d8d1a5374f25e44824d0f89904f401b027a87d7457eac455f2",
     (5, 2, 3, 129, 18): "8cce99ba66492a2833839772c6dbc5fcb475d56100d5dda9470f1222166218b8",
 }
 

@@ -20,7 +20,6 @@ from msld.fixedpoint import (
     fx_sqrt,
     fx_sub,
     fx_to_real,
-    shift_round_half_away_i64,
 )
 
 F = 18
@@ -187,8 +186,6 @@ class TestRoundingHelpers:
         # (2q + 1) * 2**(frac_bits - 1) lies exactly halfway between multiples
         halves = [(2 * q + 1) << (frac_bits - 1) for q in odd]
         arr = np.array(nums + halves, dtype=np.int64)
-        expected = div_round_half_away_i64(arr, 1 << frac_bits)
-        assert np.array_equal(shift_round_half_away_i64(arr, frac_bits), expected)
         # the unsigned form the streaming accumulators use on squares
         nonneg = np.abs(arr)
         unsigned = (nonneg + (1 << (frac_bits - 1))) >> frac_bits
