@@ -8,7 +8,8 @@ collecting it):
 The streaming engine calls the kernel on bands of
 ``streaming.band_height(width, height)`` rows, and so does ``sweep`` here:
 36 rows at 565 columns, 8 rows on 64-row tiles, where per-call overhead
-dominates. The reference calls it once on the whole image.
+dominates. The reference takes the same 36-row bands at 565 columns and
+one band on a 64-row tile.
 """
 
 import numpy as np
@@ -34,8 +35,3 @@ def sweep(pixels: np.ndarray):
 @pytest.mark.parametrize("height, width", [(584, 565), (64, 64)])
 def test_band_sweep(benchmark, height, width):
     benchmark(sweep, image(height, width))
-
-
-def test_whole_image(benchmark):
-    pixels = image(584, 565)
-    benchmark(band_sums, pixels, 0, pixels.shape[0], WINDOW)

@@ -4,10 +4,10 @@ One raster-order two-pass engine produces the combined response map from
 one exact integer kernel (``kernel.band_sums``) of window sums and
 oriented line-sum maxima. It keeps only per-scale statistics between
 passes and runs its datapath in floating point, with exact integer
-statistics, or in configurable fixed point. The streaming entry point
-hands the kernel a few rows at a time; the whole-image reference is the
-float datapath with one band as high as the image, and gives the same
-map and statistics.
+statistics, or in configurable fixed point. Both entry points hand the
+kernel bands of one pixel budget; the reference is the float datapath
+that keeps every band's sums for the second pass, and gives the same map
+and statistics as the streaming engine in float mode.
 """
 
 from .detector import (

@@ -221,6 +221,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
     img = _load_gray_input(args.input)
     mask = _load_roi(args.mask, img)
     params = _params(args)

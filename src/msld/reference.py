@@ -1,9 +1,9 @@
-"""Whole-image engine and the result types both engines share.
+"""Reference engine and the result types both engines share.
 
-``msld_reference`` is the streaming engine's float datapath run with one
-band as high as the image: the kernel's sums of that band are formed once
-and read by both passes. Its map and statistics are therefore the same
-values as ``msld_streaming(..., "float")``'s. ``scale_stats`` is the one
+``msld_reference`` is the streaming engine's float datapath over bands of
+the same pixel budget, whose kernel sums are formed once and kept for the
+second pass. Its map and statistics are therefore the same values as
+``msld_streaming(..., "float")``'s. ``scale_stats`` is the one
 statistics formula of float mode: it rounds the exact rational mean and
 variance of integer ROI sums once. Pixels outside the ROI are emitted as 0
 and excluded from all statistics.
@@ -98,10 +98,12 @@ def msld_reference(img: GrayImage, mask: Mask, params: MsldParams) -> tuple[Resp
     """Run the full pipeline over an inverted-channel image.
 
     Returns the combined response map and the per-scale ROI statistics of
-    the streaming engine's float datapath over one band as high as the
-    image.
+    the streaming engine's float datapath. Bands are max(8, BAND_PIXELS //
+    width) rows, without the streaming engine's cap at an eighth of the
+    height: the cap bounds a sweep that drops its sums, and these are all
+    kept, so a short image is one band.
     """
     # streaming builds on this module's types, so it is imported on use
-    from .streaming import sweep
+    from .streaming import BAND_PIXELS, sweep
 
-    return sweep(img, mask, params, "float", img.height)
+    return sweep(img, mask, params, "float", max(8, BAND_PIXELS // img.width), keep=True)

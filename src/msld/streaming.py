@@ -1,25 +1,25 @@
 """Raster-order two-pass engine with bounded auxiliary memory.
 
-Both engines are this one: ``msld_streaming`` sweeps the image in bands
-of ``band_height(width, height)`` output rows, and
-``reference.msld_reference`` runs the float datapath with one band as high
-as the image, whose sums are then formed once and kept for the second
-pass. For each band the integer kernel (``kernel.band_sums``) forms the
-window sums and the per-scale maxima of the oriented line sums. Pass 1
-adds their ROI values to exact integer sums, the same in both arithmetic
-modes; finalizing them yields each scale's mean and standard deviation.
-Pass 2 sweeps again, recomputes the identical sums, and standardizes and
-combines them immediately, so no per-scale response image is ever stored.
-Auxiliary state is one band of window + rows - 1 image rows with its sums,
-plus a handful of per-scale words, regardless of image height.
+Both engines are this one, and both sweep the image in bands from the
+same pixel budget. For each band the integer kernel (``kernel.band_sums``)
+forms the window sums and the per-scale maxima of the oriented line sums.
+Pass 1 adds their ROI values to exact integer sums, the same in both
+arithmetic modes; finalizing them yields each scale's mean and standard
+deviation. Pass 2 standardizes and combines the sums band by band, so no
+per-scale response image is ever stored. ``msld_streaming`` forms the
+sums again in pass 2, so its auxiliary state is one band of window +
+rows - 1 image rows with its sums, plus a handful of per-scale words,
+regardless of image height. ``reference.msld_reference`` runs the float
+datapath and keeps every band's sums for pass 2 instead.
 
-The band height is max(8, min(BAND_PIXELS // width, height // 8)) rows.
-The first term spends a fixed pixel budget per kernel call, so per-call
-overhead is amortized on wide images while the rows stay bounded
-independently of the height; the second keeps a band to at most an eighth
-of the image, so short images (64-row tiles) keep 8-row bands instead of
-one image-high band with the reference's footprint. The height changes no
-output bit: pass 1 sums exact integers and pass 2 works per pixel.
+The streaming band height is max(8, min(BAND_PIXELS // width, height //
+8)) rows. The first term spends a fixed pixel budget per kernel call, so
+per-call overhead is amortized on wide images while the rows stay bounded
+independently of the height; the second bounds the streaming footprint on
+short images, where 64-row tiles keep 8-row bands. The reference keeps all
+its sums anyway, so it takes max(8, BAND_PIXELS // width) rows, and a tile
+is one band. The height changes no output bit: pass 1 sums exact integers
+and pass 2 works per pixel.
 
 Arithmetic runs either in IEEE doubles or in integer fixed point with a
 configurable fractional width. In float mode the statistics are exact
@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Literal
+from typing import Iterable, Iterator, Literal
 
 import numpy as np
 
@@ -69,6 +69,8 @@ from .kernel import band_bytes, band_sums
 from .reference import EmptyRoiError, ResponseMap, ScaleStats, scale_stats
 
 ArithmeticMode = Literal["float", "fixed"]
+# (rows, roi, window_sums, line_maxima) of one band
+Band = tuple[slice, np.ndarray, np.ndarray, np.ndarray]
 
 # pixels per band above the 8-row floor: at DRIVE width (565 columns, 36
 # rows) the largest budget of a sweep at which the float engine's measured
@@ -166,8 +168,8 @@ class StreamAccumulators:
         self.roi_count = 0
         # ROI pixels are added at most this many at a time: no product of two
         # kernel sums exceeds the largest window sum squared, so no int64
-        # partial sum of a block can wrap, and in a band as high as the image
-        # the gathers stay small beside the kept kernel sums
+        # partial sum of a block can wrap, and on a budget band of an image
+        # wider than 8192 columns the gathers stay small beside its sums
         self._block = max(1, min(1 << 16, (2**63 - 1) // (255 * params.window**2) ** 2))
 
     def update_row(self, window_sums: np.ndarray, line_maxima: np.ndarray,
@@ -250,40 +252,22 @@ def _fixed_recips(window: int, frac_bits: int) -> tuple[tuple[int, ...], int]:
     return scale_recips, fx_reciprocal(window * window, frac_bits).raw
 
 
-class _BandEngine:
-    """Raster sweep of the integer kernel over bands of band_rows output rows.
-
-    A band as high as the image is the whole sweep: its sums are formed
-    once and kept for the second pass.
-    """
-
-    def __init__(self, img: GrayImage, params: MsldParams, mode: ArithmeticMode, band_rows: int):
-        self.mode = mode
-        self.params = params
-        self.pixels = img.pixels
-        self.band_rows = band_rows
-        self._whole_image_sums = None
-
-    def bands(self, mask: Mask) -> Iterator[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
-        """Yield (rows, roi, window_sums, line_maxima) for every band holding an ROI pixel."""
-        height = self.pixels.shape[0]
-        for y0 in range(0, height, self.band_rows):
-            rows = slice(y0, min(y0 + self.band_rows, height))
-            roi = mask.inside[rows]
-            if not roi.any():
-                continue
-            sums = self._whole_image_sums
-            if sums is None:
-                sums = band_sums(self.pixels, rows.start, rows.stop, self.params.window)
-                if self.band_rows >= height:
-                    self._whole_image_sums = sums
-            yield rows, roi, *sums
+def _bands(pixels: np.ndarray, mask: Mask, window: int, band_rows: int) -> Iterator[Band]:
+    """Yield (rows, roi, window_sums, line_maxima) for every band of
+    band_rows output rows that holds an ROI pixel."""
+    height = pixels.shape[0]
+    for y0 in range(0, height, band_rows):
+        rows = slice(y0, min(y0 + band_rows, height))
+        roi = mask.inside[rows]
+        if roi.any():
+            yield rows, roi, *band_sums(pixels, rows.start, rows.stop, window)
 
 
-def _run_pass1(engine: _BandEngine, mask: Mask) -> ScaleStats:
-    acc = StreamAccumulators(engine.params, engine.mode)
-    for rows, roi, window_sums, line_maxima in engine.bands(mask):
-        acc.update_row(window_sums, line_maxima, engine.pixels[rows], roi)
+def _run_pass1(pixels: np.ndarray, params: MsldParams, mode: ArithmeticMode,
+               bands: Iterable[Band]) -> ScaleStats:
+    acc = StreamAccumulators(params, mode)
+    for rows, roi, window_sums, line_maxima in bands:
+        acc.update_row(window_sums, line_maxima, pixels[rows], roi)
     return acc.finalize()
 
 
@@ -312,8 +296,8 @@ def stream_pass1(
     counted on the returned stats.
     """
     _check_inputs(img, mask, arithmetic_mode)
-    engine = _BandEngine(img, params, arithmetic_mode, band_height(img.width, img.height))
-    return _run_pass1(engine, mask)
+    bands = _bands(img.pixels, mask, params.window, band_height(img.width, img.height))
+    return _run_pass1(img.pixels, params, arithmetic_mode, bands)
 
 
 def _float_terms(params: MsldParams, stats: ScaleStats) -> tuple[list, float, float, float]:
@@ -392,21 +376,23 @@ def _fixed_terms(params: MsldParams, stats: ScaleStats) -> tuple[list, np.int64,
             np.int64(window_coeff), np.int64(channel_coeff), np.int64(offset))
 
 
-def _run_pass2(engine: _BandEngine, mask: Mask, stats: ScaleStats) -> ResponseMap:
+def _run_pass2(pixels: np.ndarray, params: MsldParams, mode: ArithmeticMode,
+               bands: Iterable[Band], stats: ScaleStats) -> ResponseMap:
     """One band loop for both modes: float mode forms the affine form in the
     output rows, fixed mode in an int64 accumulator that it rounds once."""
-    params = engine.params
-    out = np.zeros(mask.inside.shape, dtype=np.float64)
-    fixed = engine.mode == "fixed"
+    out = np.zeros(pixels.shape, dtype=np.float64)
+    fixed = mode == "fixed"
     scale_terms, window_coeff, channel_coeff, offset = (_fixed_terms if fixed else _float_terms)(params, stats)
-    term = np.empty((min(engine.band_rows, out.shape[0]), out.shape[1]),
-                    dtype=np.int64 if fixed else np.float64)
-    acc = np.empty_like(term) if fixed else None
+    term = acc = None
     guard = 1 << _guard_bits(params.window)
-    for rows, roi, window_sums, line_maxima in engine.bands(mask):
+    for rows, roi, window_sums, line_maxima in bands:
+        if term is None:
+            # only the last band can be lower than the first
+            term = np.empty(window_sums.shape, dtype=np.int64 if fixed else np.float64)
+            acc = np.empty_like(term) if fixed else None
         combined = acc[:rows.stop - rows.start] if fixed else out[rows]
         band_term = term[:combined.shape[0]]
-        np.multiply(engine.pixels[rows], channel_coeff, out=combined)
+        np.multiply(pixels[rows], channel_coeff, out=combined)
         np.multiply(window_sums, window_coeff, out=band_term)
         combined -= band_term
         for s, coeff in scale_terms:
@@ -451,17 +437,24 @@ def stream_pass2(
     per-scale responses exist only as one band of one scale.
     """
     _check_pass2_inputs(img, mask, params, stats, arithmetic_mode)
-    engine = _BandEngine(img, params, arithmetic_mode, band_height(img.width, img.height))
-    return _run_pass2(engine, mask, stats)
+    bands = _bands(img.pixels, mask, params.window, band_height(img.width, img.height))
+    return _run_pass2(img.pixels, params, arithmetic_mode, bands, stats)
 
 
 def sweep(img: GrayImage, mask: Mask, params: MsldParams, arithmetic_mode: ArithmeticMode,
-          band_rows: int) -> tuple[ResponseMap, ScaleStats]:
-    """Both passes over bands of band_rows rows; the entry points fix the height."""
+          band_rows: int, keep: bool = False) -> tuple[ResponseMap, ScaleStats]:
+    """Both passes over bands of band_rows rows; the entry points fix the height.
+
+    With keep, every band's sums are formed once and kept for pass 2;
+    without it, pass 2 forms them again.
+    """
     _check_inputs(img, mask, arithmetic_mode)
-    engine = _BandEngine(img, params, arithmetic_mode, band_rows)
-    stats = _run_pass1(engine, mask)
-    return _run_pass2(engine, mask, stats), stats
+    pixels = img.pixels
+    band_args = (pixels, mask, params.window, band_rows)
+    kept = list(_bands(*band_args)) if keep else None
+    stats = _run_pass1(pixels, params, arithmetic_mode, kept if keep else _bands(*band_args))
+    response = _run_pass2(pixels, params, arithmetic_mode, kept if keep else _bands(*band_args), stats)
+    return response, stats
 
 
 def msld_streaming(

@@ -72,6 +72,15 @@ def test_bench_and_segment_report_the_same_footprint(inputs, tmp_path, capsys):
     assert int(seg["line_buffer_slots"]) == 4 * 20 + 5
 
 
+@pytest.mark.parametrize("reps", [0, -3])
+def test_bench_rejects_reps_below_one(inputs, tmp_path, capsys, reps):
+    report_path = tmp_path / "report.txt"
+    assert main(["bench", "--input", str(inputs["image"]), "--window", "5",
+                 "--reps", str(reps), "--report", str(report_path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().out == ""
+    assert not report_path.exists()
+
+
 def test_compare_prints_plain_numbers(inputs, capsys):
     assert main(["compare", "--input", str(inputs["image"]), "--mask", str(inputs["mask"]),
                  "--window", "5"]) == EXIT_OK

@@ -3,6 +3,7 @@ fixed-point outputs."""
 
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -283,6 +284,37 @@ def test_reference_forms_its_band_sums_once(monkeypatch):
     pixels = np.random.default_rng(5).integers(0, 256, (20, 9), dtype=np.uint8)
     msld_reference(GrayImage(pixels), Mask(np.ones((20, 9), dtype=bool)), MsldParams(window=5))
     assert calls == [(0, 20)]
+
+
+def test_reference_forms_each_budget_band_once(monkeypatch):
+    calls = []
+
+    def counted(pixels, y0, y1, window):
+        calls.append((y0, y1))
+        return band_sums(pixels, y0, y1, window)
+
+    monkeypatch.setattr(streaming, "band_sums", counted)
+    pixels = np.random.default_rng(5).integers(0, 256, (50, 1024), dtype=np.uint8)
+    msld_reference(GrayImage(pixels), Mask(np.ones((50, 1024), dtype=bool)), MsldParams(window=5))
+    # the budget gives 20 rows at 1024 columns, and no eighth of the height caps them
+    assert calls == [(0, 20), (20, 40), (40, 50)]
+
+
+def test_reference_peak_is_its_kept_sums_and_one_band():
+    height, width = 300, 1024
+    pixels = np.random.default_rng(8).integers(0, 256, (height, width), dtype=np.uint8)
+    img, mask, params = GrayImage(pixels), Mask(np.ones((height, width), dtype=bool)), MsldParams(window=15)
+    msld_reference(img, mask, params)  # fills the line-geometry cache outside the trace
+    tracemalloc.start()
+    try:
+        msld_reference(img, mask, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = max(8, streaming.BAND_PIXELS // width)
+    kept_sums = (4 + 2 * params.n_scales) * height * width
+    response = 8 * height * width
+    assert peak <= kept_sums + response + band_bytes(rows, width, 15) + 8 * rows * width
 
 
 @given(cases(max_side=40), st.sampled_from(["float", "fixed"]))
