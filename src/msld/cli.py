@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 validation failure, 2 I/O or format failure,
 3 numeric failure (empty ROI, single-class ground truth, fixed-point
-range exceeded). Output files are written atomically via a uniquely named
-temporary sibling, so failed runs leave no partial outputs and concurrent
-runs never share a temporary.
+range exceeded). Each output file is written atomically via a uniquely
+named temporary sibling, and a failed run removes the ones it wrote, so it
+leaves no outputs and concurrent runs never share a temporary.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def _report_lines(pairs) -> str:
 
 def _emit_report(args, lines: str):
     sys.stdout.write(lines)
-    if getattr(args, "report", None):
+    if args.report:
         _atomic_write_text(Path(args.report), lines)
 
 
@@ -151,10 +151,6 @@ def cmd_segment(args) -> int:
     if args.threshold is not None:
         vessel = binarize(resp, mask, args.threshold)
         seg = GrayImage(np.where(vessel.inside, 255, 0).astype(np.uint8))
-    write_response_file(resp, args.out)
-    if args.threshold is not None:
-        _atomic_write_bytes(Path(args.out + ".seg.pgm"), encode_pnm(seg))
-
     pairs = [
         ("engine", args.engine),
         ("window", params.window),
@@ -165,7 +161,20 @@ def cmd_segment(args) -> int:
     ]
     if footprint is not None:
         pairs += vars(footprint).items()
-    _emit_report(args, _report_lines(pairs))
+
+    # a later write that fails takes the outputs written before it along
+    write_response_file(resp, args.out)
+    written = [Path(args.out)]
+    try:
+        if args.threshold is not None:
+            seg_path = Path(args.out + ".seg.pgm")
+            _atomic_write_bytes(seg_path, encode_pnm(seg))
+            written.append(seg_path)
+        _emit_report(args, _report_lines(pairs))
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     return EXIT_OK
 
 

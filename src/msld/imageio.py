@@ -1,13 +1,17 @@
 """Image and mask types plus PGM/PPM codecs.
 
 Supported formats are netpbm PGM (P2 ascii, P5 binary) and PPM (P3 ascii,
-P6 binary) with a maxval of exactly 255. Header comments starting with '#'
-are honoured. Other sources (TIFF, GIF, PNG, ...) must be converted
-externally before use.
+P6 binary) with a maxval of exactly 255. Comments starting with '#' are
+honoured in the header and between ASCII samples. ASCII samples are
+checked before a raster is allocated, so a header that promises more
+samples than the file holds is a format error, whatever its dimensions.
+Other sources (TIFF, GIF, PNG, ...) must be converted externally before
+use.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,165 +22,143 @@ class PnmFormatError(ValueError):
     """Raised for malformed or unsupported PGM/PPM content."""
 
 
-def _frozen_array(values, dtype, shape_len: int, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
-    if arr.ndim != shape_len:
-        raise ValueError(f"{what} must be {shape_len}-dimensional, got {arr.ndim}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"{what} must be at least 1x1, got shape {arr.shape}")
-    arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
-    return arr
+@dataclass(frozen=True, eq=False)
+class Grid:
+    """A record of one read-only, C-contiguous, at least 1x1 array.
+
+    A subclass declares the array field and names it, its dtype and its
+    rank in the class attributes ``_field``, ``_dtype`` and ``_ndim``. A
+    cast to uint8 must keep every value, as it would wrap those out of range.
+    """
+
+    _ndim = 2
+
+    def __post_init__(self):
+        what = f"{type(self).__name__}.{self._field}"
+        values = np.asarray(getattr(self, self._field))
+        arr = values.astype(self._dtype, order="C", copy=False)
+        if arr.ndim != self._ndim:
+            raise ValueError(f"{what} must be {self._ndim}-dimensional, got {arr.ndim}")
+        if arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise ValueError(f"{what} must be at least 1x1, got shape {arr.shape}")
+        if arr.dtype == np.uint8 and values.dtype != np.uint8 and not np.array_equal(arr, values):
+            raise ValueError(f"{what} must hold integers in 0..255")
+        arr.setflags(write=False)
+        object.__setattr__(self, self._field, arr)
+
+    @property
+    def width(self) -> int:
+        return getattr(self, self._field).shape[1]
+
+    @property
+    def height(self) -> int:
+        return getattr(self, self._field).shape[0]
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and np.array_equal(
+            getattr(self, self._field), getattr(other, self._field))
 
 
 @dataclass(frozen=True, eq=False)
-class GrayImage:
+class GrayImage(Grid):
     """Grid of 8-bit intensities, row-major (height, width)."""
 
     pixels: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen_array(self.pixels, np.uint8, 2, "GrayImage.pixels")
-        object.__setattr__(self, "pixels", arr)
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    def __eq__(self, other):
-        return isinstance(other, GrayImage) and np.array_equal(self.pixels, other.pixels)
+    _field, _dtype = "pixels", np.uint8
 
 
 @dataclass(frozen=True, eq=False)
-class RgbImage:
+class RgbImage(Grid):
     """Grid of 8-bit (r, g, b) triples, row-major (height, width, 3)."""
 
     pixels: np.ndarray
+    _field, _dtype, _ndim = "pixels", np.uint8, 3
 
     def __post_init__(self):
-        arr = _frozen_array(self.pixels, np.uint8, 3, "RgbImage.pixels")
-        if arr.shape[2] != 3:
-            raise ValueError(f"RgbImage.pixels must have shape (h, w, 3), got {arr.shape}")
-        object.__setattr__(self, "pixels", arr)
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    def __eq__(self, other):
-        return isinstance(other, RgbImage) and np.array_equal(self.pixels, other.pixels)
+        super().__post_init__()
+        if self.pixels.shape[2] != 3:
+            raise ValueError(f"RgbImage.pixels must have shape (h, w, 3), got {self.pixels.shape}")
 
 
 @dataclass(frozen=True, eq=False)
-class Mask:
+class Mask(Grid):
     """Boolean region-of-interest grid; True marks pixels inside the ROI."""
 
     inside: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen_array(self.inside, bool, 2, "Mask.inside")
-        object.__setattr__(self, "inside", arr)
-
-    @property
-    def width(self) -> int:
-        return self.inside.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.inside.shape[0]
+    _field, _dtype = "inside", bool
 
     @property
     def count(self) -> int:
         return int(self.inside.sum())
-
-    def __eq__(self, other):
-        return isinstance(other, Mask) and np.array_equal(self.inside, other.inside)
 
 
 def full_mask(width: int, height: int) -> Mask:
     return Mask(np.ones((height, width), dtype=bool))
 
 
-class _TokenReader:
-    """Pulls whitespace-separated header tokens, skipping '#' comments."""
+# One header token after any blanks and '#' comments. Each repeat takes one
+# blank or one whole comment, which runs to a newline or the end of the
+# data, so a failed match backtracks in linear time and never starts a
+# token inside a comment.
+_HEADER_TOKEN = re.compile(rb"(?:[ \t\r\n\v\f]|#[^\n]*(?:\n|\Z))*([^ \t\r\n\v\f#]+)")
+_COMMENT = re.compile(rb"#[^\n]*")
+_CHANNELS = {b"P2": 1, b"P5": 1, b"P3": 3, b"P6": 3}
+_EOF = "malformed header: unexpected end of file"
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
 
-    def next_token(self) -> bytes:
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            c = self.data[self.pos]
-            if c == ord("#"):
-                nl = data.find(b"\n", self.pos)
-                self.pos = n if nl < 0 else nl + 1
-            elif c in b" \t\r\n\v\f":
-                self.pos += 1
-            else:
-                break
-        if self.pos >= n:
-            raise PnmFormatError("malformed header: unexpected end of file")
-        start = self.pos
-        while self.pos < n and data[self.pos] not in b" \t\r\n\v\f#":
-            self.pos += 1
-        return data[start:self.pos]
+def _header_int(token: bytes, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise PnmFormatError(f"malformed header: {what} is not an integer: {token!r}") from None
 
-    def next_int(self, what: str) -> int:
-        token = self.next_token()
-        try:
-            return int(token)
-        except ValueError:
-            raise PnmFormatError(f"malformed header: {what} is not an integer: {token!r}") from None
 
-    def skip_single_whitespace(self):
-        if self.pos >= len(self.data) or self.data[self.pos] not in b" \t\r\n\v\f":
-            raise PnmFormatError("malformed header: missing whitespace before pixel data")
-        self.pos += 1
+def _sample(token: bytes) -> int:
+    value = _header_int(token, "sample")
+    if not 0 <= value <= 255:
+        raise PnmFormatError(f"sample value {value} out of range 0..255")
+    return value
 
 
 def load_pnm(path) -> GrayImage | RgbImage:
     """Load a PGM (P2/P5) or PPM (P3/P6) file with maxval 255."""
     data = Path(path).read_bytes()
-    reader = _TokenReader(data)
-    magic = reader.next_token()
-    if magic not in (b"P2", b"P3", b"P5", b"P6"):
+    tokens, pos = [], 0
+    while len(tokens) < 4 and (match := _HEADER_TOKEN.match(data, pos)):
+        tokens.append(match[1])
+        pos = match.end()
+    if not tokens:
+        raise PnmFormatError(_EOF)
+    magic = tokens[0]
+    if magic not in _CHANNELS:
         raise PnmFormatError(f"unsupported format magic {magic!r} (expected P2/P3/P5/P6)")
-    width = reader.next_int("width")
-    height = reader.next_int("height")
-    maxval = reader.next_int("maxval")
+    # converted in file order, so the first bad token is the one reported
+    header = [_header_int(t, what) for t, what in zip(tokens[1:], ("width", "height", "maxval"))]
+    if len(header) < 3:
+        raise PnmFormatError(_EOF)
+    width, height, maxval = header
     if width < 1 or height < 1:
         raise PnmFormatError(f"malformed header: invalid dimensions {width}x{height}")
     if maxval != 255:
         raise PnmFormatError(f"unsupported maxval {maxval} (only 255 is supported)")
 
-    channels = 3 if magic in (b"P3", b"P6") else 1
+    channels = _CHANNELS[magic]
     count = width * height * channels
-
     if magic in (b"P5", b"P6"):
-        reader.skip_single_whitespace()
-        payload = data[reader.pos:reader.pos + count]
+        if not data[pos:pos + 1].isspace():
+            raise PnmFormatError("malformed header: missing whitespace before pixel data")
+        payload = data[pos + 1:pos + 1 + count]
         if len(payload) < count:
-            raise PnmFormatError(
-                f"truncated pixel data: expected {count} bytes, found {len(payload)}"
-            )
-        flat = np.frombuffer(payload, dtype=np.uint8, count=count)
+            raise PnmFormatError(f"truncated pixel data: expected {count} bytes, found {len(payload)}")
+        flat = np.frombuffer(payload, dtype=np.uint8)
     else:
-        values = np.empty(count, dtype=np.uint8)
-        for i in range(count):
-            v = reader.next_int("sample")
-            if not 0 <= v <= 255:
-                raise PnmFormatError(f"sample value {v} out of range 0..255")
-            values[i] = v
-        flat = values
+        # a comment runs to a newline, which still parts the samples; no
+        # file holds more samples than bytes, which bounds the split
+        raster = _COMMENT.sub(b"", data[pos:])
+        samples = raster.split(maxsplit=min(count, len(raster)))[:count]
+        flat = np.fromiter(map(_sample, samples), np.uint8, len(samples))
+        if len(samples) < count:
+            raise PnmFormatError(_EOF)
 
     if channels == 1:
         return GrayImage(flat.reshape(height, width))

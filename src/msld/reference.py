@@ -6,7 +6,8 @@ second pass. Its map and statistics are therefore the same values as
 ``msld_streaming(..., "float")``'s. ``scale_stats`` is the one
 statistics formula of float mode: it rounds the exact rational mean and
 variance of integer ROI sums once. Pixels outside the ROI are emitted as 0
-and excluded from all statistics.
+and excluded from all statistics. ``ResponseMap`` is an ``imageio.Grid``:
+a frozen, C-contiguous float64 array of at least 1x1.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import MsldParams
-from .imageio import GrayImage, Mask, _frozen_array
+from .imageio import GrayImage, Grid, Mask
 
 
 class EmptyRoiError(ValueError):
@@ -25,25 +26,11 @@ class EmptyRoiError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class ResponseMap:
+class ResponseMap(Grid):
     """Row-major grid of real-valued responses; 0 outside the ROI."""
 
     values: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen_array(self.values, np.float64, 2, "ResponseMap.values")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    def __eq__(self, other):
-        return isinstance(other, ResponseMap) and np.array_equal(self.values, other.values)
+    _field, _dtype = "values", np.float64
 
 
 @dataclass(frozen=True)

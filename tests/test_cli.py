@@ -206,3 +206,25 @@ def test_failed_write_leaves_no_temporary(inputs, tmp_path):
     out.mkdir()  # a directory cannot be replaced by the response file
     assert main(segment_args(inputs, out)) == EXIT_IO
     assert sorted(p.name for p in tmp_path.iterdir()) == ["image.pgm", "mask.pgm", "out", "truth.pgm"]
+
+
+@pytest.mark.parametrize("case", ["seg_is_a_directory", "report_dir_missing"])
+def test_failed_later_write_removes_the_earlier_outputs(inputs, tmp_path, case):
+    out = tmp_path / "out" / "r.msldf"
+    out.parent.mkdir()
+    if case == "seg_is_a_directory":
+        (out.parent / "r.msldf.seg.pgm").mkdir()
+        extra = ["--threshold", "0"]
+    else:
+        extra = ["--threshold", "0", "--report", str(tmp_path / "missing" / "report.txt")]
+    assert main([*segment_args(inputs, out), *extra]) == EXIT_IO
+    assert [p.name for p in out.parent.iterdir()] == (
+        ["r.msldf.seg.pgm"] if case == "seg_is_a_directory" else [])
+
+
+def test_segment_of_a_giant_ascii_header_is_a_format_error(tmp_path):
+    image = tmp_path / "giant.pgm"
+    image.write_bytes(b"P2\n1000000 1000000\n255\n1 2 3\n")
+    out = tmp_path / "r.msldf"
+    assert main(["segment", "--input", str(image), "--out", str(out)]) == EXIT_IO
+    assert not out.exists()

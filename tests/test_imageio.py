@@ -1,11 +1,17 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from msld.imageio import (
     GrayImage,
     Mask,
     PnmFormatError,
     RgbImage,
+    encode_pnm,
     extract_inverted_green,
     load_mask,
     load_pnm,
@@ -158,3 +164,57 @@ def test_every_grid_is_frozen_and_contiguous(make, shape):
     (arr,) = vars(grid).values()
     assert arr.flags.c_contiguous and not arr.flags.writeable
     assert (grid.height, grid.width) == shape[:2]
+
+
+@pytest.mark.parametrize("make, values", [
+    (GrayImage, [[300, -1]]), (GrayImage, np.array([[300, -1]])), (GrayImage, [[0.5]]),
+    (RgbImage, np.full((1, 1, 3), 256)),
+])
+def test_uint8_grids_reject_values_the_cast_would_change(make, values):
+    with pytest.raises(ValueError, match="0..255"):
+        make(values)
+
+
+def test_uint8_grids_keep_exact_values_of_any_dtype():
+    assert GrayImage(np.array([[255.0, 0.0]])).pixels.tolist() == [[255, 0]]
+    assert Mask(np.array([[2, 0]])).inside.tolist() == [[True, False]]
+
+
+# blanks and '#' comments, which run to a newline, between any two tokens
+separators = st.lists(
+    st.one_of(st.sampled_from([" ", "\t", "\r", "\n", "\v", "\f"]),
+              st.text("ab #\t", max_size=5).map(lambda c: f"#{c}\n")),
+    min_size=1, max_size=3,
+).map("".join)
+
+
+@given(st.data(), st.sampled_from([(), (3,)]))
+@settings(max_examples=40, deadline=None)
+def test_ascii_encodings_load_like_binary(tmp_path_factory, data, channels):
+    shape = data.draw(st.tuples(st.integers(1, 5), st.integers(1, 5))) + channels
+    pixels = data.draw(hnp.arrays(np.uint8, shape))
+    image = RgbImage(pixels) if channels else GrayImage(pixels)
+    tokens = [image.width, image.height, 255, *pixels.ravel()]
+    gaps = data.draw(st.lists(separators, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    text = ("P3" if channels else "P2") + "".join(f"{gap}{token}" for gap, token in zip(gaps, tokens))
+    path = tmp_path_factory.mktemp("ascii") / "image.pnm"
+    path.write_bytes((text + gaps[-1]).encode("ascii"))
+    binary = path.with_suffix(".bin")
+    binary.write_bytes(encode_pnm(image))
+    assert load_pnm(path) == load_pnm(binary) == image
+
+
+def test_giant_ascii_header_is_a_format_error(tmp_path):
+    path = tmp_path / "giant.pgm"
+    path.write_bytes(b"P2\n1000000 1000000\n255\n1 2 3\n")
+    with pytest.raises(PnmFormatError, match="end of file"):
+        load_pnm(path)
+
+
+def test_blank_header_fails_in_linear_time(tmp_path):
+    path = tmp_path / "blank.pgm"
+    path.write_bytes(b"P5" + b" " * 10_000)
+    start = time.perf_counter()
+    with pytest.raises(PnmFormatError, match="end of file"):
+        load_pnm(path)
+    assert time.perf_counter() - start < 0.5
