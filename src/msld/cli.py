@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 import time
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -46,6 +48,8 @@ EXIT_IO = 2
 EXIT_NUMERIC = 3
 
 RESPONSE_MAGIC = "MSLDF"
+# pixels per float32 block of a response write
+RESPONSE_BLOCK_PIXELS = 1 << 16
 
 # engine name -> arithmetic mode of the streaming engine; None is the reference
 ENGINES = {"reference": None, "streaming-float": "float", "streaming-fixed": "fixed"}
@@ -54,8 +58,10 @@ ENGINES = {"reference": None, "streaming-float": "float", "streaming-fixed": "fi
 def write_response_file(resp: ResponseMap, path):
     """Header line 'MSLDF <width> <height>' then row-major little-endian f32."""
     header = f"{RESPONSE_MAGIC} {resp.width} {resp.height}\n".encode("ascii")
-    # astype copies into a new C-contiguous array, which is written as is
-    _atomic_write_bytes(Path(path), header, resp.values.astype("<f4"))
+    rows = max(1, RESPONSE_BLOCK_PIXELS // resp.width)
+    # each block is converted as it is written, so one is alive at a time
+    blocks = (resp.values[y:y + rows].astype("<f4") for y in range(0, resp.height, rows))
+    _atomic_write_bytes(Path(path), itertools.chain([header], blocks))
 
 
 def read_response_file(path) -> ResponseMap:
@@ -85,14 +91,14 @@ def read_response_file(path) -> ResponseMap:
     return ResponseMap(values.reshape(height, width))
 
 
-def _atomic_write_bytes(path: Path, *chunks):
-    """Write the byte buffers in turn through a uniquely named sibling, so
-    runs never share a temporary."""
+def _atomic_write_bytes(path: Path, chunks: Iterable):
+    """Write the byte buffers of chunks in turn through a uniquely named
+    sibling, so runs never share a temporary."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "xb") as f:
-            for chunk in chunks:
-                f.write(chunk)
+            # writelines drops each chunk before it takes the next
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -100,7 +106,7 @@ def _atomic_write_bytes(path: Path, *chunks):
 
 
 def _atomic_write_text(path: Path, text: str):
-    _atomic_write_bytes(path, text.encode("ascii"))
+    _atomic_write_bytes(path, [text.encode("ascii")])
 
 
 def _load_gray_input(path) -> GrayImage:
@@ -135,9 +141,10 @@ def _report_lines(pairs) -> str:
 
 
 def _emit_report(args, lines: str):
-    sys.stdout.write(lines)
+    # the file first, so a run whose report write fails prints no report
     if args.report:
         _atomic_write_text(Path(args.report), lines)
+    sys.stdout.write(lines)
 
 
 def cmd_segment(args) -> int:
@@ -168,7 +175,7 @@ def cmd_segment(args) -> int:
     try:
         if args.threshold is not None:
             seg_path = Path(args.out + ".seg.pgm")
-            _atomic_write_bytes(seg_path, encode_pnm(seg))
+            _atomic_write_bytes(seg_path, [encode_pnm(seg)])
             written.append(seg_path)
         _emit_report(args, _report_lines(pairs))
     except BaseException:

@@ -11,6 +11,7 @@ use.
 
 from __future__ import annotations
 
+import contextlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +29,8 @@ class Grid:
 
     A subclass declares the array field and names it, its dtype and its
     rank in the class attributes ``_field``, ``_dtype`` and ``_ndim``. A
-    cast to uint8 must keep every value, as it would wrap those out of range.
+    cast to uint8 must keep every value, as it would wrap those out of range
+    and make up some for NaN and infinities.
     """
 
     _ndim = 2
@@ -36,12 +38,15 @@ class Grid:
     def __post_init__(self):
         what = f"{type(self).__name__}.{self._field}"
         values = np.asarray(getattr(self, self._field))
-        arr = values.astype(self._dtype, order="C", copy=False)
+        narrowed = self._dtype == np.uint8 and values.dtype != np.uint8
+        # the cast warns on NaN and infinities, which the check below rejects
+        with np.errstate(invalid="ignore") if narrowed else contextlib.nullcontext():
+            arr = values.astype(self._dtype, order="C", copy=False)
         if arr.ndim != self._ndim:
             raise ValueError(f"{what} must be {self._ndim}-dimensional, got {arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"{what} must be at least 1x1, got shape {arr.shape}")
-        if arr.dtype == np.uint8 and values.dtype != np.uint8 and not np.array_equal(arr, values):
+        if narrowed and not np.array_equal(arr, values):
             raise ValueError(f"{what} must hold integers in 0..255")
         arr.setflags(write=False)
         object.__setattr__(self, self._field, arr)
@@ -147,10 +152,11 @@ def load_pnm(path) -> GrayImage | RgbImage:
     if magic in (b"P5", b"P6"):
         if not data[pos:pos + 1].isspace():
             raise PnmFormatError("malformed header: missing whitespace before pixel data")
-        payload = data[pos + 1:pos + 1 + count]
-        if len(payload) < count:
-            raise PnmFormatError(f"truncated pixel data: expected {count} bytes, found {len(payload)}")
-        flat = np.frombuffer(payload, dtype=np.uint8)
+        found = min(count, len(data) - pos - 1)
+        if found < count:
+            raise PnmFormatError(f"truncated pixel data: expected {count} bytes, found {found}")
+        # a view of the file bytes, not a copy of the raster
+        flat = np.frombuffer(data, np.uint8, count, offset=pos + 1)
     else:
         # a comment runs to a newline, which still parts the samples; no
         # file holds more samples than bytes, which bounds the split

@@ -13,10 +13,14 @@ dtype, with one spare zero row at the bottom, and read through its flat
 ``(r + half) * pc + c + half``, so the sample at offset (dx, dy) of every
 output pixel is the one contiguous slice starting ``dy * pc + dx`` later,
 and each column, window and oriented line sum is a run of same-dtype
-``+=`` on ``rows * pc`` long slices. The results for the ``window - 1`` pad
-columns of each row wrap into the next row's pixels (the last row's into
-the spare row) and are dropped when the outputs are compacted to ``ncols``
-columns.
+``+=`` on ``rows * pc`` long slices. The outputs keep this padded width:
+their ``window - 1`` pad columns of each row hold sums that wrap into the
+next row's pixels (the last row's into the spare row) and belong to no
+output pixel, so callers read the first ``ncols`` columns of each row.
+
+The length-1 line of every orientation is the pixel itself, so the line-sum
+maxima start at length 3; callers take scale 1's sums from the pixels.
+Window sums are held in ``window_sum_dtype``, 16 bits up to W = 15.
 """
 
 from __future__ import annotations
@@ -25,43 +29,59 @@ import numpy as np
 
 from .detector import ORIENTATION_COUNT, line_offsets
 
+# array objects band_sums holds at once (the band and its flat view, the
+# outputs and their shaped views, the running line sum, two views of one
+# maximum), and the bytes tracemalloc counts for one with its shape and
+# strides; on a band of a few pixels they outweigh the buffers
+_ARRAY_OBJECTS = 8
+_ARRAY_OBJECT_BYTES = 160
+
 
 def line_sum_dtype(window: int) -> type:
     """Narrowest integer type that holds a line sum of up to window 8-bit pixels."""
     return np.int16 if 255 * window < 2**15 else np.int32
 
 
+def window_sum_dtype(window: int) -> type:
+    """Narrowest integer type that holds a window sum of window * window 8-bit pixels."""
+    return np.uint16 if 255 * window * window < 2**16 else np.int32
+
+
 def band_bytes(rows: int, ncols: int, window: int) -> int:
     """Bytes of every buffer ``band_sums`` allocates for a band of ``rows`` rows.
 
-    Counts the padded band with its spare row, the padded-width column sums
-    (in the line-sum dtype and widened to int32), the padded-width window
-    sums, the padded line-sum maxima and running line sum, and the compact
-    outputs. Not all of them are alive at once, so this bounds the peak.
+    Counts the padded band with its spare row, the column sums (in the
+    line-sum dtype and in the window-sum dtype), the outputs and the
+    running line sum, all of the padded width, and the array objects the
+    kernel holds at once. Not all of the buffers are alive at once, so this
+    bounds the peak.
     """
     itemsize = np.dtype(line_sum_dtype(window)).itemsize
+    window_itemsize = np.dtype(window_sum_dtype(window)).itemsize
     padded_cols = ncols + window - 1
     padded = rows * padded_cols
-    scales = (window + 1) // 2
+    lines = (window - 1) // 2
     return (
         itemsize * (rows + window) * padded_cols
-        + (itemsize + 4) * (padded + window - 1)
-        + 4 * padded
-        + itemsize * (scales + 1) * padded
-        + (4 + itemsize * scales) * rows * ncols
+        + (itemsize + window_itemsize) * (padded + window - 1)
+        + window_itemsize * padded
+        + itemsize * (lines + 1) * padded
+        + _ARRAY_OBJECTS * _ARRAY_OBJECT_BYTES
     )
 
 
 def band_sums(pixels: np.ndarray, y0: int, y1: int, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Window sums and per-scale maxima of the 12 oriented line sums, rows y0..y1-1.
+    """Window sums and per-length maxima of the 12 oriented line sums, rows y0..y1-1.
 
     Reads the y1 - y0 + window - 1 edge-clamped rows around the band from
     the 2-D uint8 ``pixels`` into the flat padded buffer described in the
     module docstring and builds every sum from slice adds on it: each
     longer line is the shorter one plus its two new endpoints. Returns
-    C-contiguous ``int32`` window sums of shape (rows, cols) and the
-    line-sum maxima of shape (scales, rows, cols) as
-    ``line_sum_dtype(window)``. All values are exact.
+    C-contiguous window sums of shape (rows, pc) as
+    ``window_sum_dtype(window)`` and the line-sum maxima of the lengths 3,
+    5, ..., window, of shape ((window - 1) / 2, rows, pc) as
+    ``line_sum_dtype(window)``, with pc = cols + window - 1 and only the
+    first cols columns of each row meaningful. All values are exact.
     """
     if 255 * window * window >= 2**31:
         raise ValueError(f"window {window} is too large for int32 window sums")
@@ -92,31 +112,25 @@ def band_sums(pixels: np.ndarray, y0: int, y1: int, window: int) -> tuple[np.nda
     narrow_columns = flat[:span].copy()
     for dy in range(1, window):
         narrow_columns += flat[dy * padded_cols:dy * padded_cols + span]
-    column_sums = narrow_columns.astype(np.int32)
+    column_sums = narrow_columns.astype(window_sum_dtype(window))
     del narrow_columns
-    padded_sums = column_sums[:n].copy()
+    window_sums = column_sums[:n].copy()
     for dx in range(1, window):
-        padded_sums += column_sums[dx:dx + n]
-    window_sums = padded_sums.reshape(rows, padded_cols)[:, :ncols].copy()
-    del column_sums, padded_sums
+        window_sums += column_sums[dx:dx + n]
+    del column_sums
 
     centre = half * padded_cols + half
-    maxima = np.empty((half + 1, n), dtype=sum_dtype)
-    maxima[0] = flat[centre:centre + n]
     # line sums are non-negative, so zero starts every running maximum
-    maxima[1:] = 0
+    maxima = np.zeros((half, n), dtype=sum_dtype)
     line = np.empty(n, dtype=sum_dtype)
     for k in range(ORIENTATION_COUNT):
         offsets = line_offsets(k, window).offsets
-        line[:] = maxima[0]
-        for j in range(1, half + 1):
-            dx, dy = offsets[half + j]
+        line[:] = flat[centre:centre + n]
+        for j in range(half):
+            dx, dy = offsets[half + j + 1]
             ahead = centre + dy * padded_cols + dx
             behind = centre - dy * padded_cols - dx
             line += flat[ahead:ahead + n]
             line += flat[behind:behind + n]
             np.maximum(maxima[j], line, out=maxima[j])
-    # the compact copy of the maxima sets the kernel's peak, so nothing
-    # else is held across it
-    del band, flat, line
-    return window_sums, maxima.reshape(half + 1, rows, padded_cols)[:, :, :ncols].copy()
+    return window_sums.reshape(rows, padded_cols), maxima.reshape(half, rows, padded_cols)

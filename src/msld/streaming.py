@@ -2,15 +2,17 @@
 
 Both engines are this one, and both sweep the image in bands from the
 same pixel budget. For each band the integer kernel (``kernel.band_sums``)
-forms the window sums and the per-scale maxima of the oriented line sums.
+forms the window sums and the maxima of the oriented line sums of every
+length from 3 up, in its padded layout; scale 1's line sum is the pixel.
 Pass 1 adds their ROI values to exact integer sums, the same in both
 arithmetic modes; finalizing them yields each scale's mean and standard
 deviation. Pass 2 standardizes and combines the sums band by band, so no
 per-scale response image is ever stored. ``msld_streaming`` forms the
-sums again in pass 2, so its auxiliary state is one band of window +
-rows - 1 image rows with its sums, plus a handful of per-scale words,
-regardless of image height. ``reference.msld_reference`` runs the float
-datapath and keeps every band's sums for pass 2 instead.
+sums again in pass 2 and drops each band's sums before the next band is
+formed, so its auxiliary state is one band of window + rows - 1 image rows
+with its sums, plus a handful of per-scale words, regardless of image
+height. ``reference.msld_reference`` runs the float datapath and keeps
+every band's sums for pass 2 instead.
 
 The streaming band height is max(8, min(BAND_PIXELS // width, height //
 8)) rows. The first term spends a fixed pixel budget per kernel call, so
@@ -93,15 +95,14 @@ class MemoryFootprint:
     (window - 1) * ncols + window; stored_stats_values counts the retained
     mean/std pairs (one per scale plus one for the inverted input channel);
     accumulator_words counts the running sums of ``StreamAccumulators``
-    (three per scale, four of the window sums and the channel) and the ROI
-    counter; peak_total_bytes counts the buffers one band of
-    ``band_height`` rows holds: every buffer of the kernel
-    (``kernel.band_bytes``: the padded band with its spare row, the
-    padded-width column and window sums, the padded line-sum maxima and
-    running line sum, and the compact outputs), four 8-byte band registers
-    and the words above. The registers bound both datapaths: in pass 1
-    both modes hold the ROI values of the window sums, of one scale's
-    maxima and of the channel; in pass 2 both modes hold one term of the
+    (three per scale, two of the window sums) and the ROI counter;
+    peak_total_bytes counts the buffers one band of ``band_height`` rows
+    holds: every buffer of the kernel (``kernel.band_bytes``: the padded
+    band with its spare row, the column sums, and the padded-width outputs
+    and running line sum), four 8-byte band registers and the words above.
+    The registers bound both datapaths: in pass 1 both modes hold the ROI
+    indices, compact and padded, and the ROI values of the window sums and
+    of one scale's line sums; in pass 2 both modes hold one term of the
     affine form, which float mode adds to the output rows and fixed mode to
     an int64 accumulator. Expression temporaries, the input image and the
     output response map are excluded.
@@ -123,7 +124,7 @@ def memory_footprint(params: MsldParams, width: int, height: int) -> MemoryFootp
     bands are ``band_height(width, height)`` rows high."""
     window = params.window
     rows = band_height(width, height)
-    accumulator_words = 3 * params.n_scales + 5
+    accumulator_words = 3 * params.n_scales + 3
     stored_stats_values = 2 * params.n_scales + 2
     return MemoryFootprint(
         line_buffer_slots=(window - 1) * width + window,
@@ -142,16 +143,16 @@ class StreamAccumulators:
 
     ``update_row`` adds, in Python integers, the ROI sums of every scale's
     maximal line sum S_L, of S_L * S_L and S_L * B (B the window sum), and
-    of B, B * B, the pixels and the squared pixels, over blocks of pixels
-    small enough that no int64 partial sum can wrap. Both arithmetic modes
-    keep these sums; ``finalize`` forms from them the exact sums of a
-    scale's raw response x = alpha * S_L - beta * B and of x * x. In float
-    mode alpha = W*W and beta = L, so x is S_L / L - B / (W*W) scaled by
-    L * W*W to an integer, and the exact rationals are rounded once
-    (``scale_stats``). In fixed mode alpha and beta are the quantized
-    reciprocals of L and W*W, so x is the modeled hardware's quantized raw
-    response, and the sum of x * x, with 2 * frac_bits fractional bits, is
-    rounded to frac_bits once.
+    of B and B * B, over blocks of pixels small enough that no int64
+    partial sum can wrap. Scale 1's S_L is the pixel, so its sums are the
+    channel's too. Both arithmetic modes keep these sums; ``finalize``
+    forms from them the exact sums of a scale's raw response x = alpha *
+    S_L - beta * B and of x * x. In float mode alpha = W*W and beta = L, so
+    x is S_L / L - B / (W*W) scaled by L * W*W to an integer, and the exact
+    rationals are rounded once (``scale_stats``). In fixed mode alpha and
+    beta are the quantized reciprocals of L and W*W, so x is the modeled
+    hardware's quantized raw response, and the sum of x * x, with 2 *
+    frac_bits fractional bits, is rounded to frac_bits once.
     """
 
     def __init__(self, params: MsldParams, mode: ArithmeticMode):
@@ -163,8 +164,6 @@ class StreamAccumulators:
         self.line_window_sum = [0] * params.n_scales
         self.window_sum = 0
         self.window_sum2 = 0
-        self.igc_sum = 0
-        self.igc_sum2 = 0
         self.roi_count = 0
         # ROI pixels are added at most this many at a time: no product of two
         # kernel sums exceeds the largest window sum squared, so no int64
@@ -174,7 +173,7 @@ class StreamAccumulators:
 
     def update_row(self, window_sums: np.ndarray, line_maxima: np.ndarray,
                    channel: np.ndarray, roi: np.ndarray):
-        """Add one band: its kernel sums, channel rows and ROI flags."""
+        """Add one band: its padded kernel sums, channel rows and ROI flags."""
         inside = np.flatnonzero(roi)
         self.roi_count += inside.size
         for start in range(0, inside.size, self._block):
@@ -185,19 +184,21 @@ class StreamAccumulators:
         """Add the band pixels at the flat indices inside.
 
         Gathering by index is several times faster than by a boolean mask
-        when the ROI is scattered.
+        when the ROI is scattered. Pixel i of the channel sits at i + i //
+        ncols * (W - 1) in the padded kernel sums.
         """
-        pixels = channel.reshape(-1).take(inside).astype(np.int64)
-        self.igc_sum += int(pixels.sum())
-        self.igc_sum2 += int(pixels @ pixels)
-        wsums = window_sums.reshape(-1).take(inside).astype(np.int64)
+        ncols = channel.shape[1]
+        padded = inside + inside // ncols * (window_sums.shape[1] - ncols)
+        wsums = window_sums.reshape(-1).take(padded).astype(np.int64)
         self.window_sum += int(wsums.sum())
         self.window_sum2 += int(wsums @ wsums)
-        for s, line_max in enumerate(line_maxima):
-            line_max = line_max.reshape(-1).take(inside).astype(np.int64)
-            self.line_sum[s] += int(line_max.sum())
-            self.line_sum2[s] += int(line_max @ line_max)
-            self.line_window_sum[s] += int(line_max @ wsums)
+        for s in range(self.params.n_scales):
+            # scale 1's line sum is the pixel
+            source, index = (channel, inside) if s == 0 else (line_maxima[s - 1], padded)
+            line = source.reshape(-1).take(index).astype(np.int64)
+            self.line_sum[s] += int(line.sum())
+            self.line_sum2[s] += int(line @ line)
+            self.line_window_sum[s] += int(line @ wsums)
 
     def _raw_sums(self, s: int, alpha: int, beta: int) -> tuple[int, int]:
         """Exact ROI sums of x and x * x for x = alpha * S_L - beta * B at scale s."""
@@ -215,8 +216,9 @@ class StreamAccumulators:
             n_fx = fx_from_int(n, f)
             recips, window_recip = _fixed_recips(self.params.window, f)
             sums = [self._raw_sums(s, r, window_recip) for s, r in enumerate(recips)]
-            # a pixel p is p << f in fixed point, and p * p has 2f fractional bits
-            sums.append((self.igc_sum << f, self.igc_sum2 << 2 * f))
+            # the channel's sums are scale 1's: a pixel p is p << f in fixed
+            # point, and p * p has 2f fractional bits
+            sums.append((self.line_sum[0] << f, self.line_sum2[0] << 2 * f))
             pairs = []
             for sx, sx2 in sums:
                 m = fx_div(FixedPoint(sx, f), n_fx)
@@ -232,7 +234,8 @@ class StreamAccumulators:
             area = self.params.window ** 2
             pairs = [scale_stats(*self._raw_sums(s, area, length), n, length * area)
                      for s, length in enumerate(self.params.scales)]
-            pairs.append(scale_stats(self.igc_sum, self.igc_sum2, n))
+            # the channel's sums are scale 1's
+            pairs.append(scale_stats(self.line_sum[0], self.line_sum2[0], n))
         means, stds = zip(*pairs)
         return ScaleStats(
             scale_means=means[:-1],
@@ -268,6 +271,8 @@ def _run_pass1(pixels: np.ndarray, params: MsldParams, mode: ArithmeticMode,
     acc = StreamAccumulators(params, mode)
     for rows, roi, window_sums, line_maxima in bands:
         acc.update_row(window_sums, line_maxima, pixels[rows], roi)
+        # released before the next band's sums are formed
+        del window_sums, line_maxima
     return acc.finalize()
 
 
@@ -385,19 +390,23 @@ def _run_pass2(pixels: np.ndarray, params: MsldParams, mode: ArithmeticMode,
     scale_terms, window_coeff, channel_coeff, offset = (_fixed_terms if fixed else _float_terms)(params, stats)
     term = acc = None
     guard = 1 << _guard_bits(params.window)
+    ncols = pixels.shape[1]
     for rows, roi, window_sums, line_maxima in bands:
         if term is None:
             # only the last band can be lower than the first
-            term = np.empty(window_sums.shape, dtype=np.int64 if fixed else np.float64)
+            term = np.empty(roi.shape, dtype=np.int64 if fixed else np.float64)
             acc = np.empty_like(term) if fixed else None
         combined = acc[:rows.stop - rows.start] if fixed else out[rows]
         band_term = term[:combined.shape[0]]
         np.multiply(pixels[rows], channel_coeff, out=combined)
-        np.multiply(window_sums, window_coeff, out=band_term)
+        np.multiply(window_sums[:, :ncols], window_coeff, out=band_term)
         combined -= band_term
         for s, coeff in scale_terms:
-            np.multiply(line_maxima[s], coeff, out=band_term)
+            # scale 1's line sum is the pixel
+            np.multiply(line_maxima[s - 1, :, :ncols] if s else pixels[rows], coeff, out=band_term)
             combined += band_term
+        # released before the rounding's temporaries and the next band's sums
+        del window_sums, line_maxima
         combined -= offset
         if fixed:
             np.divide(div_round_half_away_i64(combined, guard), 1 << params.frac_bits, out=out[rows])

@@ -9,6 +9,7 @@ from msld.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VALIDATION,
+    RESPONSE_BLOCK_PIXELS,
     main,
     read_response_file,
     write_response_file,
@@ -139,14 +140,15 @@ def test_failures_exit_with_their_code_and_leave_no_output(inputs, tmp_path):
 
 
 def test_response_write_allocates_one_payload(tmp_path):
-    resp = ResponseMap(np.random.default_rng(1).random((256, 256)))
+    # four blocks of 128 rows
+    resp = ResponseMap(np.random.default_rng(1).random((512, 512)))
     tracemalloc.start()
     try:
         write_response_file(resp, tmp_path / "r.msldf")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 256 * 256 + 16384
+    assert peak <= 4 * RESPONSE_BLOCK_PIXELS + 16384
     assert read_response_file(tmp_path / "r.msldf") == ResponseMap(resp.values.astype(np.float32))
 
 
@@ -209,7 +211,7 @@ def test_failed_write_leaves_no_temporary(inputs, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["seg_is_a_directory", "report_dir_missing"])
-def test_failed_later_write_removes_the_earlier_outputs(inputs, tmp_path, case):
+def test_failed_later_write_removes_the_earlier_outputs(inputs, tmp_path, case, capsys):
     out = tmp_path / "out" / "r.msldf"
     out.parent.mkdir()
     if case == "seg_is_a_directory":
@@ -220,6 +222,8 @@ def test_failed_later_write_removes_the_earlier_outputs(inputs, tmp_path, case):
     assert main([*segment_args(inputs, out), *extra]) == EXIT_IO
     assert [p.name for p in out.parent.iterdir()] == (
         ["r.msldf.seg.pgm"] if case == "seg_is_a_directory" else [])
+    # the report file is written before stdout, so a failed run prints no report
+    assert capsys.readouterr().out == ""
 
 
 def test_segment_of_a_giant_ascii_header_is_a_format_error(tmp_path):

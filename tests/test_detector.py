@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compact_sums import compact_band_sums
 from msld.detector import ORIENTATION_COUNT, MsldParams, line_offsets
 from msld.imageio import GrayImage
-from msld.kernel import band_sums
 
 
 def rand_image(rng, height, width):
@@ -17,7 +17,7 @@ def rand_image(rng, height, width):
 def at_pixel(img, x, y, window):
     """Kernel outputs at (x, y) from the one-row band y: window mean and
     the maximum oriented line mean of every scale."""
-    window_sums, line_maxima = band_sums(img.pixels, y, y + 1, window)
+    window_sums, line_maxima = compact_band_sums(img.pixels, y, y + 1, window)
     lengths = range(1, window + 1, 2)
     return (
         window_sums[0, x] / (window * window),
@@ -173,7 +173,7 @@ class TestRawResponse:
         rng = np.random.RandomState(10)
         img = rand_image(rng, 11, 11)
         params = MsldParams(window=7)
-        window_sums, line_maxima = band_sums(img.pixels, 0, 11, params.window)
+        window_sums, line_maxima = compact_band_sums(img.pixels, 0, 11, params.window)
 
         def clamped(x, y):
             return int(img.pixels[min(max(y, 0), 10), min(max(x, 0), 10)])

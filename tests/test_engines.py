@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import combined_map_bruteforce
+from compact_sums import compact_band_sums
 from msld import (
     EmptyRoiError,
     GrayImage,
@@ -101,7 +102,7 @@ def test_constant_image():
 
 def exact_stats(pixels, roi, window):
     """(scale means, scale stds, channel mean, channel std) from band_sums in Python ints."""
-    window_sums, line_maxima = band_sums(pixels, 0, pixels.shape[0], window)
+    window_sums, line_maxima = compact_band_sums(pixels, 0, pixels.shape[0], window)
     area, n = window * window, int(roi.sum())
 
     def rounded(values, divisor):
@@ -122,7 +123,7 @@ def exact_fixed_stats(pixels, roi, window, frac_bits):
     S_L * recip(L) - B * recip(W*W) and of their squares, each sum of
     squares rounded to frac_bits once, then finalize's mean and variance."""
     f = frac_bits
-    window_sums, line_maxima = band_sums(pixels, 0, pixels.shape[0], window)
+    window_sums, line_maxima = compact_band_sums(pixels, 0, pixels.shape[0], window)
     n = fx_from_int(int(roi.sum()), f)
     clamps = 0
 
@@ -185,7 +186,7 @@ def exact_fixed_map(pixels, roi, window, stats):
     pixel against the stats quantized to frac_bits, summed over the scales of
     non-zero quantized std and scaled by recip(scale count), with no rounding."""
     f = stats.frac_bits
-    window_sums, line_maxima = band_sums(pixels, 0, pixels.shape[0], window)
+    window_sums, line_maxima = compact_band_sums(pixels, 0, pixels.shape[0], window)
     scale_recips, window_recip = streaming._fixed_recips(window, f)
 
     def quantized(v):
@@ -317,6 +318,22 @@ def test_reference_peak_is_its_kept_sums_and_one_band():
     assert peak <= kept_sums + response + band_bytes(rows, width, 15) + 8 * rows * width
 
 
+@pytest.mark.parametrize("mode", ["float", "fixed"])
+@pytest.mark.parametrize("height, width", [(64, 64), (584, 565)])
+def test_streaming_peak_is_the_response_and_its_modeled_footprint(height, width, mode):
+    pixels = np.random.default_rng(8).integers(0, 256, (height, width), dtype=np.uint8)
+    img, mask, params = GrayImage(pixels), Mask(np.ones((height, width), dtype=bool)), MsldParams(window=15)
+    msld_streaming(img, mask, params, mode)  # fills the line-geometry cache outside the trace
+    tracemalloc.start()
+    try:
+        msld_streaming(img, mask, params, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    response = 8 * height * width
+    assert peak <= response + streaming.memory_footprint(params, width, height).peak_total_bytes
+
+
 @given(cases(max_side=40), st.sampled_from(["float", "fixed"]))
 @settings(max_examples=40, deadline=None)
 def test_band_height_changes_no_bit(case, mode):
@@ -348,8 +365,8 @@ def test_footprint_models_the_band(width, height):
     registers = 4 * 8 * rows * width
     assert footprint.peak_total_bytes == band_bytes(rows, width, 15) + registers + 8 * words
     assert footprint.line_buffer_slots == 14 * width + 15
-    # three sums per scale, four of the window sums and the channel, the ROI counter
-    assert footprint.accumulator_words == 3 * params.n_scales + 5 == 29
+    # three sums per scale, two of the window sums, the ROI counter
+    assert footprint.accumulator_words == 3 * params.n_scales + 3 == 27
 
 
 def test_streaming_sweeps_bands_of_the_budget_height(monkeypatch):

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,30 @@ def test_every_grid_is_frozen_and_contiguous(make, shape):
 def test_uint8_grids_reject_values_the_cast_would_change(make, values):
     with pytest.raises(ValueError, match="0..255"):
         make(values)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make, shape", [(GrayImage, (1, 2)), (RgbImage, (1, 1, 3))])
+def test_uint8_grids_reject_nan_and_infinities(make, shape, value):
+    values = np.zeros(shape)
+    values.flat[0] = value
+    with pytest.raises(ValueError, match="0..255"):
+        make(values)
+
+
+def test_binary_load_views_the_file_bytes(tmp_path):
+    path = tmp_path / "drive.ppm"
+    pixels = np.random.default_rng(4).integers(0, 256, (584, 565, 3), dtype=np.uint8)
+    save_pnm(RgbImage(pixels), path)
+    tracemalloc.start()
+    try:
+        image = load_pnm(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file's bytes, which the raster views, and no copy of them
+    assert peak <= path.stat().st_size + 16384
+    assert np.array_equal(image.pixels, pixels)
 
 
 def test_uint8_grids_keep_exact_values_of_any_dtype():

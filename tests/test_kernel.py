@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msld.kernel import band_bytes, band_sums, line_sum_dtype
+from compact_sums import compact_band_sums
+from msld.kernel import band_bytes, band_sums, line_sum_dtype, window_sum_dtype
 
 
 @given(
@@ -18,8 +19,8 @@ from msld.kernel import band_bytes, band_sums, line_sum_dtype
 @settings(max_examples=60, deadline=None)
 def test_bands_stitch_to_the_whole_image(height, width, window, band, seed):
     pixels = np.random.default_rng(seed).integers(0, 256, (height, width), dtype=np.uint8)
-    whole_sums, whole_maxima = band_sums(pixels, 0, height, window)
-    parts = [band_sums(pixels, y, min(y + band, height), window) for y in range(0, height, band)]
+    whole_sums, whole_maxima = compact_band_sums(pixels, 0, height, window)
+    parts = [compact_band_sums(pixels, y, min(y + band, height), window) for y in range(0, height, band)]
     assert np.array_equal(np.concatenate([p[0] for p in parts], axis=0), whole_sums)
     assert np.array_equal(np.concatenate([p[1] for p in parts], axis=1), whole_maxima)
 
@@ -27,7 +28,7 @@ def test_bands_stitch_to_the_whole_image(height, width, window, band, seed):
 @pytest.mark.parametrize("window, dtype", [(127, np.int16), (129, np.int32)])
 def test_line_sums_stay_exact_at_full_scale(window, dtype):
     pixels = np.full((2, 3), 255, dtype=np.uint8)
-    window_sums, line_maxima = band_sums(pixels, 0, 2, window)
+    window_sums, line_maxima = compact_band_sums(pixels, 0, 2, window)
     assert window_sums.dtype == np.int32 and line_maxima.dtype == dtype
     assert (window_sums == 255 * window * window).all()
     lengths = np.arange(1, window + 1, 2)
@@ -51,10 +52,19 @@ def test_outputs_are_compact_and_inside_the_modeled_bytes(height, width, window,
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rows = y1 - y0
-    assert window_sums.dtype == np.int32 and window_sums.shape == (rows, width)
+    rows, padded_cols = y1 - y0, width + window - 1
+    assert window_sums.dtype == window_sum_dtype(window) and window_sums.shape == (rows, padded_cols)
     assert line_maxima.dtype == line_sum_dtype(window)
-    assert line_maxima.shape == ((window + 1) // 2, rows, width)
+    # the maxima start at length 3: the length-1 line is the pixel
+    assert line_maxima.shape == ((window - 1) // 2, rows, padded_cols)
     assert window_sums.flags.c_contiguous and line_maxima.flags.c_contiguous
     modeled = band_bytes(rows, width, window)
     assert window_sums.nbytes + line_maxima.nbytes <= peak <= modeled
+
+
+@pytest.mark.parametrize("window, dtype", [(15, np.uint16), (17, np.int32)])
+def test_window_sums_take_16_bits_up_to_w15(window, dtype):
+    pixels = np.full((2, 3), 255, dtype=np.uint8)
+    window_sums, _ = band_sums(pixels, 0, 2, window)
+    assert window_sum_dtype(window) == dtype and window_sums.dtype == dtype
+    assert (window_sums[:, :3] == 255 * window * window).all()
