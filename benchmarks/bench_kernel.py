@@ -5,18 +5,19 @@ collecting it):
 
     PYTHONPATH=src python -m pytest benchmarks/bench_kernel.py
 
-The streaming engine calls the kernel on bands of
+The streaming engine calls the kernel on pass-1 bands of
+``streaming.pass1_height`` rows and on pass-2 bands of
 ``streaming.band_height(width, height)`` rows, and so does ``sweep`` here:
-36 rows at 565 columns, 8 rows on 64-row tiles, where per-call overhead
-dominates. The reference takes the same 36-row bands at 565 columns and
-one band on a 64-row tile.
+36 rows in both passes at 565 columns; 25 rows and then 8 on 64-row
+tiles, where per-call overhead dominates. The reference takes 36-row bands
+once at 565 columns and one band on a 64-row tile.
 """
 
 import numpy as np
 import pytest
 
 from msld.kernel import band_sums
-from msld.streaming import band_height
+from msld.streaming import band_height, pass1_height
 
 WINDOW = 15
 
@@ -28,8 +29,9 @@ def image(height: int, width: int) -> np.ndarray:
 def sweep(pixels: np.ndarray):
     height, width = pixels.shape
     rows = band_height(width, height)
-    for y0 in range(0, height, rows):
-        band_sums(pixels, y0, min(y0 + rows, height), WINDOW)
+    for band_rows in (pass1_height(width, height, WINDOW, rows), rows):
+        for y0 in range(0, height, band_rows):
+            band_sums(pixels, y0, min(y0 + band_rows, height), WINDOW)
 
 
 @pytest.mark.parametrize("height, width", [(584, 565), (64, 64)])

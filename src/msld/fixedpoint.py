@@ -29,15 +29,22 @@ def div_round_half_away(num: int, den: int) -> int:
     return -((2 * -num + den) // (2 * den))
 
 
-def div_round_half_away_i64(num: np.ndarray, den: int) -> np.ndarray:
+def div_round_half_away_i64(num: np.ndarray, den: int, out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized div_round_half_away for int64 arrays; den a positive scalar.
 
     One floor division: adding the sign word num >> 63 (-1 for a negative
     num, else 0) turns floor((2*num + den) / (2*den)) into rounding halves
     away from zero on the negative side too. Callers must guarantee
-    2*|num| + den fits int64.
+    2*|num| + den fits int64. The quotient is formed in place in out, an
+    int64 array of num's shape other than num (a new one by default), so
+    no other array is allocated.
     """
-    return (2 * num + den + (num >> 63)) // (2 * den)
+    out = np.right_shift(num, 63, out=out)
+    out += num
+    out += num
+    out += den
+    out //= 2 * den
+    return out
 
 
 @dataclass(frozen=True)

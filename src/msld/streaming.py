@@ -14,14 +14,19 @@ with its sums, plus a handful of per-scale words, regardless of image
 height. ``reference.msld_reference`` runs the float datapath and keeps
 every band's sums for pass 2 instead.
 
-The streaming band height is max(8, min(BAND_PIXELS // width, height //
-8)) rows. The first term spends a fixed pixel budget per kernel call, so
-per-call overhead is amortized on wide images while the rows stay bounded
-independently of the height; the second bounds the streaming footprint on
-short images, where 64-row tiles keep 8-row bands. The reference keeps all
-its sums anyway, so it takes max(8, BAND_PIXELS // width) rows, and a tile
-is one band. The height changes no output bit: pass 1 sums exact integers
-and pass 2 works per pixel.
+The streaming pass-2 band height is max(8, min(BAND_PIXELS // width,
+height // 8)) rows. The first term spends a fixed pixel budget per kernel
+call, so per-call overhead is amortized on wide images while the rows stay
+bounded independently of the height; the second bounds the footprint of
+pass 2, which holds the response map, on short images, where 64-row tiles
+keep 8-row bands. The cap binds pass 2 only: pass 1 runs before the map
+is allocated, so its bands (``pass1_height``) grow within the budget until
+their kernel buffers fill the map's bytes plus one pass-2 band, 25 rows on
+a 64-row tile. Where the budget binds, as at DRIVE and HRF widths, both
+passes take the same bands. The reference keeps all its sums anyway, so
+both its passes take max(8, BAND_PIXELS // width) rows, and a tile is one
+band. The height changes no output bit: pass 1 sums exact integers and
+pass 2 works per pixel.
 
 Arithmetic runs either in IEEE doubles or in integer fixed point with a
 configurable fractional width. In float mode the statistics are exact
@@ -96,16 +101,18 @@ class MemoryFootprint:
     mean/std pairs (one per scale plus one for the inverted input channel);
     accumulator_words counts the running sums of ``StreamAccumulators``
     (three per scale, two of the window sums) and the ROI counter;
-    peak_total_bytes counts the buffers one band of ``band_height`` rows
-    holds: every buffer of the kernel (``kernel.band_bytes``: the padded
-    band with its spare row, the column sums, and the padded-width outputs
-    and running line sum), four 8-byte band registers and the words above.
-    The registers bound both datapaths: in pass 1 both modes hold the ROI
-    indices, compact and padded, and the ROI values of the window sums and
-    of one scale's line sums; in pass 2 both modes hold one term of the
-    affine form, which float mode adds to the output rows and fixed mode to
-    an int64 accumulator. Expression temporaries, the input image and the
-    output response map are excluded.
+    peak_total_bytes bounds both passes' bands: every buffer of the kernel
+    (``kernel.band_bytes``: the padded band with its spare row, the column
+    sums, and the padded-width outputs and running line sum) of the taller
+    band, pass 1's of ``pass1_height`` rows, four 8-byte registers of one
+    pass-2 band of ``band_height`` rows, and the words above. The registers
+    bound both datapaths: pass 1 gathers at most a pass-2 band's pixels at
+    a time, and both modes hold their ROI indices, compact and padded, and
+    the ROI values of the window sums and of one scale's line sums; in pass
+    2 both modes hold one term of the affine form, which float mode adds to
+    the output rows and fixed mode to an int64 accumulator. Expression
+    temporaries, the input image and the output response map are excluded;
+    pass 1 runs before the map is allocated.
     """
 
     line_buffer_slots: int
@@ -115,15 +122,32 @@ class MemoryFootprint:
 
 
 def band_height(width: int, height: int) -> int:
-    """Output rows per band of the streaming engine over a width x height image."""
+    """Output rows per pass-2 band of the streaming engine over a width x height image."""
     return max(8, min(BAND_PIXELS // width, height // 8))
+
+
+def pass1_height(width: int, height: int, window: int, band_rows: int) -> int:
+    """Output rows per pass-1 band over a width x height image whose pass-2
+    bands are band_rows high.
+
+    Pass 1 runs before the float64 response map is allocated, so its band
+    may spend the map's 8 * width * height bytes: it is the tallest band,
+    of at most max(8, BAND_PIXELS // width) rows and at most the image's
+    height, whose kernel buffers (``band_bytes``, linear in the rows) fit
+    in the map plus one pass-2 band.
+    """
+    per_row = band_bytes(band_rows + 1, width, window) - band_bytes(band_rows, width, window)
+    return min(max(8, BAND_PIXELS // width), height, band_rows + 8 * width * height // per_row)
 
 
 def memory_footprint(params: MsldParams, width: int, height: int) -> MemoryFootprint:
     """Footprint of a streaming run over a width x height image, whose
-    bands are ``band_height(width, height)`` rows high."""
+    pass-1 bands are ``pass1_height`` rows high and whose pass-2 bands are
+    ``band_height`` rows high."""
     window = params.window
     rows = band_height(width, height)
+    # the pass-1 band is the taller unless the image is lower than 8 rows
+    taller = max(rows, pass1_height(width, height, window, rows))
     accumulator_words = 3 * params.n_scales + 3
     stored_stats_values = 2 * params.n_scales + 2
     return MemoryFootprint(
@@ -131,7 +155,7 @@ def memory_footprint(params: MsldParams, width: int, height: int) -> MemoryFootp
         accumulator_words=accumulator_words,
         stored_stats_values=stored_stats_values,
         peak_total_bytes=(
-            band_bytes(rows, width, window)
+            band_bytes(taller, width, window)
             + 4 * 8 * rows * width
             + 8 * (accumulator_words + stored_stats_values)
         ),
@@ -155,7 +179,7 @@ class StreamAccumulators:
     frac_bits fractional bits, is rounded to frac_bits once.
     """
 
-    def __init__(self, params: MsldParams, mode: ArithmeticMode):
+    def __init__(self, params: MsldParams, mode: ArithmeticMode, block_pixels: int):
         _validate_mode(mode)
         self.params = params
         self.mode = mode
@@ -165,19 +189,28 @@ class StreamAccumulators:
         self.window_sum = 0
         self.window_sum2 = 0
         self.roi_count = 0
-        # ROI pixels are added at most this many at a time: no product of two
-        # kernel sums exceeds the largest window sum squared, so no int64
-        # partial sum of a block can wrap, and on a budget band of an image
-        # wider than 8192 columns the gathers stay small beside its sums
-        self._block = max(1, min(1 << 16, (2**63 - 1) // (255 * params.window**2) ** 2))
+        # ROI pixels are added at most this many at a time: at most
+        # block_pixels, one pass-2 band's pixels, so that a taller pass-1 band
+        # brings no larger int64 gathers; and few enough that no int64 partial
+        # sum can wrap, since no product of two kernel sums exceeds the
+        # largest window sum squared
+        self._block = max(1, min(block_pixels, (2**63 - 1) // (255 * params.window**2) ** 2))
 
     def update_row(self, window_sums: np.ndarray, line_maxima: np.ndarray,
                    channel: np.ndarray, roi: np.ndarray):
-        """Add one band: its padded kernel sums, channel rows and ROI flags."""
-        inside = np.flatnonzero(roi)
-        self.roi_count += inside.size
-        for start in range(0, inside.size, self._block):
-            self._add_pixels(window_sums, line_maxima, channel, inside[start:start + self._block])
+        """Add one band: its padded kernel sums, channel rows and ROI flags.
+
+        A band of more ROI pixels than a block is taken a block's rows at a
+        time, so that its ROI indices are no larger than the gathers.
+        """
+        ncols = roi.shape[1]
+        step = len(roi) if np.count_nonzero(roi) <= self._block else max(1, self._block // ncols)
+        for y0 in range(0, len(roi), step):
+            inside = np.flatnonzero(roi[y0:y0 + step])
+            inside += y0 * ncols
+            self.roi_count += inside.size
+            for start in range(0, inside.size, self._block):
+                self._add_pixels(window_sums, line_maxima, channel, inside[start:start + self._block])
 
     def _add_pixels(self, window_sums: np.ndarray, line_maxima: np.ndarray,
                     channel: np.ndarray, inside: np.ndarray):
@@ -188,14 +221,18 @@ class StreamAccumulators:
         ncols * (W - 1) in the padded kernel sums.
         """
         ncols = channel.shape[1]
-        padded = inside + inside // ncols * (window_sums.shape[1] - ncols)
+        padded = inside // ncols
+        padded *= window_sums.shape[1] - ncols
+        padded += inside
         wsums = window_sums.reshape(-1).take(padded).astype(np.int64)
         self.window_sum += int(wsums.sum())
         self.window_sum2 += int(wsums @ wsums)
+        # one scale's values at a time, in one buffer
+        line = np.empty_like(wsums)
         for s in range(self.params.n_scales):
             # scale 1's line sum is the pixel
             source, index = (channel, inside) if s == 0 else (line_maxima[s - 1], padded)
-            line = source.reshape(-1).take(index).astype(np.int64)
+            np.copyto(line, source.reshape(-1).take(index))
             self.line_sum[s] += int(line.sum())
             self.line_sum2[s] += int(line @ line)
             self.line_window_sum[s] += int(line @ wsums)
@@ -267,8 +304,8 @@ def _bands(pixels: np.ndarray, mask: Mask, window: int, band_rows: int) -> Itera
 
 
 def _run_pass1(pixels: np.ndarray, params: MsldParams, mode: ArithmeticMode,
-               bands: Iterable[Band]) -> ScaleStats:
-    acc = StreamAccumulators(params, mode)
+               bands: Iterable[Band], block_pixels: int) -> ScaleStats:
+    acc = StreamAccumulators(params, mode, block_pixels)
     for rows, roi, window_sums, line_maxima in bands:
         acc.update_row(window_sums, line_maxima, pixels[rows], roi)
         # released before the next band's sums are formed
@@ -295,14 +332,18 @@ def stream_pass1(
 ) -> ScaleStats:
     """Single raster sweep accumulating per-scale ROI statistics.
 
-    Raw responses are consumed immediately and never stored. Float
+    Raw responses are consumed immediately and never stored. The bands are
+    ``pass1_height`` rows, taller than pass 2's on short images: this sweep
+    runs before the response map exists and spends its bytes. Float
     statistics are exact rationals rounded once; fixed-point variances that
     the sum-of-squares formula makes negative are clamped to zero and
     counted on the returned stats.
     """
     _check_inputs(img, mask, arithmetic_mode)
-    bands = _bands(img.pixels, mask, params.window, band_height(img.width, img.height))
-    return _run_pass1(img.pixels, params, arithmetic_mode, bands)
+    band_rows = band_height(img.width, img.height)
+    rows = pass1_height(img.width, img.height, params.window, band_rows)
+    bands = _bands(img.pixels, mask, params.window, rows)
+    return _run_pass1(img.pixels, params, arithmetic_mode, bands, band_rows * img.width)
 
 
 def _float_terms(params: MsldParams, stats: ScaleStats) -> tuple[list, float, float, float]:
@@ -409,7 +450,9 @@ def _run_pass2(pixels: np.ndarray, params: MsldParams, mode: ArithmeticMode,
         del window_sums, line_maxima
         combined -= offset
         if fixed:
-            np.divide(div_round_half_away_i64(combined, guard), 1 << params.frac_bits, out=out[rows])
+            # rounded into the term buffer, so the band holds no temporaries
+            np.divide(div_round_half_away_i64(combined, guard, out=band_term), 1 << params.frac_bits,
+                      out=out[rows])
         out[rows][~roi] = 0.0
     return ResponseMap(out)
 
@@ -452,16 +495,20 @@ def stream_pass2(
 
 def sweep(img: GrayImage, mask: Mask, params: MsldParams, arithmetic_mode: ArithmeticMode,
           band_rows: int, keep: bool = False) -> tuple[ResponseMap, ScaleStats]:
-    """Both passes over bands of band_rows rows; the entry points fix the height.
+    """Both passes, pass 2 over bands of band_rows rows; the entry points fix the height.
 
     With keep, every band's sums are formed once and kept for pass 2;
-    without it, pass 2 forms them again.
+    without it, pass 1 takes bands of ``pass1_height`` rows and pass 2
+    forms its own again. Pass 1 gathers at most one pass-2 band's pixels
+    at a time.
     """
     _check_inputs(img, mask, arithmetic_mode)
     pixels = img.pixels
     band_args = (pixels, mask, params.window, band_rows)
     kept = list(_bands(*band_args)) if keep else None
-    stats = _run_pass1(pixels, params, arithmetic_mode, kept if keep else _bands(*band_args))
+    first_rows = band_rows if keep else pass1_height(img.width, img.height, params.window, band_rows)
+    stats = _run_pass1(pixels, params, arithmetic_mode,
+                       kept if keep else _bands(pixels, mask, params.window, first_rows), band_rows * img.width)
     response = _run_pass2(pixels, params, arithmetic_mode, kept if keep else _bands(*band_args), stats)
     return response, stats
 
@@ -472,7 +519,7 @@ def msld_streaming(
     params: MsldParams,
     arithmetic_mode: ArithmeticMode = "float",
 ) -> tuple[ResponseMap, ScaleStats, MemoryFootprint]:
-    """Run both passes over bands of ``band_height`` rows and report the
-    auxiliary-memory footprint."""
+    """Run pass 1 over bands of ``pass1_height`` rows and pass 2 over bands
+    of ``band_height`` rows, and report the auxiliary-memory footprint."""
     response, stats = sweep(img, mask, params, arithmetic_mode, band_height(img.width, img.height))
     return response, stats, memory_footprint(params, img.width, img.height)

@@ -356,14 +356,58 @@ def test_band_height_rule(width, height):
         assert rows * width <= streaming.BAND_PIXELS
 
 
+@given(st.integers(1, 5000), st.integers(1, 5000))
+def test_pass1_height_rule(width, height):
+    rows = streaming.band_height(width, height)
+    first = streaming.pass1_height(width, height, 15, rows)
+    budget = max(8, streaming.BAND_PIXELS // width)
+    assert min(rows, height) <= first <= min(budget, height)
+    # its kernel buffers fit in the response map plus one pass-2 band, and
+    # one more row would not, unless the budget or the image stops it first
+    room = 8 * width * height + band_bytes(rows, width, 15)
+    assert band_bytes(first, width, 15) <= room
+    assert first == min(budget, height) or band_bytes(first + 1, width, 15) > room
+
+
+@pytest.mark.parametrize("width, height", [(565, 584), (2048, 1536)])
+def test_pass1_height_is_the_budget_where_it_binds(width, height):
+    rows = streaming.band_height(width, height)
+    assert streaming.pass1_height(width, height, 15, rows) == rows
+
+
+@pytest.mark.parametrize("share", [0.3, 1.0])
+def test_pass1_peak_is_within_the_pass2_bound(share):
+    # pass 1's taller bands spend the response map's bytes before it exists
+    height = width = 64
+    rng = np.random.default_rng(8)
+    pixels = rng.integers(0, 256, (height, width), dtype=np.uint8)
+    img, mask, params = GrayImage(pixels), Mask(rng.random((height, width)) < share), MsldParams(window=15)
+    stream_pass1(img, mask, params)  # fills the line-geometry cache outside the trace
+    tracemalloc.start()
+    try:
+        stream_pass1(img, mask, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = streaming.band_height(width, height)
+    footprint = streaming.memory_footprint(params, width, height)
+    words = footprint.accumulator_words + footprint.stored_stats_values
+    # the response map and one pass-2 band with four registers
+    pass2 = 8 * height * width + band_bytes(rows, width, 15) + 4 * 8 * rows * width + 8 * words
+    assert peak <= pass2
+
+
 @pytest.mark.parametrize("width, height", [(565, 584), (2048, 1536), (64, 64), (40, 100), (3, 7)])
 def test_footprint_models_the_band(width, height):
     params = MsldParams(window=15)
     rows = streaming.band_height(width, height)
+    first = streaming.pass1_height(width, height, 15, rows)
     footprint = streaming.memory_footprint(params, width, height)
     words = footprint.accumulator_words + footprint.stored_stats_values
+    # the taller band's kernel buffers and four registers of a pass-2 band
+    taller = max(rows, first)
     registers = 4 * 8 * rows * width
-    assert footprint.peak_total_bytes == band_bytes(rows, width, 15) + registers + 8 * words
+    assert footprint.peak_total_bytes == band_bytes(taller, width, 15) + registers + 8 * words
     assert footprint.line_buffer_slots == 14 * width + 15
     # three sums per scale, two of the window sums, the ROI counter
     assert footprint.accumulator_words == 3 * params.n_scales + 3 == 27
@@ -381,9 +425,12 @@ def test_streaming_sweeps_bands_of_the_budget_height(monkeypatch):
     img, mask, params = GrayImage(pixels), Mask(np.ones((100, 40), dtype=bool)), MsldParams(window=5)
     msld_streaming(img, mask, params)
     stream_pass2(img, mask, params, stream_pass1(img, mask, params))
-    # an eighth of 100 rows caps the 512 rows the budget allows at 40 columns
+    # an eighth of 100 rows caps pass 2 below the 512 rows the budget allows
+    # at 40 columns; pass 1 runs before the 32,000-byte response map and
+    # spends it at 616 kernel bytes a row on 51 more rows
+    first = [(0, 63), (63, 100)]
     bands = [(y0, min(y0 + 12, 100)) for y0 in range(0, 100, 12)]
-    assert calls == bands * 4
+    assert calls == (first + bands) * 2
 
 
 @pytest.mark.parametrize("mode", ["float", "fixed"])

@@ -177,6 +177,19 @@ class TestRoundingHelpers:
             assert got.tolist() == [div_round_half_away(v, d) for v in values]
 
     @given(
+        nums=st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=32),
+        den=st.integers(1, 10**6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_vector_rounds_into_out(self, nums, den):
+        # the fixed pass 2 rounds its accumulator into a buffer it holds
+        num = np.array(nums, dtype=np.int64)
+        out = np.empty_like(num)
+        assert div_round_half_away_i64(num, den, out=out) is out
+        assert out.tolist() == [div_round_half_away(v, den) for v in nums]
+        assert num.tolist() == nums
+
+    @given(
         frac_bits=st.integers(1, 40),
         nums=st.lists(st.integers(-2**61, 2**61), min_size=1, max_size=32),
         odd=st.lists(st.integers(-2**20, 2**20), min_size=1, max_size=8),
