@@ -8,9 +8,10 @@ collecting it):
 The streaming engine calls the kernel on pass-1 bands of
 ``streaming.pass1_height`` rows and on pass-2 bands of
 ``streaming.band_height(width, height)`` rows, and so does ``sweep`` here:
-36 rows in both passes at 565 columns; 25 rows and then 8 on 64-row
-tiles, where per-call overhead dominates. The reference takes 36-row bands
-once at 565 columns and one band on a 64-row tile.
+144 rows and then 36 at 565 columns (DRIVE size); 40 rows and then 10 at
+2048 columns (HRF size); 25 rows and then 8 on 64-row tiles, where
+per-call overhead dominates. The reference takes 36-row bands once at 565
+columns, 10-row bands at 2048 and one band on a 64-row tile.
 """
 
 import numpy as np
@@ -34,6 +35,6 @@ def sweep(pixels: np.ndarray):
             band_sums(pixels, y0, min(y0 + band_rows, height), WINDOW)
 
 
-@pytest.mark.parametrize("height, width", [(584, 565), (64, 64)])
+@pytest.mark.parametrize("height, width", [(584, 565), (1536, 2048), (64, 64)])
 def test_band_sweep(benchmark, height, width):
     benchmark(sweep, image(height, width))

@@ -7,16 +7,16 @@ that turns its integers into means.
 Layout. A band of ``rows`` output rows needs the ``rows + window - 1``
 edge-clamped image rows around it, each edge-padded by ``half = (window -
 1) / 2`` columns on both sides to the padded width ``pc = ncols + window -
-1``. They are copied once into one C-contiguous buffer of the line-sum
-dtype, with one spare zero row at the bottom, and read through its flat
-1-D view. Output pixel (r, c) is centred on flat index
-``(r + half) * pc + c + half``, so the sample at offset (dx, dy) of every
-output pixel is the one contiguous slice starting ``dy * pc + dx`` later,
-and each column, window and oriented line sum is a run of same-dtype
-``+=`` on ``rows * pc`` long slices. The outputs keep this padded width:
-their ``window - 1`` pad columns of each row hold sums that wrap into the
-next row's pixels (the last row's into the spare row) and belong to no
-output pixel, so callers read the first ``ncols`` columns of each row.
+1``. They are copied once, through a 2-D view, into one flat C-contiguous
+buffer of the line-sum dtype with one spare zero row at the bottom. Output
+pixel (r, c) is centred on flat index ``(r + half) * pc + c + half``, so
+the sample at offset (dx, dy) of every output pixel is the one contiguous
+slice starting ``dy * pc + dx`` later, and each column, window and oriented
+line sum is a run of same-dtype adds of ``rows * pc`` long slices. The
+outputs keep this padded width: their ``window - 1`` pad columns of each
+row hold sums that wrap into the next row's pixels (the last row's into the
+spare row) and belong to no output pixel, so callers read the first
+``ncols`` columns of each row.
 
 The length-1 line of every orientation is the pixel itself, so the line-sum
 maxima start at length 3; callers take scale 1's sums from the pixels.
@@ -29,10 +29,10 @@ import numpy as np
 
 from .detector import ORIENTATION_COUNT, line_offsets
 
-# array objects band_sums holds at once (the band and its flat view, the
-# outputs and their shaped views, the running line sum, two views of one
-# maximum), and the bytes tracemalloc counts for one with its shape and
-# strides; on a band of a few pixels they outweigh the buffers
+# array objects band_sums holds at once (the flat band, the outputs and
+# their shaped views, the running line sum, the two views one line step
+# adds or compares), and the bytes tracemalloc counts for one with its shape
+# and strides; on a band of a few pixels they outweigh the buffers
 _ARRAY_OBJECTS = 8
 _ARRAY_OBJECT_BYTES = 160
 
@@ -92,7 +92,8 @@ def band_sums(pixels: np.ndarray, y0: int, y1: int, window: int) -> tuple[np.nda
     band_rows = rows + window - 1
     sum_dtype = line_sum_dtype(window)
 
-    band = np.empty((band_rows + 1, padded_cols), dtype=sum_dtype)
+    flat = np.empty((band_rows + 1) * padded_cols, dtype=sum_dtype)
+    band = flat.reshape(band_rows + 1, padded_cols)
     lo, hi = max(y0 - half, 0), min(y1 + half, height)
     top = lo - (y0 - half)
     bottom = top + hi - lo
@@ -103,7 +104,8 @@ def band_sums(pixels: np.ndarray, y0: int, y1: int, window: int) -> tuple[np.nda
     band[:band_rows, :half] = band[:band_rows, half:half + 1]
     band[:band_rows, half + ncols:] = band[:band_rows, half + ncols - 1:half + ncols]
     band[band_rows] = 0
-    flat = band.reshape(-1)
+    # the sums read the flat buffer only, one array object fewer at the peak
+    del band
     n = rows * padded_cols
 
     # column sums reach window - 1 past the last output so that every
@@ -120,17 +122,32 @@ def band_sums(pixels: np.ndarray, y0: int, y1: int, window: int) -> tuple[np.nda
     del column_sums
 
     centre = half * padded_cols + half
-    # line sums are non-negative, so zero starts every running maximum
-    maxima = np.zeros((half, n), dtype=sum_dtype)
+    maxima = np.empty((half, n), dtype=sum_dtype)
+    # orientation 0 runs its line sums in the maxima rows themselves, before
+    # the line buffer exists: each length is the shorter one (the centre
+    # pixel for the first) plus its two new endpoints
+    row = flat[centre:centre + n]
+    offsets = line_offsets(0, window).offsets
+    for j in range(half):
+        dx, dy = offsets[half + j + 1]
+        ahead = centre + dy * padded_cols + dx
+        behind = centre - dy * padded_cols - dx
+        row = np.add(row, flat[ahead:ahead + n], out=maxima[j])
+        row += flat[behind:behind + n]
+    del row
+    # every later orientation runs them in one line buffer and raises the
+    # maxima to them; each maximum's view is dropped before the next step's
+    # two band views exist, so no step holds three
     line = np.empty(n, dtype=sum_dtype)
-    for k in range(ORIENTATION_COUNT):
+    for k in range(1, ORIENTATION_COUNT):
         offsets = line_offsets(k, window).offsets
-        line[:] = flat[centre:centre + n]
         for j in range(half):
             dx, dy = offsets[half + j + 1]
             ahead = centre + dy * padded_cols + dx
             behind = centre - dy * padded_cols - dx
-            line += flat[ahead:ahead + n]
+            np.add(line if j else flat[centre:centre + n], flat[ahead:ahead + n], out=line)
             line += flat[behind:behind + n]
-            np.maximum(maxima[j], line, out=maxima[j])
+            row = maxima[j]
+            np.maximum(row, line, out=row)
+            del row
     return window_sums.reshape(rows, padded_cols), maxima.reshape(half, rows, padded_cols)

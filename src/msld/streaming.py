@@ -19,14 +19,14 @@ height // 8)) rows. The first term spends a fixed pixel budget per kernel
 call, so per-call overhead is amortized on wide images while the rows stay
 bounded independently of the height; the second bounds the footprint of
 pass 2, which holds the response map, on short images, where 64-row tiles
-keep 8-row bands. The cap binds pass 2 only: pass 1 runs before the map
-is allocated, so its bands (``pass1_height``) grow within the budget until
-their kernel buffers fill the map's bytes plus one pass-2 band, 25 rows on
-a 64-row tile. Where the budget binds, as at DRIVE and HRF widths, both
-passes take the same bands. The reference keeps all its sums anyway, so
-both its passes take max(8, BAND_PIXELS // width) rows, and a tile is one
-band. The height changes no output bit: pass 1 sums exact integers and
-pass 2 works per pixel.
+keep 8-row bands. Pass 1 runs before the map is allocated, so its bands
+(``pass1_height``) take up to four budgets (``PASS1_BAND_PIXELS``) until
+their kernel buffers fill the map's bytes plus one pass-2 band: 144 rows
+at DRIVE width and 40 at HRF width, where the pixel cap binds, and 25 rows
+on a 64-row tile, where the map does. The reference keeps all its sums
+anyway, so both its passes take max(8, BAND_PIXELS // width) rows, and a
+tile is one band. The height changes no output bit: pass 1 sums exact
+integers and pass 2 works per pixel.
 
 Arithmetic runs either in IEEE doubles or in integer fixed point with a
 configurable fractional width. In float mode the statistics are exact
@@ -83,6 +83,15 @@ Band = tuple[slice, np.ndarray, np.ndarray, np.ndarray]
 # rows) the largest budget of a sweep at which the float engine's measured
 # peak stays that of the response write
 BAND_PIXELS = 20480
+# pixels per pass-1 band above the 8-row floor: four pass-2 budgets, 144
+# rows at DRIVE width and 40 at HRF width (2048 columns). Pass 1 runs before
+# the response map exists, so only this cap and the map's bytes hold its
+# band. Kernel sweeps over the whole image (in process, interleaved,
+# medians) gain from taller bands, but not without end, so a cap stays:
+#   565 x 584:   36 rows 11.3 ms, 144 rows 8.8 ms
+#   2048 x 1536: 10 rows 191 ms, 40 rows 105 ms, 518 rows 238 ms (the
+#                height the map's bytes alone would allow)
+PASS1_BAND_PIXELS = 4 * BAND_PIXELS
 
 DEGENERATE_STD = 1e-12
 
@@ -104,13 +113,17 @@ class MemoryFootprint:
     peak_total_bytes bounds both passes' bands: every buffer of the kernel
     (``kernel.band_bytes``: the padded band with its spare row, the column
     sums, and the padded-width outputs and running line sum) of the taller
-    band, pass 1's of ``pass1_height`` rows, four 8-byte registers of one
-    pass-2 band of ``band_height`` rows, and the words above. The registers
-    bound both datapaths: pass 1 gathers at most a pass-2 band's pixels at
-    a time, and both modes hold their ROI indices, compact and padded, and
-    the ROI values of the window sums and of one scale's line sums; in pass
-    2 both modes hold one term of the affine form, which float mode adds to
-    the output rows and fixed mode to an int64 accumulator. Expression
+    band, pass 1's of ``pass1_height`` rows unless the image is lower than
+    8 rows, four 8-byte registers of one pass-2 band of ``band_height``
+    rows, and the words above. It models the band that runs, so it counts
+    pass 1's band of up to four pixel budgets (2.67 MB at DRIVE size and
+    W = 15), though pass 1 runs before the response map exists and its
+    measured peak stays within pass 2's. The registers bound both
+    datapaths: pass 1 gathers at most a pass-2 band's pixels at a time, and
+    both modes hold their ROI indices, compact and padded, and the ROI
+    values of the window sums and of one scale's line sums; in pass 2 both
+    modes hold one term of the affine form, which float mode adds to the
+    output rows and fixed mode to an int64 accumulator. Expression
     temporaries, the input image and the output response map are excluded;
     pass 1 runs before the map is allocated.
     """
@@ -132,12 +145,14 @@ def pass1_height(width: int, height: int, window: int, band_rows: int) -> int:
 
     Pass 1 runs before the float64 response map is allocated, so its band
     may spend the map's 8 * width * height bytes: it is the tallest band,
-    of at most max(8, BAND_PIXELS // width) rows and at most the image's
-    height, whose kernel buffers (``band_bytes``, linear in the rows) fit
-    in the map plus one pass-2 band.
+    of at most max(8, PASS1_BAND_PIXELS // width) rows and at most the
+    image's height, whose kernel buffers (``band_bytes``, linear in the
+    rows) fit in the map plus one pass-2 band. The map binds on short
+    images (25 rows on a 64 x 64 tile at W = 15), the pixel cap at DRIVE
+    (144 rows) and HRF (40 rows) widths.
     """
     per_row = band_bytes(band_rows + 1, width, window) - band_bytes(band_rows, width, window)
-    return min(max(8, BAND_PIXELS // width), height, band_rows + 8 * width * height // per_row)
+    return min(max(8, PASS1_BAND_PIXELS // width), height, band_rows + 8 * width * height // per_row)
 
 
 def memory_footprint(params: MsldParams, width: int, height: int) -> MemoryFootprint:
@@ -333,11 +348,11 @@ def stream_pass1(
     """Single raster sweep accumulating per-scale ROI statistics.
 
     Raw responses are consumed immediately and never stored. The bands are
-    ``pass1_height`` rows, taller than pass 2's on short images: this sweep
-    runs before the response map exists and spends its bytes. Float
-    statistics are exact rationals rounded once; fixed-point variances that
-    the sum-of-squares formula makes negative are clamped to zero and
-    counted on the returned stats.
+    ``pass1_height`` rows, up to four pixel budgets and never lower than
+    pass 2's: this sweep runs before the response map exists and spends its
+    bytes. Float statistics are exact rationals rounded once; fixed-point
+    variances that the sum-of-squares formula makes negative are clamped to
+    zero and counted on the returned stats.
     """
     _check_inputs(img, mask, arithmetic_mode)
     band_rows = band_height(img.width, img.height)

@@ -98,3 +98,28 @@ def combined_map_bruteforce(pixels, roi, window):
                 total += (pixels[y][x] - igc_mean) / igc_std
             out[y][x] = total / (n_scales + 1)
     return out
+
+
+def band_sums_bruteforce(pixels, y0, y1, window):
+    """Window sums and per-length maxima of the 12 oriented line sums of
+    rows y0..y1-1, by direct loops over edge-clamped samples.
+
+    Returns the window sums as a list of rows and the maxima as one such
+    grid per line length 3, 5, ..., window; every value is a Python int.
+    """
+    pixels = [[int(v) for v in row] for row in pixels]
+    height = len(pixels)
+    width = len(pixels[0])
+    half = (window - 1) // 2
+
+    def sample(x, y):
+        return pixels[min(max(y, 0), height - 1)][min(max(x, 0), width - 1)]
+
+    window_sums = [[sum(sample(x + dx, y + dy) for dy in range(-half, half + 1) for dx in range(-half, half + 1))
+                    for x in range(width)] for y in range(y0, y1)]
+    maxima = []
+    for length in range(3, window + 1, 2):
+        patterns = [_line_points(k, length) for k in range(12)]
+        maxima.append([[max(sum(sample(x + dx, y + dy) for dx, dy in points) for points in patterns)
+                        for x in range(width)] for y in range(y0, y1)])
+    return window_sums, maxima

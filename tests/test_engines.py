@@ -360,7 +360,7 @@ def test_band_height_rule(width, height):
 def test_pass1_height_rule(width, height):
     rows = streaming.band_height(width, height)
     first = streaming.pass1_height(width, height, 15, rows)
-    budget = max(8, streaming.BAND_PIXELS // width)
+    budget = max(8, streaming.PASS1_BAND_PIXELS // width)
     assert min(rows, height) <= first <= min(budget, height)
     # its kernel buffers fit in the response map plus one pass-2 band, and
     # one more row would not, unless the budget or the image stops it first
@@ -372,16 +372,27 @@ def test_pass1_height_rule(width, height):
 @pytest.mark.parametrize("width, height", [(565, 584), (2048, 1536)])
 def test_pass1_height_is_the_budget_where_it_binds(width, height):
     rows = streaming.band_height(width, height)
-    assert streaming.pass1_height(width, height, 15, rows) == rows
+    # four pass-2 budgets
+    assert streaming.pass1_height(width, height, 15, rows) == {565: 144, 2048: 40}[width]
 
 
-@pytest.mark.parametrize("share", [0.3, 1.0])
-def test_pass1_peak_is_within_the_pass2_bound(share):
+@pytest.mark.parametrize("height, width, share", [
+    pytest.param(64, 64, 0.3, id="0.3"),
+    pytest.param(64, 64, 1.0, id="1.0"),
+    # DRIVE size, where the pixel cap and not the map sets the pass-1 band
+    pytest.param(584, 565, None, id="565x584-fov"),
+])
+def test_pass1_peak_is_within_the_pass2_bound(height, width, share):
     # pass 1's taller bands spend the response map's bytes before it exists
-    height = width = 64
     rng = np.random.default_rng(8)
     pixels = rng.integers(0, 256, (height, width), dtype=np.uint8)
-    img, mask, params = GrayImage(pixels), Mask(rng.random((height, width)) < share), MsldParams(window=15)
+    if share is None:
+        # a circular field of view, as on a fundus image
+        y, x = np.ogrid[:height, :width]
+        inside = (2 * y - height) ** 2 + (2 * x - width) ** 2 <= (0.9 * width) ** 2
+    else:
+        inside = rng.random((height, width)) < share
+    img, mask, params = GrayImage(pixels), Mask(inside), MsldParams(window=15)
     stream_pass1(img, mask, params)  # fills the line-geometry cache outside the trace
     tracemalloc.start()
     try:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bruteforce import band_sums_bruteforce
 from compact_sums import compact_band_sums
 from msld.kernel import band_bytes, band_sums, line_sum_dtype, window_sum_dtype
 
@@ -23,6 +24,22 @@ def test_bands_stitch_to_the_whole_image(height, width, window, band, seed):
     parts = [compact_band_sums(pixels, y, min(y + band, height), window) for y in range(0, height, band)]
     assert np.array_equal(np.concatenate([p[0] for p in parts], axis=0), whole_sums)
     assert np.array_equal(np.concatenate([p[1] for p in parts], axis=1), whole_maxima)
+
+
+@pytest.mark.parametrize("window", [3, 5, 15])
+@pytest.mark.parametrize("height, width, y0, y1", [
+    (1, 9, 0, 1), (9, 1, 0, 9), (9, 1, 4, 6),  # 1 x N and N x 1
+    (12, 10, 0, 4), (12, 10, 9, 12),  # bands at the top and bottom edges
+    (12, 10, 3, 9), (6, 7, 0, 6),
+])
+def test_sums_match_the_bruteforce_line_geometry(height, width, y0, y1, window):
+    # the window sums and every length's maximum over the 12 orientations,
+    # from the oracle's own line rasterization and edge clamping
+    pixels = np.random.default_rng(height * width + window).integers(0, 256, (height, width), dtype=np.uint8)
+    window_sums, line_maxima = band_sums(pixels, y0, y1, window)
+    expected_sums, expected_maxima = band_sums_bruteforce(pixels, y0, y1, window)
+    assert window_sums[:, :width].tolist() == expected_sums
+    assert line_maxima[:, :, :width].tolist() == expected_maxima
 
 
 @pytest.mark.parametrize("window, dtype", [(127, np.int16), (129, np.int32)])
