@@ -4,10 +4,12 @@ All counts and rates consider ROI pixels only; pixels outside the mask
 never enter a confusion cell. A pixel is predicted vessel when its
 response is strictly greater than the threshold.
 
-The ROI scores are sorted once and reduced to their groups of equal value.
-The AUC, the best threshold and the rates at a fixed threshold are integer
-counts per tie group, so no result depends on the order of the pixels or
-on the order the sort leaves inside a group.
+The ROI scores are sorted in place and reduced to their groups of equal
+value; the positives' scores are sorted on their own and counted into
+those groups, so no argsort permutation is formed. The AUC, the best
+threshold and the rates at a fixed threshold are integer counts per tie
+group, so no result depends on the order of the pixels or on the order
+the sort leaves inside a group. The ROI scores must be finite.
 """
 
 from __future__ import annotations
@@ -57,37 +59,46 @@ def binarize(resp: ResponseMap, roi: Mask, threshold: float) -> Mask:
 def _tie_groups(resp: ResponseMap, truth: Mask, roi: Mask):
     """The ROI scores reduced to their groups of equal value.
 
-    Returns (values, upto, pos_upto, n_pos, n_neg): per group in ascending
+    Returns (values, upto, pos_in, n_pos, n_neg): per group in ascending
     order, its score, the count of ROI scores at or below it and the count
-    of positives among those.
+    of positives at it.
     """
     _check_same_dims(resp, truth, roi)
     inside = roi.inside
     scores = resp.values[inside]
-    labels = truth.inside[inside]
-    n_pos = int(np.count_nonzero(labels))
-    n_neg = labels.size - n_pos
+    positives = scores[truth.inside[inside]]
+    n_pos = positives.size
+    n_neg = scores.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClassRoiError(
             f"ROI ground truth has {n_pos} positives and {n_neg} negatives; "
             "both classes are required"
         )
-    order = np.argsort(scores)
-    sorted_scores = scores[order]
-    upto = np.append(np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1, scores.size)
-    pos_upto = np.cumsum(labels[order])[upto - 1]
-    return sorted_scores[upto - 1], upto, pos_upto, n_pos, n_neg
+    scores.sort()
+    # the sort puts -inf first and +inf and NaN last
+    if not (np.isfinite(scores[0]) and np.isfinite(scores[-1])):
+        raise ValueError(f"ROI scores must be finite, got a range of "
+                         f"{float(scores[0])!r} .. {float(scores[-1])!r}")
+    upto = np.append(np.flatnonzero(scores[1:] != scores[:-1]) + 1, scores.size)
+    # + 0.0 makes a group of zeros read 0.0 whichever of -0.0 and 0.0 the
+    # sort leaves last
+    values = scores[upto - 1] + 0.0
+    # sorted needles make the binary searches walk the groups in order
+    positives.sort()
+    pos_in = np.bincount(np.searchsorted(values, positives), minlength=values.size)
+    return values, upto, pos_in, n_pos, n_neg
 
 
-def _auc_of_groups(upto, pos_upto, n_pos: int, n_neg: int) -> float:
-    """Rank-sum AUC; tied scores share the average rank of their group.
+def _auc_of_groups(upto, pos_in, n_pos: int, n_neg: int) -> float:
+    """Rank-sum AUC from the positives per group; tied scores share the
+    average rank of their group.
 
     A group at 0-based sorted positions start..upto-1 has the 1-based
     midrank (start + 1 + upto) / 2, so twice the positives' rank sum is an
     exact integer.
     """
     start = np.concatenate(([0], upto[:-1]))
-    rank_sum2 = int(np.dot(np.diff(pos_upto, prepend=0), start + upto + 1))
+    rank_sum2 = int(np.dot(pos_in, start + upto + 1))
     return (rank_sum2 / 2 - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -108,8 +119,8 @@ def auc(resp: ResponseMap, truth: Mask, roi: Mask) -> float:
     Equals the exact trapezoidal area under the ROC curve swept over all
     thresholds.
     """
-    _, upto, pos_upto, n_pos, n_neg = _tie_groups(resp, truth, roi)
-    return _auc_of_groups(upto, pos_upto, n_pos, n_neg)
+    _, upto, pos_in, n_pos, n_neg = _tie_groups(resp, truth, roi)
+    return _auc_of_groups(upto, pos_in, n_pos, n_neg)
 
 
 def best_threshold(resp: ResponseMap, truth: Mask, roi: Mask) -> tuple[float, MetricsReport]:
@@ -118,7 +129,8 @@ def best_threshold(resp: ResponseMap, truth: Mask, roi: Mask) -> tuple[float, Me
     Ties on accuracy are broken toward higher specificity, then toward the
     larger threshold.
     """
-    values, upto, pos_upto, n_pos, n_neg = _tie_groups(resp, truth, roi)
+    values, upto, pos_in, n_pos, n_neg = _tie_groups(resp, truth, roi)
+    pos_upto = np.cumsum(pos_in)
     # at t = a group's value, tp are the positives above it and tn the
     # negatives at or below it; accuracy and specificity rank the groups as
     # the integers tp + tn and tn do
@@ -126,7 +138,7 @@ def best_threshold(resp: ResponseMap, truth: Mask, roi: Mask) -> tuple[float, Me
     key = (n_pos - pos_upto + tn) * (n_neg + 1) + tn
     pick = key.size - 1 - int(np.argmax(key[::-1]))
     threshold = float(values[pick])
-    report = _report(_auc_of_groups(upto, pos_upto, n_pos, n_neg),
+    report = _report(_auc_of_groups(upto, pos_in, n_pos, n_neg),
                      int(upto[pick]), int(pos_upto[pick]), n_pos, n_neg, threshold)
     return threshold, report
 
@@ -136,7 +148,7 @@ def report_at_threshold(
 ) -> MetricsReport:
     """AUC plus SE/SP/ACC at one fixed threshold."""
     _check_threshold(threshold)
-    values, upto, pos_upto, n_pos, n_neg = _tie_groups(resp, truth, roi)
+    values, upto, pos_in, n_pos, n_neg = _tie_groups(resp, truth, roi)
     below = int(np.searchsorted(values, threshold, side="right"))
-    at = (int(upto[below - 1]), int(pos_upto[below - 1])) if below else (0, 0)
-    return _report(_auc_of_groups(upto, pos_upto, n_pos, n_neg), *at, n_pos, n_neg, threshold)
+    at = (int(upto[below - 1]), int(pos_in[:below].sum())) if below else (0, 0)
+    return _report(_auc_of_groups(upto, pos_in, n_pos, n_neg), *at, n_pos, n_neg, threshold)

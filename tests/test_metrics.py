@@ -1,5 +1,6 @@
 """ROI metrics against brute-force scans over every threshold."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from msld import Mask, ResponseMap
-from msld.metrics import SingleClassRoiError, auc, best_threshold, report_at_threshold
+from msld.metrics import (SingleClassRoiError, _tie_groups, auc, best_threshold,
+                          report_at_threshold)
 
 
 @st.composite
@@ -75,6 +77,38 @@ def test_best_threshold_breaks_ties_by_specificity_then_larger_threshold(case):
     assert report_at_threshold(*case, threshold) == report
 
 
+def group_thresholds(scores):
+    """Every group value, the midpoints between neighbours and one beyond each end."""
+    values = sorted(set(scores))
+    mids = [(a + b) / 2 for a, b in zip(values, values[1:])]
+    return [values[0] - 1.0, *values, *mids, values[-1] + 1.0]
+
+
+@given(scored_rois())
+@settings(max_examples=150, deadline=None)
+def test_report_at_threshold_is_the_brute_force_rates(case):
+    scores, labels = roi_lists(*case)
+    area = auc(*case)
+    for t in group_thresholds(scores):
+        report = report_at_threshold(*case, t)
+        se, sp, acc = rates(scores, labels, t)
+        assert (report.se, report.sp, report.acc) == (float(se), float(sp), float(acc))
+        assert report.threshold == t and report.auc == area and report.roi_count == len(scores)
+
+
+@given(scored_rois())
+@settings(max_examples=150, deadline=None)
+def test_tie_groups_count_every_score_and_label(case):
+    scores, labels = roi_lists(*case)
+    pairs = Counter(zip(scores, labels))
+    values, upto, pos_in, n_pos, n_neg = _tie_groups(*case)
+    expected = sorted(set(scores))
+    assert values.tolist() == expected
+    assert upto.tolist() == [sum(1 for s in scores if s <= v) for v in expected]
+    assert pos_in.tolist() == [pairs[v, True] for v in expected]
+    assert (n_pos, n_neg) == (sum(labels), len(labels) - sum(labels))
+
+
 def test_accuracy_tie_goes_to_the_higher_specificity():
     resp = ResponseMap(np.array([[0.0, 1.0, 2.0, 3.0]]))
     truth = Mask(np.array([[False, True, False, True]]))
@@ -91,6 +125,44 @@ def test_single_class_roi_rejected():
     for run in (auc, best_threshold):
         with pytest.raises(SingleClassRoiError):
             run(resp, truth, roi)
+
+
+def metric_runs(threshold):
+    return (auc, best_threshold, lambda *case: report_at_threshold(*case, threshold))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_roi_score_rejected(bad):
+    values = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    values[1, 1] = bad
+    truth = Mask(np.array([[False, True, False], [True, False, True]]))
+    roi = Mask(np.ones((2, 3), dtype=bool))
+    for run in metric_runs(2.5):
+        with pytest.raises(ValueError, match="finite"):
+            run(ResponseMap(values), truth, roi)
+
+
+def test_nan_outside_the_roi_is_ignored():
+    values = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    truth = Mask(np.array([[False, True, False], [True, False, True]]))
+    roi = Mask(np.array([[True, True, True], [True, False, True]]))
+    clean = ResponseMap(values)
+    values = values.copy()
+    values[1, 1] = np.nan
+    for run in metric_runs(2.5):
+        assert run(ResponseMap(values), truth, roi) == run(clean, truth, roi)
+
+
+@pytest.mark.parametrize("size", [2, 200, 2000])
+def test_a_group_of_signed_zeros_reads_positive_zero(size):
+    zeros = np.where(np.arange(size) % 2, -0.0, 0.0)
+    truth = Mask(np.arange(2 * size).reshape(1, -1) >= size)
+    roi = Mask(np.ones((1, 2 * size), dtype=bool))
+    # the negatives score 0 and the positives 1, so the best threshold is 0
+    for negatives in (zeros, -zeros, np.random.default_rng(size).permutation(zeros),
+                      np.full(size, -0.0)):
+        resp = ResponseMap(np.concatenate([negatives, np.ones(size)]).reshape(1, -1))
+        assert repr(best_threshold(resp, truth, roi)[0]) == "0.0"
 
 
 def rearranged(case, seed):
@@ -132,3 +204,61 @@ def test_large_tie_heavy_auc_is_the_exact_mann_whitney_count():
     wins = sum(p * (2 * sum(neg[:v]) + neg[v]) for v, p in enumerate(pos))
     assert auc(*case) == float(Fraction(wins, 2 * sum(pos) * sum(neg)))
     assert_order_free(case, 12)
+
+
+def disc(height, width):
+    y, x = np.ogrid[:height, :width]
+    return (y - height / 2) ** 2 + (x - width / 2) ** 2 < (0.45 * min(height, width)) ** 2
+
+
+def level_case():
+    """200x200 with 30 score levels in a disc."""
+    rng = np.random.default_rng(1612)
+    levels = rng.integers(0, 30, (200, 200))
+    truth = rng.random((200, 200)) < levels / 40.0
+    return ResponseMap(levels / 7.0 - 2.0), Mask(truth), Mask(disc(200, 200))
+
+
+def distinct_case():
+    """565x584 (DRIVE size) with 158,004 distinct scores among 203,084 in a disc."""
+    rng = np.random.default_rng(9524)
+    truth = rng.random((584, 565)) < 0.13
+    values = np.round(rng.standard_normal((584, 565)) + 1.1 * truth, 5)
+    return ResponseMap(values), Mask(truth), Mask(disc(584, 565))
+
+
+# repr of auc, best_threshold and report_at_threshold at two thresholds,
+# recorded from the argsort-based tie groups that the positives' own sort
+# and a bincount replaced
+PINNED_METRICS = {
+    level_case: (
+        (0.0, 5 / 7.0 - 2.0),
+        "0.7721750928841913",
+        "(0.7142857142857144, MetricsReport(auc=0.7721750928841913, se=0.5673887525344147, "
+        "sp=0.7933632175320633, acc=0.7101010498171667, threshold=0.7142857142857144, "
+        "roi_count=25433))",
+        "MetricsReport(auc=0.7721750928841913, se=0.7648063173620745, sp=0.6473664549869257, "
+        "acc=0.6906381472889553, threshold=0.0, roi_count=25433)",
+        "MetricsReport(auc=0.7721750928841913, se=0.9671326432611247, sp=0.29367451126883326, "
+        "acc=0.5418157511893996, threshold=-1.2857142857142856, roi_count=25433)",
+    ),
+    distinct_case: (
+        (0.5, -0.25),
+        "0.782626885182988",
+        "(2.3202, MetricsReport(auc=0.782626885182988, se=0.11282437006393381, "
+        "sp=0.989835348510431, acc=0.8750073861062417, threshold=2.3202, roi_count=203084))",
+        "MetricsReport(auc=0.782626885182988, se=0.7277924031590823, sp=0.6922558273935658, "
+        "acc=0.6969086683342853, threshold=0.5, roi_count=203084)",
+        "MetricsReport(auc=0.782626885182988, se=0.9121098157201956, sp=0.4002685643704602, "
+        "acc=0.4672844734198657, threshold=-0.25, roi_count=203084)",
+    ),
+}
+
+
+@pytest.mark.parametrize("make", list(PINNED_METRICS), ids=lambda make: make.__name__)
+def test_metrics_pinned(make):
+    case = make()
+    thresholds, *expected = PINNED_METRICS[make]
+    got = [repr(auc(*case)), repr(best_threshold(*case)),
+           *(repr(report_at_threshold(*case, t)) for t in thresholds)]
+    assert got == expected
