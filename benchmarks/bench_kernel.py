@@ -5,13 +5,14 @@ collecting it):
 
     PYTHONPATH=src python -m pytest benchmarks/bench_kernel.py
 
-The streaming engine calls the kernel on pass-1 bands of
-``streaming.pass1_height`` rows and on pass-2 bands of
-``streaming.band_height(width, height)`` rows, and so does ``sweep`` here:
-144 rows and then 36 at 565 columns (DRIVE size); 40 rows and then 10 at
-2048 columns (HRF size); 25 rows and then 8 on 64-row tiles, where
-per-call overhead dominates. The reference takes 36-row bands once at 565
-columns, 10-row bands at 2048 and one band on a 64-row tile.
+(``--benchmark-disable`` runs each case once.) ``msld_streaming`` calls
+the kernel on pass-1 bands of ``streaming.pass1_height(width, height, W)``
+rows and on pass-2 bands of ``streaming.band_height(width, height)``
+rows, and so does this file's ``sweep``: 144 rows and then 36 at 565
+columns (DRIVE size); 40 rows and then 10 at 2048 columns (HRF size); 25
+rows and then 8 on 64-row tiles, where per-call overhead dominates. The
+reference (``streaming.sweep``) takes 36-row bands once at 565 columns,
+10-row bands at 2048 and one band on a 64-row tile.
 """
 
 import numpy as np
@@ -29,8 +30,7 @@ def image(height: int, width: int) -> np.ndarray:
 
 def sweep(pixels: np.ndarray):
     height, width = pixels.shape
-    rows = band_height(width, height)
-    for band_rows in (pass1_height(width, height, WINDOW, rows), rows):
+    for band_rows in (pass1_height(width, height, WINDOW), band_height(width, height)):
         for y0 in range(0, height, band_rows):
             band_sums(pixels, y0, min(y0 + band_rows, height), WINDOW)
 

@@ -94,7 +94,7 @@ class Mask(Grid):
 
     @property
     def count(self) -> int:
-        return int(self.inside.sum())
+        return int(np.count_nonzero(self.inside))
 
 
 def full_mask(width: int, height: int) -> Mask:

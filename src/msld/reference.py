@@ -42,7 +42,7 @@ class ScaleStats:
     them (None for float arithmetic), and the number of times a negative
     variance had to be clamped to zero. Only the fixed-point datapath can
     clamp: float statistics are exact rationals, whose variance is never
-    negative.
+    negative. Every mean and std must be finite, and every std non-negative.
     """
 
     scale_means: tuple[float, ...]
@@ -58,6 +58,8 @@ class ScaleStats:
             raise ValueError("scale_means and scale_stds must have equal length")
         if self.roi_count < 1:
             raise ValueError(f"roi_count must be >= 1, got {self.roi_count}")
+        if not all(map(math.isfinite, (*self.scale_means, *self.scale_stds, self.igc_mean, self.igc_std))):
+            raise ValueError("means and standard deviations must be finite")
         if any(s < 0 for s in self.scale_stds) or self.igc_std < 0:
             raise ValueError("standard deviations must be non-negative")
 
@@ -93,4 +95,4 @@ def msld_reference(img: GrayImage, mask: Mask, params: MsldParams) -> tuple[Resp
     # streaming builds on this module's types, so it is imported on use
     from .streaming import BAND_PIXELS, sweep
 
-    return sweep(img, mask, params, "float", max(8, BAND_PIXELS // img.width), keep=True)
+    return sweep(img, mask, params, "float", max(8, BAND_PIXELS // img.width))

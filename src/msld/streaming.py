@@ -7,12 +7,13 @@ length from 3 up, in its padded layout; scale 1's line sum is the pixel.
 Pass 1 adds their ROI values to exact integer sums, the same in both
 arithmetic modes; finalizing them yields each scale's mean and standard
 deviation. Pass 2 standardizes and combines the sums band by band, so no
-per-scale response image is ever stored. ``msld_streaming`` forms the
-sums again in pass 2 and drops each band's sums before the next band is
-formed, so its auxiliary state is one band of window + rows - 1 image rows
-with its sums, plus a handful of per-scale words, regardless of image
-height. ``reference.msld_reference`` runs the float datapath and keeps
-every band's sums for pass 2 instead.
+per-scale response image is ever stored. ``msld_streaming`` is its two
+public passes, ``stream_pass1`` then ``stream_pass2``: pass 2 forms the
+sums again and each pass drops a band's sums before the next is formed,
+so its auxiliary state is one band of window + rows - 1 image rows with
+its sums, plus a handful of per-scale words, regardless of image height.
+``reference.msld_reference`` runs the float datapath through ``sweep``,
+which keeps every band's sums for pass 2 instead.
 
 The streaming pass-2 band height is max(8, min(BAND_PIXELS // width,
 height // 8)) rows. The first term spends a fixed pixel budget per kernel
@@ -139,30 +140,30 @@ def band_height(width: int, height: int) -> int:
     return max(8, min(BAND_PIXELS // width, height // 8))
 
 
-def pass1_height(width: int, height: int, window: int, band_rows: int) -> int:
-    """Output rows per pass-1 band over a width x height image whose pass-2
-    bands are band_rows high.
+def pass1_height(width: int, height: int, window: int) -> int:
+    """Output rows per pass-1 band over a width x height image.
 
     Pass 1 runs before the float64 response map is allocated, so its band
     may spend the map's 8 * width * height bytes: it is the tallest band,
     of at most max(8, PASS1_BAND_PIXELS // width) rows and at most the
     image's height, whose kernel buffers (``band_bytes``, linear in the
-    rows) fit in the map plus one pass-2 band. The map binds on short
-    images (25 rows on a 64 x 64 tile at W = 15), the pixel cap at DRIVE
-    (144 rows) and HRF (40 rows) widths.
+    rows) fit in the map plus one pass-2 band of ``band_height`` rows. The
+    map binds on short images (25 rows on a 64 x 64 tile at W = 15), the
+    pixel cap at DRIVE (144 rows) and HRF (40 rows) widths.
     """
+    band_rows = band_height(width, height)
     per_row = band_bytes(band_rows + 1, width, window) - band_bytes(band_rows, width, window)
     return min(max(8, PASS1_BAND_PIXELS // width), height, band_rows + 8 * width * height // per_row)
 
 
 def memory_footprint(params: MsldParams, width: int, height: int) -> MemoryFootprint:
-    """Footprint of a streaming run over a width x height image, whose
-    pass-1 bands are ``pass1_height`` rows high and whose pass-2 bands are
+    """Footprint of ``msld_streaming`` over a width x height image: its
+    pass-1 bands are ``pass1_height`` rows high and its pass-2 bands
     ``band_height`` rows high."""
     window = params.window
     rows = band_height(width, height)
     # the pass-1 band is the taller unless the image is lower than 8 rows
-    taller = max(rows, pass1_height(width, height, window, rows))
+    taller = max(rows, pass1_height(width, height, window))
     accumulator_words = 3 * params.n_scales + 3
     stored_stats_values = 2 * params.n_scales + 2
     return MemoryFootprint(
@@ -355,10 +356,9 @@ def stream_pass1(
     zero and counted on the returned stats.
     """
     _check_inputs(img, mask, arithmetic_mode)
-    band_rows = band_height(img.width, img.height)
-    rows = pass1_height(img.width, img.height, params.window, band_rows)
-    bands = _bands(img.pixels, mask, params.window, rows)
-    return _run_pass1(img.pixels, params, arithmetic_mode, bands, band_rows * img.width)
+    width, height = img.width, img.height
+    bands = _bands(img.pixels, mask, params.window, pass1_height(width, height, params.window))
+    return _run_pass1(img.pixels, params, arithmetic_mode, bands, band_height(width, height) * width)
 
 
 def _float_terms(params: MsldParams, stats: ScaleStats) -> tuple[list, float, float, float]:
@@ -509,23 +509,14 @@ def stream_pass2(
 
 
 def sweep(img: GrayImage, mask: Mask, params: MsldParams, arithmetic_mode: ArithmeticMode,
-          band_rows: int, keep: bool = False) -> tuple[ResponseMap, ScaleStats]:
-    """Both passes, pass 2 over bands of band_rows rows; the entry points fix the height.
-
-    With keep, every band's sums are formed once and kept for pass 2;
-    without it, pass 1 takes bands of ``pass1_height`` rows and pass 2
-    forms its own again. Pass 1 gathers at most one pass-2 band's pixels
-    at a time.
-    """
+          band_rows: int) -> tuple[ResponseMap, ScaleStats]:
+    """Both passes over bands of band_rows rows, each band's sums formed
+    once and kept for pass 2; pass 1 gathers at most one band's pixels at a
+    time. ``reference.msld_reference`` fixes the height."""
     _check_inputs(img, mask, arithmetic_mode)
-    pixels = img.pixels
-    band_args = (pixels, mask, params.window, band_rows)
-    kept = list(_bands(*band_args)) if keep else None
-    first_rows = band_rows if keep else pass1_height(img.width, img.height, params.window, band_rows)
-    stats = _run_pass1(pixels, params, arithmetic_mode,
-                       kept if keep else _bands(pixels, mask, params.window, first_rows), band_rows * img.width)
-    response = _run_pass2(pixels, params, arithmetic_mode, kept if keep else _bands(*band_args), stats)
-    return response, stats
+    kept = list(_bands(img.pixels, mask, params.window, band_rows))
+    stats = _run_pass1(img.pixels, params, arithmetic_mode, kept, band_rows * img.width)
+    return _run_pass2(img.pixels, params, arithmetic_mode, kept, stats), stats
 
 
 def msld_streaming(
@@ -534,7 +525,8 @@ def msld_streaming(
     params: MsldParams,
     arithmetic_mode: ArithmeticMode = "float",
 ) -> tuple[ResponseMap, ScaleStats, MemoryFootprint]:
-    """Run pass 1 over bands of ``pass1_height`` rows and pass 2 over bands
-    of ``band_height`` rows, and report the auxiliary-memory footprint."""
-    response, stats = sweep(img, mask, params, arithmetic_mode, band_height(img.width, img.height))
+    """Run ``stream_pass1``, then ``stream_pass2`` with its statistics, and
+    report the auxiliary-memory footprint of their bands."""
+    stats = stream_pass1(img, mask, params, arithmetic_mode)
+    response = stream_pass2(img, mask, params, stats, arithmetic_mode)
     return response, stats, memory_footprint(params, img.width, img.height)

@@ -1,0 +1,29 @@
+"""The pytest-benchmark scripts under ``benchmarks/`` still run.
+
+Their file names keep the tier-1 suite from collecting them, so a changed
+signature would break them unseen. Each is loaded by path and its work
+run once.
+"""
+
+import importlib.util
+import math
+from pathlib import Path
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"benchmarks_{name}", Path(__file__).resolve().parents[1] / "benchmarks" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kernel_sweep_runs():
+    bench = load("bench_kernel")
+    bench.sweep(bench.image(64, 64))
+
+
+def test_best_threshold_case_runs():
+    bench = load("bench_eval")
+    threshold, _ = bench.best_threshold(*bench.drive_case())
+    assert math.isfinite(threshold)

@@ -4,6 +4,7 @@ fixed-point outputs."""
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -359,7 +360,7 @@ def test_band_height_rule(width, height):
 @given(st.integers(1, 5000), st.integers(1, 5000))
 def test_pass1_height_rule(width, height):
     rows = streaming.band_height(width, height)
-    first = streaming.pass1_height(width, height, 15, rows)
+    first = streaming.pass1_height(width, height, 15)
     budget = max(8, streaming.PASS1_BAND_PIXELS // width)
     assert min(rows, height) <= first <= min(budget, height)
     # its kernel buffers fit in the response map plus one pass-2 band, and
@@ -371,9 +372,8 @@ def test_pass1_height_rule(width, height):
 
 @pytest.mark.parametrize("width, height", [(565, 584), (2048, 1536)])
 def test_pass1_height_is_the_budget_where_it_binds(width, height):
-    rows = streaming.band_height(width, height)
     # four pass-2 budgets
-    assert streaming.pass1_height(width, height, 15, rows) == {565: 144, 2048: 40}[width]
+    assert streaming.pass1_height(width, height, 15) == {565: 144, 2048: 40}[width]
 
 
 @pytest.mark.parametrize("height, width, share", [
@@ -412,7 +412,7 @@ def test_pass1_peak_is_within_the_pass2_bound(height, width, share):
 def test_footprint_models_the_band(width, height):
     params = MsldParams(window=15)
     rows = streaming.band_height(width, height)
-    first = streaming.pass1_height(width, height, 15, rows)
+    first = streaming.pass1_height(width, height, 15)
     footprint = streaming.memory_footprint(params, width, height)
     words = footprint.accumulator_words + footprint.stored_stats_values
     # the taller band's kernel buffers and four registers of a pass-2 band
@@ -453,6 +453,86 @@ def test_empty_roi_rejected(mode):
                 lambda: stream_pass1(img, mask, params, mode)):
         with pytest.raises(EmptyRoiError):
             run()
+
+
+def test_streaming_is_its_two_public_passes(monkeypatch):
+    calls = []
+
+    def recorded(run):
+        def wrapper(*args):
+            result = run(*args)
+            calls.append((run.__name__, args, result))
+            return result
+        return wrapper
+
+    monkeypatch.setattr(streaming, "stream_pass1", recorded(stream_pass1))
+    monkeypatch.setattr(streaming, "stream_pass2", recorded(stream_pass2))
+    pixels = np.random.default_rng(9).integers(0, 256, (20, 16), dtype=np.uint8)
+    img, mask, params = GrayImage(pixels), Mask(pixels > 60), MsldParams(window=5)
+    resp, stats, _ = msld_streaming(img, mask, params, "fixed")
+    assert [name for name, *_ in calls] == ["stream_pass1", "stream_pass2"]
+    (_, pass1_args, pass1_stats), (_, pass2_args, pass2_resp) = calls
+    assert pass1_args == (img, mask, params, "fixed")
+    assert pass2_args == (img, mask, params, pass1_stats, "fixed")
+    assert stats is pass1_stats and resp is pass2_resp
+
+
+@pytest.fixture
+def small_run():
+    pixels = np.random.default_rng(3).integers(0, 256, (10, 12), dtype=np.uint8)
+    img, mask, params = GrayImage(pixels), Mask(np.ones((10, 12), dtype=bool)), MsldParams(window=5)
+    return img, mask, params, stream_pass1(img, mask, params)
+
+
+def entry_points(img, mask, params, stats, mode):
+    return {
+        "msld_streaming": lambda: msld_streaming(img, mask, params, mode),
+        "stream_pass1": lambda: stream_pass1(img, mask, params, mode),
+        "stream_pass2": lambda: stream_pass2(img, mask, params, stats, mode),
+        "sweep": lambda: streaming.sweep(img, mask, params, mode, 8),
+        "msld_reference": lambda: msld_reference(img, mask, params),
+    }
+
+
+@pytest.mark.parametrize("entry", ["msld_streaming", "stream_pass1", "stream_pass2", "sweep"])
+def test_unknown_mode_rejected(small_run, entry):
+    img, mask, params, stats = small_run
+    with pytest.raises(ValueError, match="arithmetic_mode"):
+        entry_points(img, mask, params, stats, "double")[entry]()
+
+
+@pytest.mark.parametrize("entry", ["msld_streaming", "stream_pass1", "stream_pass2", "sweep", "msld_reference"])
+def test_mask_of_other_dimensions_rejected(small_run, entry):
+    img, _, params, stats = small_run
+    # as many ROI pixels as the image has, transposed
+    mask = Mask(np.ones((12, 10), dtype=bool))
+    with pytest.raises(ValueError, match="mask dimensions"):
+        entry_points(img, mask, params, stats, "float")[entry]()
+
+
+@pytest.mark.parametrize("case", ["scales", "float-in-fixed", "fixed-in-float", "frac_bits", "roi_count"])
+def test_pass2_rejects_stats_of_another_run(small_run, case):
+    img, mask, params, float_stats = small_run
+    fixed_stats = stream_pass1(img, mask, params, "fixed")
+    stats, mode, message = {
+        "scales": (stream_pass1(img, mask, MsldParams(window=7)), "float", "4 scales"),
+        "float-in-fixed": (float_stats, "fixed", "frac_bits=None"),
+        "fixed-in-float": (fixed_stats, "float", f"frac_bits={params.frac_bits}"),
+        "frac_bits": (replace(fixed_stats, frac_bits=params.frac_bits - 1), "fixed", "frac_bits"),
+        "roi_count": (replace(float_stats, roi_count=mask.count - 1), "float", "ROI pixels"),
+    }[case]
+    with pytest.raises(ValueError, match=message):
+        stream_pass2(img, mask, params, stats, mode)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["scale_means", "scale_stds", "igc_mean", "igc_std"])
+def test_stats_reject_non_finite_values(field, value):
+    fields = dict(scale_means=(1.0, -2.0), scale_stds=(0.5, 0.25), igc_mean=100.0, igc_std=10.0)
+    ScaleStats(**fields, roi_count=4)
+    fields[field] = (fields[field][0], value) if field.startswith("scale") else value
+    with pytest.raises(ValueError, match="finite"):
+        ScaleStats(**fields, roi_count=4)
 
 
 # sha256 of the float64 streaming-fixed maps, recorded from the pass 2

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -138,6 +138,15 @@ def test_mask_reload_idempotent(tmp_path):
     first = load_mask(path)
     save_pnm(GrayImage(np.where(first.inside, 255, 0).astype(np.uint8)), path)
     assert load_mask(path) == first
+
+
+@given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, max_side=50)))
+@example(np.zeros((1, 7), dtype=bool))
+@example(np.ones((1, 7), dtype=bool))
+@example(np.zeros((9, 4), dtype=bool))
+def test_mask_count_is_the_number_of_roi_pixels(inside):
+    count = Mask(inside).count
+    assert type(count) is int and count == int(inside.sum())
 
 
 def test_images_are_immutable():
