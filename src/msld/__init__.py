@@ -17,19 +17,7 @@ from .detector import (
     MsldParams,
     line_offsets,
 )
-from .fixedpoint import (
-    FixedPoint,
-    FixedPointOverflowError,
-    fx_add,
-    fx_div,
-    fx_from_int,
-    fx_from_real,
-    fx_mul,
-    fx_reciprocal,
-    fx_sqrt,
-    fx_sub,
-    fx_to_real,
-)
+from .fixedpoint import FixedPointOverflowError
 from .imageio import (
     GrayImage,
     Mask,

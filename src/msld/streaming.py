@@ -60,7 +60,6 @@ import numpy as np
 from .detector import MsldParams
 from .fixedpoint import (
     RAW_LIMIT,
-    FixedPoint,
     FixedPointOverflowError,
     div_round_half_away,
     div_round_half_away_i64,
@@ -192,7 +191,8 @@ class StreamAccumulators:
     rationals are rounded once (``scale_stats``). In fixed mode alpha and
     beta are the quantized reciprocals of L and W*W, so x is the modeled
     hardware's quantized raw response, and the sum of x * x, with 2 *
-    frac_bits fractional bits, is rounded to frac_bits once.
+    frac_bits fractional bits, is rounded to frac_bits once; either sum
+    outside the signed 64-bit range raises FixedPointOverflowError.
     """
 
     def __init__(self, params: MsldParams, mode: ArithmeticMode, block_pixels: int):
@@ -274,15 +274,17 @@ class StreamAccumulators:
             sums.append((self.line_sum[0] << f, self.line_sum2[0] << 2 * f))
             pairs = []
             for sx, sx2 in sums:
-                m = fx_div(FixedPoint(sx, f), n_fx)
                 # sx2 >= 0, so rounding it half away from zero to f bits is
                 # adding half an ulp and shifting
-                mean_sq = fx_div(FixedPoint((sx2 + (1 << (f - 1))) >> f, f), n_fx)
-                var = fx_sub(mean_sq, fx_mul(m, m))
-                if var.raw < 0:
-                    var = FixedPoint(0, f)
+                sx2 = (sx2 + (1 << (f - 1))) >> f
+                if max(abs(sx), sx2) >= RAW_LIMIT:
+                    raise FixedPointOverflowError("a fixed ROI sum exceeds the signed 64-bit range")
+                m = fx_div(sx, n_fx, f)
+                var = fx_sub(fx_div(sx2, n_fx, f), fx_mul(m, m, f))
+                if var < 0:
+                    var = 0
                     clamps += 1
-                pairs.append((m.value, fx_sqrt(var).value))
+                pairs.append((m / (1 << f), fx_sqrt(var, f) / (1 << f)))
         else:
             area = self.params.window ** 2
             pairs = [scale_stats(*self._raw_sums(s, area, length), n, length * area)
@@ -304,8 +306,8 @@ class StreamAccumulators:
 @lru_cache(maxsize=None)
 def _fixed_recips(window: int, frac_bits: int) -> tuple[tuple[int, ...], int]:
     """Quantized reciprocals of every line length and of the window area."""
-    scale_recips = tuple(fx_reciprocal(length, frac_bits).raw for length in range(1, window + 1, 2))
-    return scale_recips, fx_reciprocal(window * window, frac_bits).raw
+    scale_recips = tuple(fx_reciprocal(length, frac_bits) for length in range(1, window + 1, 2))
+    return scale_recips, fx_reciprocal(window * window, frac_bits)
 
 
 def _bands(pixels: np.ndarray, mask: Mask, window: int, band_rows: int) -> Iterator[Band]:
@@ -416,12 +418,12 @@ def _fixed_terms(params: MsldParams, stats: ScaleStats) -> tuple[list, np.int64,
     scale_recips, window_recip = _fixed_recips(window, f)
     # a coefficient in units of 2**-(f + g) is r_C * 2**g times its f-bit
     # numerator over the f-bit std
-    unit = fx_reciprocal(params.n_scales + 1, f).raw << g
+    unit = fx_reciprocal(params.n_scales + 1, f) << g
     inv_stds, offset = [], Fraction(0)
     for mean, std in zip(stats.scale_means + (stats.igc_mean,), stats.scale_stds + (stats.igc_std,)):
-        std = fx_from_real(std, f).raw
+        std = fx_from_real(std, f)
         inv_stds.append(Fraction(unit, std) if std else Fraction(0))
-        offset += fx_from_real(mean, f).raw * inv_stds[-1]
+        offset += fx_from_real(mean, f) * inv_stds[-1]
     # the channel's raw response is the pixel shifted by f: its reciprocal is 2**f
     *scale_coeffs, channel_coeff = [_rounded(r * inv) for r, inv in zip(scale_recips + (1 << f,), inv_stds)]
     window_coeff, offset = _rounded(window_recip * sum(inv_stds[:-1])), _rounded(offset)

@@ -1,5 +1,9 @@
 import argparse
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,8 @@ from msld.cli import (
     read_response_file,
     write_response_file,
 )
-from msld.imageio import GrayImage, load_mask, save_pnm
+import msld
+from msld.imageio import GrayImage, RgbImage, extract_inverted_green, load_mask, save_pnm
 from msld.reference import ResponseMap
 
 
@@ -82,6 +87,36 @@ def test_bench_rejects_reps_below_one(inputs, tmp_path, capsys, reps):
     assert not report_path.exists()
 
 
+def test_bench_of_the_reference_reports_only_seconds(inputs, capsys):
+    assert main(["bench", "--input", str(inputs["image"]), "--window", "5",
+                 "--engine", "reference", "--reps", "2"]) == EXIT_OK
+    pairs = report(capsys)
+    assert list(pairs) == ["engine", "window", "reps", "rep0_seconds", "rep1_seconds"]
+    assert pairs["engine"] == "reference"
+
+
+def test_segment_of_a_ppm_is_segment_of_its_inverted_green(tmp_path):
+    rgb = RgbImage(np.random.default_rng(5).integers(0, 256, (12, 10, 3), dtype=np.uint8))
+    save_pnm(rgb, tmp_path / "image.ppm")
+    save_pnm(extract_inverted_green(rgb), tmp_path / "green.pgm")
+    for name in ("image.ppm", "green.pgm"):
+        assert main(["segment", "--input", str(tmp_path / name), "--window", "3",
+                     "--out", str(tmp_path / f"{name}.msldf")]) == EXIT_OK
+    assert (tmp_path / "image.ppm.msldf").read_bytes() == (tmp_path / "green.pgm.msldf").read_bytes()
+
+
+def test_module_run_exits_with_the_code_of_main(inputs, tmp_path):
+    empty_roi = tmp_path / "empty.pgm"
+    save_pnm(GrayImage(np.zeros((24, 20), dtype=np.uint8)), empty_roi)
+    src = str(Path(msld.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "msld.cli", *segment_args(inputs, tmp_path / "r.msldf"),
+                          "--mask", str(empty_roi)], env=env, capture_output=True, text=True)
+    assert run.returncode == EXIT_NUMERIC
+    assert "msld: numeric error" in run.stderr
+    assert not (tmp_path / "r.msldf").exists()
+
+
 def test_compare_prints_plain_numbers(inputs, capsys):
     assert main(["compare", "--input", str(inputs["image"]), "--mask", str(inputs["mask"]),
                  "--window", "5"]) == EXIT_OK
@@ -133,6 +168,8 @@ def test_failures_exit_with_their_code_and_leave_no_output(inputs, tmp_path):
         (EXIT_VALIDATION, ["--threshold", "nan"]),
         (EXIT_IO, ["--input", str(bad_image)]),
         (EXIT_NUMERIC, ["--mask", str(empty_roi)]),
+        # the ROI count shifted by 60 bits exceeds the 64-bit range
+        (EXIT_NUMERIC, ["--frac-bits", "60"]),
         (EXIT_VALIDATION, ["--mask", str(other_dims)]),
     ]:
         assert main([*base, *extra]) == code, extra
@@ -176,6 +213,9 @@ def test_eval_failures_exit_with_their_code_and_write_no_report(inputs, tmp_path
         "empty": b"MSLDF 0 20\n",
         "nan": payload[:-4] + np.array([np.nan], "<f4").tobytes(),
         "inf": payload[:-4] + np.array([-np.inf], "<f4").tobytes(),
+        "no_newline": b"MSLDF 20 24",
+        "magic": b"MSLDX" + payload[5:],
+        "non_integer": b"MSLDF 20 x4\n" + payload[payload.index(b"\n") + 1:],
     }
     for name, data in malformed.items():
         (tmp_path / f"{name}.msldf").write_bytes(data)

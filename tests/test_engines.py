@@ -22,12 +22,12 @@ from msld import (
     ScaleStats,
     msld_reference,
     msld_streaming,
+    scale_stats,
     stream_pass1,
     stream_pass2,
 )
 from msld import streaming
 from msld.fixedpoint import (
-    FixedPoint,
     FixedPointOverflowError,
     div_round_half_away,
     fx_div,
@@ -37,6 +37,7 @@ from msld.fixedpoint import (
     fx_reciprocal,
     fx_sqrt,
     fx_sub,
+    fx_to_real,
 )
 from msld.kernel import band_bytes, band_sums
 
@@ -130,14 +131,14 @@ def exact_fixed_stats(pixels, roi, window, frac_bits):
 
     def rounded(values):
         nonlocal clamps
-        mean = fx_div(FixedPoint(values.sum(), f), n)
-        sum_sq = FixedPoint(div_round_half_away((values * values).sum(), 1 << f), f)
-        var = fx_sub(fx_div(sum_sq, n), fx_mul(mean, mean))
-        clamps += var.raw < 0
-        return mean.value, fx_sqrt(FixedPoint(max(var.raw, 0), f)).value
+        mean = fx_div(values.sum(), n, f)
+        sum_sq = div_round_half_away((values * values).sum(), 1 << f)
+        var = fx_sub(fx_div(sum_sq, n, f), fx_mul(mean, mean, f))
+        clamps += var < 0
+        return fx_to_real(mean, f), fx_to_real(fx_sqrt(max(var, 0), f), f)
 
-    window_means = window_sums[roi].astype(object) * fx_reciprocal(window * window, f).raw
-    scales = [rounded(line_max[roi].astype(object) * fx_reciprocal(length, f).raw - window_means)
+    window_means = window_sums[roi].astype(object) * fx_reciprocal(window * window, f)
+    scales = [rounded(line_max[roi].astype(object) * fx_reciprocal(length, f) - window_means)
               for length, line_max in zip(range(1, window + 1, 2), line_maxima)]
     igc = rounded(pixels[roi].astype(object) * (1 << f))
     return tuple(m for m, _ in scales), tuple(s for _, s in scales), *igc, clamps
@@ -191,13 +192,13 @@ def exact_fixed_map(pixels, roi, window, stats):
     scale_recips, window_recip = streaming._fixed_recips(window, f)
 
     def quantized(v):
-        return Fraction(fx_from_real(v, f).raw, 1 << f)
+        return Fraction(fx_from_real(v, f), 1 << f)
 
     scales = [(line_max[roi].tolist(), recip, quantized(mean), quantized(std))
               for line_max, recip, mean, std
               in zip(line_maxima, scale_recips, stats.scale_means, stats.scale_stds)]
     igc_mean, igc_std = quantized(stats.igc_mean), quantized(stats.igc_std)
-    combine = Fraction(fx_reciprocal(len(scales) + 1, f).raw, 1 << f)
+    combine = Fraction(fx_reciprocal(len(scales) + 1, f), 1 << f)
     values = []
     for i, (b, p) in enumerate(zip(window_sums[roi].tolist(), pixels[roi].tolist())):
         z = sum((Fraction(sums[i] * recip - b * window_recip, 1 << f) - mean) / std
@@ -256,6 +257,32 @@ def test_pass2_range_check_boundary(mean):
     assert_within_one_ulp(pixels, roi, 129, stream_pass2(img, mask, params, stats, "fixed"), stats)
     with pytest.raises(FixedPointOverflowError):
         stream_pass2(img, mask, params, stats_at(lo), "fixed")
+
+
+def test_fixed_negative_variance_clamped_to_zero():
+    # one 255 among 254s: at f=12 the channel's mean 254 + 1/36 rounds up by
+    # about a fifth of an ulp, which raises its square by about 112 ulps,
+    # more than the variance 35/36**2 (about 111 ulps)
+    pixels = np.full((6, 6), 254, dtype=np.uint8)
+    pixels[0, 0] = 255
+    roi = np.ones((6, 6), dtype=bool)
+    params = MsldParams(window=3, frac_bits=12)
+    resp, stats, _ = msld_streaming(GrayImage(pixels), Mask(roi), params, "fixed")
+    assert stats.negative_variance_clamps == 1 and stats.igc_std == 0.0
+    assert stats_tuple(stats) == exact_fixed_stats(pixels, roi, 3, 12)
+    assert_within_one_ulp(pixels, roi, 3, resp, stats)
+
+
+def test_fixed_sums_range_check_boundary():
+    # the channel's sum of squares rounded to f bits, 16 * 255**2 * 2**f,
+    # fits below 2**63 at f=43 and not at f=44
+    pixels = np.full((4, 4), 255, dtype=np.uint8)
+    roi = np.ones((4, 4), dtype=bool)
+    img, mask = GrayImage(pixels), Mask(roi)
+    stats = stream_pass1(img, mask, MsldParams(window=3, frac_bits=43), "fixed")
+    assert stats_tuple(stats) == exact_fixed_stats(pixels, roi, 3, 43)
+    with pytest.raises(FixedPointOverflowError):
+        stream_pass1(img, mask, MsldParams(window=3, frac_bits=44), "fixed")
 
 
 def test_window_larger_than_image():
@@ -533,6 +560,25 @@ def test_stats_reject_non_finite_values(field, value):
     fields[field] = (fields[field][0], value) if field.startswith("scale") else value
     with pytest.raises(ValueError, match="finite"):
         ScaleStats(**fields, roi_count=4)
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(scale_stds=(0.5,)), "equal length"),
+    (dict(roi_count=0), "roi_count"),
+    (dict(scale_stds=(0.5, -0.25)), "non-negative"),
+    (dict(igc_std=-10.0), "non-negative"),
+], ids=["unequal_lengths", "no_roi", "negative_scale_std", "negative_igc_std"])
+def test_stats_reject_inconsistent_values(change, message):
+    fields = dict(scale_means=(1.0, -2.0), scale_stds=(0.5, 0.25), igc_mean=100.0, igc_std=10.0,
+                  roi_count=4)
+    ScaleStats(**fields)
+    with pytest.raises(ValueError, match=message):
+        ScaleStats(**{**fields, **change})
+
+
+def test_scale_stats_of_no_pixels_is_an_empty_roi():
+    with pytest.raises(EmptyRoiError):
+        scale_stats(0, 0, 0)
 
 
 # sha256 of the float64 streaming-fixed maps, recorded from the pass 2

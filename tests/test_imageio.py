@@ -91,11 +91,26 @@ def test_truncated_payload_rejected(tmp_path):
         load_pnm(path)
 
 
-def test_malformed_header_rejected(tmp_path):
+@pytest.mark.parametrize("load, data, match", [
+    (load_pnm, b"P5\nxx 4\n255\n", "width is not an integer"),
+    (load_pnm, b"", "end of file"),
+    (load_pnm, b"P5\n0 4\n255\n", "invalid dimensions 0x4"),
+    # the first pixel byte is '#', right after the maxval
+    (load_pnm, b"P5\n1 1\n255#", "missing whitespace"),
+    (load_pnm, b"P2\n2 1\n255\n0 256\n", "out of range"),
+    (load_mask, b"P6\n1 1\n255\n\x00\x00\x00", "grayscale"),
+], ids=["non_integer_width", "empty", "zero_width", "no_whitespace_before_raster",
+        "ascii_sample_256", "mask_is_ppm"])
+def test_malformed_header_rejected(tmp_path, load, data, match):
     path = tmp_path / "h.pgm"
-    path.write_bytes(b"P5\nxx 4\n255\n")
-    with pytest.raises(PnmFormatError, match="header"):
-        load_pnm(path)
+    path.write_bytes(data)
+    with pytest.raises(PnmFormatError, match=match):
+        load(path)
+
+
+def test_encode_rejects_a_mask():
+    with pytest.raises(TypeError, match="Mask"):
+        encode_pnm(Mask(np.ones((2, 2), dtype=bool)))
 
 
 def test_inverted_green_examples():
