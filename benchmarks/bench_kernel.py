@@ -5,21 +5,23 @@ collecting it):
 
     PYTHONPATH=src python -m pytest benchmarks/bench_kernel.py
 
-(``--benchmark-disable`` runs each case once.) ``msld_streaming`` calls
-the kernel on pass-1 bands of ``streaming.pass1_height(width, height, W)``
-rows and on pass-2 bands of ``streaming.band_height(width, height)``
-rows, and so does this file's ``sweep``: 144 rows and then 36 at 565
-columns (DRIVE size); 40 rows and then 10 at 2048 columns (HRF size); 25
-rows and then 8 on 64-row tiles, where per-call overhead dominates. The
-reference (``streaming.sweep``) takes 36-row bands once at 565 columns,
-10-row bands at 2048 and one band on a 64-row tile.
+(``--benchmark-disable`` runs each case once.) Each band returns every
+sum in one array of one integer type, uint16 at W = 15. ``msld_streaming``
+calls the kernel on pass-1 bands of ``streaming.pass1_height(width,
+height, W)`` rows and on pass-2 bands of ``streaming.band_height(width,
+height)`` rows: 144 rows and then 36 at 565 columns (DRIVE size); 40 rows
+and then 10 at 2048 columns (HRF size); 27 rows and then 8 on 64-row
+tiles, where per-call overhead dominates. The reference
+(``streaming.sweep``) forms the sums once, in bands of max(8, BAND_PIXELS
+// width) rows that it keeps: 36 rows at 565 columns, 10 at 2048 and one
+band on a 64-row tile. This file's ``sweep`` runs all three schedules.
 """
 
 import numpy as np
 import pytest
 
 from msld.kernel import band_sums
-from msld.streaming import band_height, pass1_height
+from msld.streaming import BAND_PIXELS, band_height, pass1_height
 
 WINDOW = 15
 
@@ -30,7 +32,8 @@ def image(height: int, width: int) -> np.ndarray:
 
 def sweep(pixels: np.ndarray):
     height, width = pixels.shape
-    for band_rows in (pass1_height(width, height, WINDOW), band_height(width, height)):
+    for band_rows in (pass1_height(width, height, WINDOW), band_height(width, height),
+                      max(8, BAND_PIXELS // width)):
         for y0 in range(0, height, band_rows):
             band_sums(pixels, y0, min(y0 + band_rows, height), WINDOW)
 

@@ -12,6 +12,7 @@ clamped to the nearest edge pixel.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,6 +40,15 @@ class MsldParams:
     frac_bits: int = 18
 
     def __post_init__(self):
+        # integral values of any type become ints; floats and bools are rejected
+        for name in ("window", "frac_bits"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"window must be odd and >= 3, got {self.window}")
         if self.frac_bits < 1:

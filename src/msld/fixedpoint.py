@@ -29,10 +29,12 @@ def _checked(raw: int) -> int:
 
 
 def div_round_half_away(num: int, den: int) -> int:
-    """Round num/den to the nearest integer, halves away from zero. den > 0."""
-    if num >= 0:
-        return (2 * num + den) // (2 * den)
-    return -((2 * -num + den) // (2 * den))
+    """Round num/den to the nearest integer, halves away from zero. den > 0.
+
+    One floor division, as in ``div_round_half_away_i64``: subtracting 1
+    from a negative num's doubled numerator moves its halves away from zero.
+    """
+    return (2 * num + den - (num < 0)) // (2 * den)
 
 
 def div_round_half_away_i64(num: np.ndarray, den: int, out: np.ndarray | None = None) -> np.ndarray:

@@ -1,17 +1,18 @@
 """Raster-order two-pass engine with bounded auxiliary memory.
 
-Both engines are this one, and both sweep the image in bands from the
-same pixel budget. For each band the integer kernel (``kernel.band_sums``)
-forms the window sums and the maxima of the oriented line sums of every
-length from 3 up, in its padded layout; scale 1's line sum is the pixel.
-Pass 1 adds their ROI values to exact integer sums, the same in both
-arithmetic modes; finalizing them yields each scale's mean and standard
-deviation. Pass 2 standardizes and combines the sums band by band, so no
-per-scale response image is ever stored. ``msld_streaming`` is its two
-public passes, ``stream_pass1`` then ``stream_pass2``: pass 2 forms the
-sums again and each pass drops a band's sums before the next is formed,
-so its auxiliary state is one band of window + rows - 1 image rows with
-its sums, plus a handful of per-scale words, regardless of image height.
+Both engines are this one, and both sweep the image in bands from the same
+pixel budget. For each band the integer kernel (``kernel.band_sums``)
+forms, in its padded layout and in one integer type, one array indexed by
+scale: the window sums at index 0 and the maxima of the oriented line sums
+of length 2s + 1 at index s >= 1; scale 1's line sum is the pixel. Pass 1
+adds their ROI values to exact integer sums, the same in both arithmetic
+modes; finalizing them yields each scale's mean and standard deviation.
+Pass 2 standardizes and combines the sums band by band, so no per-scale
+response image is ever stored. ``msld_streaming`` is its two public passes,
+``stream_pass1`` then ``stream_pass2``: pass 2 forms the sums again and
+each pass drops a band's sums before the next is formed, so its auxiliary
+state is one band of window + rows - 1 image rows with its sums, plus a
+handful of per-scale words, regardless of image height.
 ``reference.msld_reference`` runs the float datapath through ``sweep``,
 which keeps every band's sums for pass 2 instead.
 
@@ -23,7 +24,7 @@ pass 2, which holds the response map, on short images, where 64-row tiles
 keep 8-row bands. Pass 1 runs before the map is allocated, so its bands
 (``pass1_height``) take up to four budgets (``PASS1_BAND_PIXELS``) until
 their kernel buffers fill the map's bytes plus one pass-2 band: 144 rows
-at DRIVE width and 40 at HRF width, where the pixel cap binds, and 25 rows
+at DRIVE width and 40 at HRF width, where the pixel cap binds, and 27 rows
 on a 64-row tile, where the map does. The reference keeps all its sums
 anyway, so both its passes take max(8, BAND_PIXELS // width) rows, and a
 tile is one band. The height changes no output bit: pass 1 sums exact
@@ -76,8 +77,8 @@ from .kernel import band_bytes, band_sums
 from .reference import EmptyRoiError, ResponseMap, ScaleStats, scale_stats
 
 ArithmeticMode = Literal["float", "fixed"]
-# (rows, roi, window_sums, line_maxima) of one band
-Band = tuple[slice, np.ndarray, np.ndarray, np.ndarray]
+# (rows, roi, sums) of one band, sums as ``kernel.band_sums`` returns them
+Band = tuple[slice, np.ndarray, np.ndarray]
 
 # pixels per band above the 8-row floor: at DRIVE width (565 columns, 36
 # rows) the largest budget of a sweep at which the float engine's measured
@@ -112,20 +113,20 @@ class MemoryFootprint:
     (three per scale, two of the window sums) and the ROI counter;
     peak_total_bytes bounds both passes' bands: every buffer of the kernel
     (``kernel.band_bytes``: the padded band with its spare row, the column
-    sums, and the padded-width outputs and running line sum) of the taller
-    band, pass 1's of ``pass1_height`` rows unless the image is lower than
-    8 rows, four 8-byte registers of one pass-2 band of ``band_height``
-    rows, and the words above. It models the band that runs, so it counts
-    pass 1's band of up to four pixel budgets (2.67 MB at DRIVE size and
-    W = 15), though pass 1 runs before the response map exists and its
-    measured peak stays within pass 2's. The registers bound both
-    datapaths: pass 1 gathers at most a pass-2 band's pixels at a time, and
-    both modes hold their ROI indices, compact and padded, and the ROI
-    values of the window sums and of one scale's line sums; in pass 2 both
-    modes hold one term of the affine form, which float mode adds to the
-    output rows and fixed mode to an int64 accumulator. Expression
-    temporaries, the input image and the output response map are excluded;
-    pass 1 runs before the map is allocated.
+    sums, and the padded-width sums of every scale and running line sum, all
+    in one integer type) of the taller band, pass 1's of ``pass1_height``
+    rows unless the image is lower than 8 rows, four 8-byte registers of one
+    pass-2 band of ``band_height`` rows, and the words above. It models the
+    band that runs, so it counts pass 1's band of up to four pixel budgets
+    (2.50 MB at DRIVE size and W = 15), though pass 1 runs before the
+    response map exists and its measured peak stays within pass 2's. The
+    registers bound both datapaths: pass 1 gathers at most a pass-2 band's
+    pixels at a time, and both modes hold their ROI indices, compact and
+    padded, and the ROI values of the window sums and of one scale's line
+    sums; in pass 2 both modes hold one term of the affine form, which float
+    mode adds to the output rows and fixed mode to an int64 accumulator.
+    Expression temporaries, the input image and the output response map are
+    excluded; pass 1 runs before the map is allocated.
     """
 
     line_buffer_slots: int
@@ -147,7 +148,7 @@ def pass1_height(width: int, height: int, window: int) -> int:
     of at most max(8, PASS1_BAND_PIXELS // width) rows and at most the
     image's height, whose kernel buffers (``band_bytes``, linear in the
     rows) fit in the map plus one pass-2 band of ``band_height`` rows. The
-    map binds on short images (25 rows on a 64 x 64 tile at W = 15), the
+    map binds on short images (27 rows on a 64 x 64 tile at W = 15), the
     pixel cap at DRIVE (144 rows) and HRF (40 rows) widths.
     """
     band_rows = band_height(width, height)
@@ -212,8 +213,7 @@ class StreamAccumulators:
         # largest window sum squared
         self._block = max(1, min(block_pixels, (2**63 - 1) // (255 * params.window**2) ** 2))
 
-    def update_row(self, window_sums: np.ndarray, line_maxima: np.ndarray,
-                   channel: np.ndarray, roi: np.ndarray):
+    def update_row(self, sums: np.ndarray, channel: np.ndarray, roi: np.ndarray):
         """Add one band: its padded kernel sums, channel rows and ROI flags.
 
         A band of more ROI pixels than a block is taken a block's rows at a
@@ -226,10 +226,9 @@ class StreamAccumulators:
             inside += y0 * ncols
             self.roi_count += inside.size
             for start in range(0, inside.size, self._block):
-                self._add_pixels(window_sums, line_maxima, channel, inside[start:start + self._block])
+                self._add_pixels(sums, channel, inside[start:start + self._block])
 
-    def _add_pixels(self, window_sums: np.ndarray, line_maxima: np.ndarray,
-                    channel: np.ndarray, inside: np.ndarray):
+    def _add_pixels(self, sums: np.ndarray, channel: np.ndarray, inside: np.ndarray):
         """Add the band pixels at the flat indices inside.
 
         Gathering by index is several times faster than by a boolean mask
@@ -238,16 +237,16 @@ class StreamAccumulators:
         """
         ncols = channel.shape[1]
         padded = inside // ncols
-        padded *= window_sums.shape[1] - ncols
+        padded *= sums.shape[2] - ncols
         padded += inside
-        wsums = window_sums.reshape(-1).take(padded).astype(np.int64)
+        wsums = sums[0].reshape(-1).take(padded).astype(np.int64)
         self.window_sum += int(wsums.sum())
         self.window_sum2 += int(wsums @ wsums)
         # one scale's values at a time, in one buffer
         line = np.empty_like(wsums)
         for s in range(self.params.n_scales):
             # scale 1's line sum is the pixel
-            source, index = (channel, inside) if s == 0 else (line_maxima[s - 1], padded)
+            source, index = (channel, inside) if s == 0 else (sums[s], padded)
             np.copyto(line, source.reshape(-1).take(index))
             self.line_sum[s] += int(line.sum())
             self.line_sum2[s] += int(line @ line)
@@ -311,23 +310,23 @@ def _fixed_recips(window: int, frac_bits: int) -> tuple[tuple[int, ...], int]:
 
 
 def _bands(pixels: np.ndarray, mask: Mask, window: int, band_rows: int) -> Iterator[Band]:
-    """Yield (rows, roi, window_sums, line_maxima) for every band of
-    band_rows output rows that holds an ROI pixel."""
+    """Yield (rows, roi, sums) for every band of band_rows output rows that
+    holds an ROI pixel."""
     height = pixels.shape[0]
     for y0 in range(0, height, band_rows):
         rows = slice(y0, min(y0 + band_rows, height))
         roi = mask.inside[rows]
         if roi.any():
-            yield rows, roi, *band_sums(pixels, rows.start, rows.stop, window)
+            yield rows, roi, band_sums(pixels, rows.start, rows.stop, window)
 
 
 def _run_pass1(pixels: np.ndarray, params: MsldParams, mode: ArithmeticMode,
                bands: Iterable[Band], block_pixels: int) -> ScaleStats:
     acc = StreamAccumulators(params, mode, block_pixels)
-    for rows, roi, window_sums, line_maxima in bands:
-        acc.update_row(window_sums, line_maxima, pixels[rows], roi)
+    for rows, roi, sums in bands:
+        acc.update_row(sums, pixels[rows], roi)
         # released before the next band's sums are formed
-        del window_sums, line_maxima
+        del sums
     return acc.finalize()
 
 
@@ -449,7 +448,7 @@ def _run_pass2(pixels: np.ndarray, params: MsldParams, mode: ArithmeticMode,
     term = acc = None
     guard = 1 << _guard_bits(params.window)
     ncols = pixels.shape[1]
-    for rows, roi, window_sums, line_maxima in bands:
+    for rows, roi, sums in bands:
         if term is None:
             # only the last band can be lower than the first
             term = np.empty(roi.shape, dtype=np.int64 if fixed else np.float64)
@@ -457,14 +456,14 @@ def _run_pass2(pixels: np.ndarray, params: MsldParams, mode: ArithmeticMode,
         combined = acc[:rows.stop - rows.start] if fixed else out[rows]
         band_term = term[:combined.shape[0]]
         np.multiply(pixels[rows], channel_coeff, out=combined)
-        np.multiply(window_sums[:, :ncols], window_coeff, out=band_term)
+        np.multiply(sums[0, :, :ncols], window_coeff, out=band_term)
         combined -= band_term
         for s, coeff in scale_terms:
             # scale 1's line sum is the pixel
-            np.multiply(line_maxima[s - 1, :, :ncols] if s else pixels[rows], coeff, out=band_term)
+            np.multiply(sums[s, :, :ncols] if s else pixels[rows], coeff, out=band_term)
             combined += band_term
         # released before the rounding's temporaries and the next band's sums
-        del window_sums, line_maxima
+        del sums
         combined -= offset
         if fixed:
             # rounded into the term buffer, so the band holds no temporaries

@@ -6,10 +6,11 @@ from msld.kernel import band_sums
 
 
 def compact_band_sums(pixels, y0, y1, window):
-    """``band_sums`` cropped to the image's columns, with the length-1 line
-    sums (the pixels) put back in front of the maxima: window sums of shape
-    (rows, cols) and maxima of every line length, of shape (scales, rows, cols)."""
-    window_sums, line_maxima = band_sums(pixels, y0, y1, window)
-    ncols = pixels.shape[1]
-    pixel_sums = pixels[y0:y1].astype(line_maxima.dtype)[None]
-    return window_sums[:, :ncols], np.concatenate([pixel_sums, line_maxima[:, :, :ncols]])
+    """``band_sums`` cropped to the image's columns and split, with the
+    length-1 line sums (the pixels) put in its window sums' place: window
+    sums of shape (rows, cols) and maxima of every line length, of shape
+    (scales, rows, cols)."""
+    sums = band_sums(pixels, y0, y1, window)[:, :, :pixels.shape[1]]
+    line_maxima = sums.copy()
+    line_maxima[0] = pixels[y0:y1]
+    return sums[0], line_maxima

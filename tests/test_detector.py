@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from compact_sums import compact_band_sums
 from msld.detector import ORIENTATION_COUNT, MsldParams, line_offsets
-from msld.imageio import GrayImage
+from msld.imageio import GrayImage, Mask
+from msld.streaming import msld_streaming
 
 
 def rand_image(rng, height, width):
@@ -48,6 +49,24 @@ class TestParams:
     def test_bad_frac_bits_rejected(self):
         with pytest.raises(ValueError):
             MsldParams(window=5, frac_bits=0)
+
+    def test_integral_values_become_ints(self):
+        p = MsldParams(window=np.int64(15), frac_bits=np.uint8(18))
+        assert (type(p.window), type(p.frac_bits)) == (int, int)
+        assert p == MsldParams(window=15, frac_bits=18)
+        # fixed mode shifts and takes bit lengths of both
+        pixels = np.random.default_rng(9).integers(0, 256, (6, 6), dtype=np.uint8)
+        _, stats, _ = msld_streaming(GrayImage(pixels), Mask(np.ones((6, 6), dtype=bool)), p, "fixed")
+        assert stats.frac_bits == 18
+
+    @pytest.mark.parametrize("field, value", [
+        ("window", 15.0), ("window", np.float64(15)), ("window", True), ("window", "15"),
+        ("frac_bits", 18.0), ("frac_bits", True), ("frac_bits", np.True_), ("frac_bits", None),
+    ], ids=["window-float", "window-float64", "window-bool", "window-str",
+            "frac_bits-float", "frac_bits-bool", "frac_bits-numpy-bool", "frac_bits-none"])
+    def test_non_integral_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MsldParams(**{field: value})
 
     def test_orientations_fixed(self):
         # the count is the constant ORIENTATION_COUNT, not an option

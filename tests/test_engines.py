@@ -403,6 +403,17 @@ def test_pass1_height_is_the_budget_where_it_binds(width, height):
     assert streaming.pass1_height(width, height, 15) == {565: 144, 2048: 40}[width]
 
 
+@pytest.mark.parametrize("width, height, pass1, pass2, peak", [
+    (565, 584, 144, 36, 2_504_190), (2048, 1536, 40, 10, 2_533_448), (64, 64, 27, 8, 66_724),
+])
+def test_band_schedule_at_the_workload_sizes(width, height, pass1, pass2, peak):
+    # DRIVE, HRF and a 64 x 64 tile at W = 15: the map binds pass 1 only on
+    # the tile, where it still takes three kernel calls
+    assert streaming.pass1_height(width, height, 15) == pass1
+    assert streaming.band_height(width, height) == pass2
+    assert streaming.memory_footprint(MsldParams(window=15), width, height).peak_total_bytes == peak
+
+
 @pytest.mark.parametrize("height, width, share", [
     pytest.param(64, 64, 0.3, id="0.3"),
     pytest.param(64, 64, 1.0, id="1.0"),
@@ -465,8 +476,8 @@ def test_streaming_sweeps_bands_of_the_budget_height(monkeypatch):
     stream_pass2(img, mask, params, stream_pass1(img, mask, params))
     # an eighth of 100 rows caps pass 2 below the 512 rows the budget allows
     # at 40 columns; pass 1 runs before the 32,000-byte response map and
-    # spends it at 616 kernel bytes a row on 51 more rows
-    first = [(0, 63), (63, 100)]
+    # spends it at 528 kernel bytes a row on 60 more rows
+    first = [(0, 72), (72, 100)]
     bands = [(y0, min(y0 + 12, 100)) for y0 in range(0, 100, 12)]
     assert calls == (first + bands) * 2
 

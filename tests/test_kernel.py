@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bruteforce import band_sums_bruteforce
 from compact_sums import compact_band_sums
-from msld.kernel import band_bytes, band_sums, line_sum_dtype, window_sum_dtype
+from msld.kernel import band_bytes, band_sums, sum_dtype
 
 
 @given(
@@ -36,20 +36,27 @@ def test_sums_match_the_bruteforce_line_geometry(height, width, y0, y1, window):
     # the window sums and every length's maximum over the 12 orientations,
     # from the oracle's own line rasterization and edge clamping
     pixels = np.random.default_rng(height * width + window).integers(0, 256, (height, width), dtype=np.uint8)
-    window_sums, line_maxima = band_sums(pixels, y0, y1, window)
+    sums = band_sums(pixels, y0, y1, window)
+    window_sums, line_maxima = sums[0], sums[1:]
     expected_sums, expected_maxima = band_sums_bruteforce(pixels, y0, y1, window)
     assert window_sums[:, :width].tolist() == expected_sums
     assert line_maxima[:, :, :width].tolist() == expected_maxima
 
 
-@pytest.mark.parametrize("window, dtype", [(127, np.int16), (129, np.int32)])
-def test_line_sums_stay_exact_at_full_scale(window, dtype):
+@pytest.mark.parametrize("window, dtype", [
+    # 57,375 is beyond int16; 255 * 17 * 17 is beyond uint16
+    (15, np.uint16), (17, np.int32), (127, np.int32), (129, np.int32),
+])
+def test_one_sum_type_holds_every_full_scale_sum(window, dtype):
+    # one C-contiguous array of one dtype, indexed by scale: the window sums
+    # in row 0 and the maxima of the line sums of length 2s + 1 in row s
     pixels = np.full((2, 3), 255, dtype=np.uint8)
-    window_sums, line_maxima = compact_band_sums(pixels, 0, 2, window)
-    assert window_sums.dtype == np.int32 and line_maxima.dtype == dtype
-    assert (window_sums == 255 * window * window).all()
-    lengths = np.arange(1, window + 1, 2)
-    assert (line_maxima == 255 * lengths[:, None, None]).all()
+    sums = band_sums(pixels, 0, 2, window)
+    assert sum_dtype(window) == dtype and sums.dtype == dtype
+    assert sums.shape == ((window + 1) // 2, 2, 3 + window - 1) and sums.flags.c_contiguous
+    assert (sums[0, :, :3] == 255 * window * window).all()
+    lengths = np.arange(3, window + 1, 2)
+    assert (sums[1:, :, :3] == 255 * lengths[:, None, None]).all()
 
 
 def test_window_beyond_int32_rejected():
@@ -65,23 +72,14 @@ def test_outputs_are_compact_and_inside_the_modeled_bytes(height, width, window,
     band_sums(pixels, y0, y1, window)  # fills the line-geometry cache outside the trace
     tracemalloc.start()
     try:
-        window_sums, line_maxima = band_sums(pixels, y0, y1, window)
+        sums = band_sums(pixels, y0, y1, window)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     rows, padded_cols = y1 - y0, width + window - 1
-    assert window_sums.dtype == window_sum_dtype(window) and window_sums.shape == (rows, padded_cols)
-    assert line_maxima.dtype == line_sum_dtype(window)
-    # the maxima start at length 3: the length-1 line is the pixel
-    assert line_maxima.shape == ((window - 1) // 2, rows, padded_cols)
-    assert window_sums.flags.c_contiguous and line_maxima.flags.c_contiguous
+    assert sums.dtype == sum_dtype(window)
+    # the window sums, then the maxima from length 3: the length-1 line is the pixel
+    assert sums.shape == ((window + 1) // 2, rows, padded_cols)
+    assert sums.flags.c_contiguous
     modeled = band_bytes(rows, width, window)
-    assert window_sums.nbytes + line_maxima.nbytes <= peak <= modeled
-
-
-@pytest.mark.parametrize("window, dtype", [(15, np.uint16), (17, np.int32)])
-def test_window_sums_take_16_bits_up_to_w15(window, dtype):
-    pixels = np.full((2, 3), 255, dtype=np.uint8)
-    window_sums, _ = band_sums(pixels, 0, 2, window)
-    assert window_sum_dtype(window) == dtype and window_sums.dtype == dtype
-    assert (window_sums[:, :3] == 255 * window * window).all()
+    assert sums.nbytes <= peak <= modeled
