@@ -13,7 +13,6 @@ statistics as the streaming engine in float mode.
 
 from .detector import (
     ORIENTATION_COUNT,
-    LinePattern,
     MsldParams,
     line_offsets,
 )

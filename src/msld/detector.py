@@ -2,11 +2,12 @@
 
 The response at a pixel compares the brightest of 12 oriented line means
 against the mean of the surrounding W-by-W window, at every odd line
-length from 1 up to W; ``kernel.band_sums`` forms the sums. Lines are
-rasterized by stepping along the dominant axis so each length-L line
-covers exactly L distinct pixels and shorter lines nest inside longer ones
-at the same orientation. Sample coordinates falling outside the image are
-clamped to the nearest edge pixel.
+length from 1 up to W; ``kernel.band_sums`` forms the sums. Each line is
+a plain tuple of (dx, dy) offsets from ``line_offsets``, rasterized by
+stepping along the dominant axis so each length-L line covers exactly L
+distinct pixels and shorter lines nest inside longer ones at the same
+orientation. Sample coordinates falling outside the image are clamped to
+the nearest edge pixel.
 """
 
 from __future__ import annotations
@@ -63,26 +64,16 @@ class MsldParams:
         return (self.window + 1) // 2
 
 
-@dataclass(frozen=True)
-class LinePattern:
-    """Pixel offsets of one oriented line, ordered along the dominant axis.
-
-    Offsets are (dx, dy) relative to the line's center pixel, which sits at
-    index (length - 1) / 2. The set is point-symmetric about the origin, and
-    the pattern for length L is the central subset of the pattern for L + 2.
-    """
-
-    orientation_index: int
-    length: int
-    offsets: tuple[tuple[int, int], ...]
-
-
 @lru_cache(maxsize=None)
-def line_offsets(orientation_index: int, length: int) -> LinePattern:
-    """Rasterize the line at angle orientation_index * 15 degrees.
+def line_offsets(orientation_index: int, length: int) -> tuple[tuple[int, int], ...]:
+    """Pixel offsets (dx, dy) of the line at angle orientation_index * 15
+    degrees, relative to its centre pixel.
 
-    Steps j = -(L-1)/2 .. (L-1)/2 run along the dominant axis; the other
-    coordinate is round(j * slope) with halves rounded away from zero.
+    Steps j = -(L-1)/2 .. (L-1)/2 run along the dominant axis, in that
+    order, so the centre pixel sits at index (L - 1) / 2; the other
+    coordinate is round(j * slope) with halves rounded away from zero. The
+    offsets are point-symmetric about the origin, and those of length L are
+    the central L of those of length L + 2.
     """
     if not 0 <= orientation_index < ORIENTATION_COUNT:
         raise ValueError(f"orientation_index must be 0..11, got {orientation_index}")
@@ -100,4 +91,4 @@ def line_offsets(orientation_index: int, length: int) -> LinePattern:
         slope = cos_t / sin_t
         for j in range(-half, half + 1):
             offsets.append((round_half_away(j * slope), j))
-    return LinePattern(orientation_index, length, tuple(offsets))
+    return tuple(offsets)

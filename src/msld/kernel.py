@@ -107,34 +107,30 @@ def band_sums(pixels: np.ndarray, y0: int, y1: int, window: int) -> np.ndarray:
     row = np.add(column_sums[:n], column_sums[1:n + 1], out=sums[0])
     for dx in range(2, window):
         row += column_sums[dx:dx + n]
-    del column_sums
+    del column_sums, row
 
     centre = half * padded_cols + half
-    # orientation 0 runs its line sums in the maxima rows themselves, before
-    # the line buffer exists: each length is the shorter one (the centre
-    # pixel for the first) plus its two new endpoints
-    row = flat[centre:centre + n]
-    offsets = line_offsets(0, window).offsets
-    for j in range(half):
-        dx, dy = offsets[half + j + 1]
-        ahead = centre + dy * padded_cols + dx
-        behind = centre - dy * padded_cols - dx
-        row = np.add(row, flat[ahead:ahead + n], out=sums[j + 1])
-        row += flat[behind:behind + n]
-    del row
-    # every later orientation runs them in one line buffer and raises the
-    # maxima to them; each maximum's view is dropped before the next step's
-    # two band views exist, so no step holds three
-    line = np.empty(n, dtype=dtype)
-    for k in range(1, ORIENTATION_COUNT):
-        offsets = line_offsets(k, window).offsets
+    # every orientation builds each length's line sums from the shorter
+    # one's (the centre pixel for the first) plus its two new endpoints:
+    # orientation 0 in the maxima rows themselves, every later one in the
+    # line buffer, which then raises the maxima. The buffer is allocated
+    # after orientation 0, whose views would lift the peak above the column
+    # sums' while it lives, and each maximum's view is dropped before the
+    # next step's two band views exist, so no step holds three
+    line = None
+    for k in range(ORIENTATION_COUNT):
+        offsets = line_offsets(k, window)
+        shorter = flat[centre:centre + n]
         for j in range(half):
             dx, dy = offsets[half + j + 1]
             ahead = centre + dy * padded_cols + dx
             behind = centre - dy * padded_cols - dx
-            np.add(line if j else flat[centre:centre + n], flat[ahead:ahead + n], out=line)
-            line += flat[behind:behind + n]
-            row = sums[j + 1]
-            np.maximum(row, line, out=row)
-            del row
+            shorter = np.add(shorter, flat[ahead:ahead + n], out=line if k else sums[j + 1])
+            shorter += flat[behind:behind + n]
+            if k:
+                row = sums[j + 1]
+                np.maximum(row, line, out=row)
+                del row
+        if not k:
+            line = np.empty(n, dtype=dtype)
     return sums.reshape(half + 1, rows, padded_cols)

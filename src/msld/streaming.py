@@ -283,7 +283,11 @@ class StreamAccumulators:
                 if var < 0:
                     var = 0
                     clamps += 1
-                pairs.append((m / (1 << f), fx_sqrt(var, f) / (1 << f)))
+                std = fx_sqrt(var, f)
+                # ScaleStats holds doubles, and pass 2 quantizes them again
+                if float(m) != m or float(std) != std:
+                    raise FixedPointOverflowError("a fixed mean or std needs more bits than a double holds")
+                pairs.append((m / (1 << f), std / (1 << f)))
         else:
             area = self.params.window ** 2
             pairs = [scale_stats(*self._raw_sums(s, area, length), n, length * area)

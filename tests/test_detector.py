@@ -77,18 +77,18 @@ class TestParams:
 
 class TestLineOffsets:
     def test_horizontal(self):
-        assert set(line_offsets(0, 3).offsets) == {(-1, 0), (0, 0), (1, 0)}
+        assert set(line_offsets(0, 3)) == {(-1, 0), (0, 0), (1, 0)}
 
     def test_vertical(self):
-        assert set(line_offsets(6, 3).offsets) == {(0, -1), (0, 0), (0, 1)}
+        assert set(line_offsets(6, 3)) == {(0, -1), (0, 0), (0, 1)}
 
     def test_diagonal_45(self):
-        assert set(line_offsets(3, 5).offsets) == {
+        assert set(line_offsets(3, 5)) == {
             (-2, -2), (-1, -1), (0, 0), (1, 1), (2, 2)
         }
 
     def test_anti_diagonal_135(self):
-        offsets = set(line_offsets(9, 5).offsets)
+        offsets = set(line_offsets(9, 5))
         assert offsets == {(-2, 2), (-1, 1), (0, 0), (1, -1), (2, -2)}
 
     def test_invalid_arguments(self):
@@ -103,15 +103,14 @@ class TestLineOffsets:
     )
     @settings(max_examples=200, deadline=None)
     def test_pattern_invariants(self, k, length):
-        pattern = line_offsets(k, length)
-        offsets = pattern.offsets
+        offsets = line_offsets(k, length)
         assert len(set(offsets)) == length
         assert (0, 0) in offsets
         # point symmetry about the origin
         assert set(offsets) == {(-dx, -dy) for dx, dy in offsets}
         # nesting: this pattern sits inside the next longer one
         longer = line_offsets(k, length + 2)
-        assert set(offsets) < set(longer.offsets)
+        assert set(offsets) < set(longer)
         # ordered center-out: the center sample is at the middle index
         assert offsets[(length - 1) // 2] == (0, 0)
 
@@ -119,7 +118,7 @@ class TestLineOffsets:
         for k in range(ORIENTATION_COUNT):
             for length in range(1, 16, 2):
                 half = (length - 1) // 2
-                for dx, dy in line_offsets(k, length).offsets:
+                for dx, dy in line_offsets(k, length):
                     assert max(abs(dx), abs(dy)) <= half
 
 
@@ -203,7 +202,7 @@ class TestRawResponse:
             )
             for s, length in enumerate(params.scales):
                 assert line_maxima[s, y, x] == max(
-                    sum(clamped(x + dx, y + dy) for dx, dy in line_offsets(k, length).offsets)
+                    sum(clamped(x + dx, y + dy) for dx, dy in line_offsets(k, length))
                     for k in range(ORIENTATION_COUNT)
                 )
 

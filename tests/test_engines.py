@@ -285,6 +285,20 @@ def test_fixed_sums_range_check_boundary():
         stream_pass1(img, mask, MsldParams(window=3, frac_bits=44), "fixed")
 
 
+def test_fixed_stats_fit_a_double():
+    # the channel mean of the ROI (10, 20, 31) is 61/3, quantized to
+    # round(61 * 2**f / 3): 53 bits at f=48, 54 at f=49, where a double
+    # would carry it one ulp off into pass 2
+    pixels = np.array([[10, 20, 31], [0, 0, 0], [0, 0, 0]], dtype=np.uint8)
+    roi = np.zeros((3, 3), dtype=bool)
+    roi[0] = True
+    img, mask = GrayImage(pixels), Mask(roi)
+    stats = stream_pass1(img, mask, MsldParams(window=3, frac_bits=48), "fixed")
+    assert stats_tuple(stats) == exact_fixed_stats(pixels, roi, 3, 48)
+    with pytest.raises(FixedPointOverflowError):
+        stream_pass1(img, mask, MsldParams(window=3, frac_bits=49), "fixed")
+
+
 def test_window_larger_than_image():
     pixels = np.random.default_rng(2).integers(0, 256, (4, 5), dtype=np.uint8)
     assert_match_oracle(pixels, np.ones((4, 5), dtype=bool), 9)

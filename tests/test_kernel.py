@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -83,3 +84,32 @@ def test_outputs_are_compact_and_inside_the_modeled_bytes(height, width, window,
     assert sums.flags.c_contiguous
     modeled = band_bytes(rows, width, window)
     assert sums.nbytes <= peak <= modeled
+
+
+# sha256 of the sums of whole-image sweeps, each band cropped to the image's
+# columns, recorded before the kernel's line-sum loops were merged: a kernel
+# refactor must leave every bit of every band where it was.
+# (height, width, window, band rows) -> digest
+SWEEP_DIGESTS = {
+    # DRIVE size at W = 15 (uint16): the pass-1 and the pass-2 band heights
+    (584, 565, 15, 144): "a65e06fe6269569212af36eb40976fda2ec20f311a21daf673a5625aa22a8b83",
+    (584, 565, 15, 36): "cfa8f716445d9a72bf951c47b5f0ade20af214645a7e422bf3804ccfcf6c6ba4",
+    # a tile: one pass-1 band of 27 rows and pass-2 bands of 8
+    (64, 64, 15, 27): "47f8e15f318162ddbbd9ab4b03037aa506de8600d1ddfc531487136191d488d4",
+    (64, 64, 15, 8): "0223955bca0e9ac3cdbf1185a0ee8c9aa66ba3d2eca4776a4127702d8b2ddd32",
+    # int32 sums
+    (584, 565, 17, 36): "5d6fd9a9906bd3a96f9fae9e7ed599a05bbe0633c146318a36faf081b78f31fd",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_DIGESTS))
+def test_band_sweeps_pinned(case):
+    height, width, window, band_rows = case
+    pixels = np.random.default_rng(height + window).integers(0, 256, (height, width), dtype=np.uint8)
+    # a saturated corner puts full-scale sums in every band that reaches it
+    pixels[:40, :40] = 255
+    digest = hashlib.sha256()
+    for y0 in range(0, height, band_rows):
+        sums = band_sums(pixels, y0, min(y0 + band_rows, height), window)
+        digest.update(np.ascontiguousarray(sums[:, :, :width]).tobytes())
+    assert digest.hexdigest() == SWEEP_DIGESTS[case]
