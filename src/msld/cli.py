@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .detector import MsldParams
-from .fixedpoint import FixedPointOverflowError
+from .fixedpoint import FixedPointOverflowError, fx_to_real
 from .imageio import (
     GrayImage,
     Mask,
@@ -223,15 +223,12 @@ def cmd_compare(args) -> int:
         ("fixed_mean_abs_diff", repr(float(diff.mean()))),
         ("fixed_negative_variance_clamps", stats.negative_variance_clamps),
     ]
-    for s, scale in enumerate(params.scales):
-        pairs += [
-            (f"fixed_scale{scale}_mean_delta", repr(stats.scale_means[s] - ref_stats.scale_means[s])),
-            (f"fixed_scale{scale}_std_delta", repr(stats.scale_stds[s] - ref_stats.scale_stds[s])),
-        ]
-    pairs += [
-        ("fixed_igc_mean_delta", repr(stats.igc_mean - ref_stats.igc_mean)),
-        ("fixed_igc_std_delta", repr(stats.igc_std - ref_stats.igc_std)),
-    ]
+    names = [f"scale{scale}" for scale in params.scales] + ["igc"]
+    fixed = zip(stats.scale_means + (stats.igc_mean,), stats.scale_stds + (stats.igc_std,))
+    ref = zip(ref_stats.scale_means + (ref_stats.igc_mean,), ref_stats.scale_stds + (ref_stats.igc_std,))
+    for name, (mean, std), (ref_mean, ref_std) in zip(names, fixed, ref):
+        pairs += [(f"fixed_{name}_mean_delta", repr(fx_to_real(mean, params.frac_bits) - ref_mean)),
+                  (f"fixed_{name}_std_delta", repr(fx_to_real(std, params.frac_bits) - ref_std))]
     _emit_report(args, _report_lines(pairs))
     return EXIT_OK
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import MsldParams
+from .fixedpoint import RAW_LIMIT
 from .imageio import GrayImage, Grid, Mask
 
 
@@ -42,13 +43,15 @@ class ScaleStats:
     them (None for float arithmetic), and the number of times a negative
     variance had to be clamped to zero. Only the fixed-point datapath can
     clamp: float statistics are exact rationals, whose variance is never
-    negative. Every mean and std must be finite, and every std non-negative.
+    negative. Float stats hold finite floats. Fixed stats hold the signed
+    64-bit words pass 2 reads, ints raw at frac_bits (raw / 2**frac_bits):
+    a mean of 170 at frac_bits=23 is 170 << 23. No std is negative.
     """
 
-    scale_means: tuple[float, ...]
-    scale_stds: tuple[float, ...]
-    igc_mean: float
-    igc_std: float
+    scale_means: tuple[float, ...] | tuple[int, ...]
+    scale_stds: tuple[float, ...] | tuple[int, ...]
+    igc_mean: float | int
+    igc_std: float | int
     roi_count: int
     frac_bits: int | None = None
     negative_variance_clamps: int = 0
@@ -58,8 +61,10 @@ class ScaleStats:
             raise ValueError("scale_means and scale_stds must have equal length")
         if self.roi_count < 1:
             raise ValueError(f"roi_count must be >= 1, got {self.roi_count}")
-        if not all(map(math.isfinite, (*self.scale_means, *self.scale_stds, self.igc_mean, self.igc_std))):
-            raise ValueError("means and standard deviations must be finite")
+        values = (*self.scale_means, *self.scale_stds, self.igc_mean, self.igc_std)
+        if not all(type(v) is int and abs(v) < RAW_LIMIT if self.frac_bits is not None
+                   else isinstance(v, float) and math.isfinite(v) for v in values):
+            raise ValueError("means and stds must be raw 64-bit ints if frac_bits is set, else finite floats")
         if any(s < 0 for s in self.scale_stds) or self.igc_std < 0:
             raise ValueError("standard deviations must be non-negative")
 

@@ -6,7 +6,8 @@ forms, in its padded layout and in one integer type, one array indexed by
 scale: the window sums at index 0 and the maxima of the oriented line sums
 of length 2s + 1 at index s >= 1; scale 1's line sum is the pixel. Pass 1
 adds their ROI values to exact integer sums, the same in both arithmetic
-modes; finalizing them yields each scale's mean and standard deviation.
+modes; finalizing them yields each scale's mean and standard deviation,
+which ``ScaleStats`` carries to pass 2 as doubles or as fixed-point words.
 Pass 2 standardizes and combines the sums band by band, so no per-scale
 response image is ever stored. ``msld_streaming`` is its two public passes,
 ``stream_pass1`` then ``stream_pass2``: pass 2 forms the sums again and
@@ -66,7 +67,6 @@ from .fixedpoint import (
     div_round_half_away_i64,
     fx_div,
     fx_from_int,
-    fx_from_real,
     fx_mul,
     fx_reciprocal,
     fx_sqrt,
@@ -283,11 +283,8 @@ class StreamAccumulators:
                 if var < 0:
                     var = 0
                     clamps += 1
-                std = fx_sqrt(var, f)
-                # ScaleStats holds doubles, and pass 2 quantizes them again
-                if float(m) != m or float(std) != std:
-                    raise FixedPointOverflowError("a fixed mean or std needs more bits than a double holds")
-                pairs.append((m / (1 << f), std / (1 << f)))
+                # raw words cross to pass 2 as they are: no double holds them
+                pairs.append((m, fx_sqrt(var, f)))
         else:
             area = self.params.window ** 2
             pairs = [scale_stats(*self._raw_sums(s, area, length), n, length * area)
@@ -409,12 +406,13 @@ def _fixed_terms(params: MsldParams, stats: ScaleStats) -> tuple[list, np.int64,
     The modeled datapath averages, with the reciprocal r_C of the scale
     count, the z-scores (S_L * r_L - B * r_W - m_L) / s_L of the scales and
     (p - m_p) / s_p of the channel whose std s is not zero, with the
-    reciprocals and the statistics quantized to f fractional bits. That is
-    sum_L a_L * S_L - b * B + c * p - offset, each coefficient rounded once
-    to f + ``_guard_bits`` fractional bits. Returns ([(scale index, a_L)],
-    b, c, offset) like ``_float_terms``. Raises FixedPointOverflowError
-    unless every partial sum of the form, doubled and plus 2**g, fits int64:
-    the precondition of its final rounding, ``div_round_half_away_i64``.
+    reciprocals quantized to f fractional bits and the statistics the raw
+    words of ``stats``, already at f. That is sum_L a_L * S_L - b * B +
+    c * p - offset, each coefficient rounded once to f + ``_guard_bits``
+    fractional bits. Returns ([(scale index, a_L)], b, c, offset) like
+    ``_float_terms``. Raises FixedPointOverflowError unless every partial
+    sum of the form, doubled and plus 2**g, fits int64: the precondition of
+    its final rounding, ``div_round_half_away_i64``.
     """
     f, window = params.frac_bits, params.window
     g = _guard_bits(window)
@@ -422,14 +420,12 @@ def _fixed_terms(params: MsldParams, stats: ScaleStats) -> tuple[list, np.int64,
     # a coefficient in units of 2**-(f + g) is r_C * 2**g times its f-bit
     # numerator over the f-bit std
     unit = fx_reciprocal(params.n_scales + 1, f) << g
-    inv_stds, offset = [], Fraction(0)
-    for mean, std in zip(stats.scale_means + (stats.igc_mean,), stats.scale_stds + (stats.igc_std,)):
-        std = fx_from_real(std, f)
-        inv_stds.append(Fraction(unit, std) if std else Fraction(0))
-        offset += fx_from_real(mean, f) * inv_stds[-1]
+    means, stds = stats.scale_means + (stats.igc_mean,), stats.scale_stds + (stats.igc_std,)
+    inv_stds = [Fraction(unit, std) if std else Fraction(0) for std in stds]
     # the channel's raw response is the pixel shifted by f: its reciprocal is 2**f
     *scale_coeffs, channel_coeff = [_rounded(r * inv) for r, inv in zip(scale_recips + (1 << f,), inv_stds)]
-    window_coeff, offset = _rounded(window_recip * sum(inv_stds[:-1])), _rounded(offset)
+    window_coeff = _rounded(window_recip * sum(inv_stds[:-1]))
+    offset = _rounded(sum(mean * inv for mean, inv in zip(means, inv_stds)))
     # every coefficient but the offset is non-negative
     largest = max(window_coeff * 255 * window * window,
                   255 * (channel_coeff + sum(a * length for a, length in zip(scale_coeffs, params.scales))))

@@ -130,6 +130,32 @@ def test_compare_prints_plain_numbers(inputs, capsys):
     assert list(pairs)[:2] == ["window", "frac_bits"] and len(pairs) == 2 + 11
 
 
+# the full compare reports of the inputs fixture at W=5, recorded when the
+# fixed stats were carried as doubles: the float view of the raw words must
+# print the same bytes
+COMPARE_REPORTS = {
+    18: ("window 5\nfrac_bits 18\nfixed_max_abs_diff 3.252816555088245e-05\n"
+         "fixed_mean_abs_diff 1.0205462827285082e-05\nfixed_negative_variance_clamps 0\n"
+         "fixed_scale1_mean_delta -0.00240701571377841\nfixed_scale1_std_delta -2.235854189258646e-05\n"
+         "fixed_scale3_mean_delta -0.0028281582919031933\nfixed_scale3_std_delta -0.00014982146374364902\n"
+         "fixed_scale5_mean_delta -0.001980241255326476\nfixed_scale5_std_delta -7.195056920039633e-05\n"
+         "fixed_igc_mean_delta -6.935813701147708e-08\nfixed_igc_std_delta -7.511288409034478e-07\n"),
+    12: ("window 5\nfrac_bits 12\nfixed_max_abs_diff 0.0017481036899722469\n"
+         "fixed_mean_abs_diff 0.0005221638358066176\nfixed_negative_variance_clamps 0\n"
+         "fixed_scale1_mean_delta -0.10282510653409091\nfixed_scale1_std_delta -0.0008310743622050865\n"
+         "fixed_scale3_mean_delta -0.1295829190340907\nfixed_scale3_std_delta -0.007657145682493649\n"
+         "fixed_scale5_mean_delta -0.13008540482954523\nfixed_scale5_std_delta -0.009536214485216021\n"
+         "fixed_igc_mean_delta 2.6633522722363523e-05\nfixed_igc_std_delta -0.00017241250579402845\n"),
+}
+
+
+@pytest.mark.parametrize("frac_bits", sorted(COMPARE_REPORTS))
+def test_compare_report_pinned(inputs, capsys, frac_bits):
+    assert main(["compare", "--input", str(inputs["image"]), "--mask", str(inputs["mask"]),
+                 "--window", "5", "--frac-bits", str(frac_bits)]) == EXIT_OK
+    assert capsys.readouterr().out == COMPARE_REPORTS[frac_bits]
+
+
 def test_main_builds_the_parser_once(tmp_path, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__

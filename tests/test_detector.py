@@ -111,8 +111,14 @@ class TestLineOffsets:
         # nesting: this pattern sits inside the next longer one
         longer = line_offsets(k, length + 2)
         assert set(offsets) < set(longer)
-        # ordered center-out: the center sample is at the middle index
-        assert offsets[(length - 1) // 2] == (0, 0)
+        # ordered along the dominant axis from -(L-1)/2 to (L-1)/2: the
+        # dominant coordinate of offsets[i] is i - half, which only that
+        # coordinate can be off the diagonals, and band_sums reads
+        # offsets[half + j + 1] as the sample j + 1 steps out
+        half = (length - 1) // 2
+        steps = list(range(-half, half + 1))
+        assert [dx for dx, _ in offsets] == steps or [dy for _, dy in offsets] == steps
+        assert offsets[half] == (0, 0)
 
     def test_max_offset_within_half(self):
         for k in range(ORIENTATION_COUNT):

@@ -32,12 +32,10 @@ from msld.fixedpoint import (
     div_round_half_away,
     fx_div,
     fx_from_int,
-    fx_from_real,
     fx_mul,
     fx_reciprocal,
     fx_sqrt,
     fx_sub,
-    fx_to_real,
 )
 from msld.kernel import band_bytes, band_sums
 
@@ -120,8 +118,8 @@ def exact_stats(pixels, roi, window):
 
 
 def exact_fixed_stats(pixels, roi, window, frac_bits):
-    """Fixed-mode (scale means, scale stds, channel mean, channel std, clamps):
-    exact Python-int sums of the quantized raw responses
+    """Fixed-mode (scale means, scale stds, channel mean, channel std, clamps),
+    raw at frac_bits: exact Python-int sums of the quantized raw responses
     S_L * recip(L) - B * recip(W*W) and of their squares, each sum of
     squares rounded to frac_bits once, then finalize's mean and variance."""
     f = frac_bits
@@ -135,7 +133,7 @@ def exact_fixed_stats(pixels, roi, window, frac_bits):
         sum_sq = div_round_half_away((values * values).sum(), 1 << f)
         var = fx_sub(fx_div(sum_sq, n, f), fx_mul(mean, mean, f))
         clamps += var < 0
-        return fx_to_real(mean, f), fx_to_real(fx_sqrt(max(var, 0), f), f)
+        return mean, fx_sqrt(max(var, 0), f)
 
     window_means = window_sums[roi].astype(object) * fx_reciprocal(window * window, f)
     scales = [rounded(line_max[roi].astype(object) * fx_reciprocal(length, f) - window_means)
@@ -165,7 +163,7 @@ def test_fixed_sum_of_squares_rounded_once():
     roi = np.ones((12, 12), dtype=bool)
     stats = stream_pass1(GrayImage(pixels), Mask(roi), MsldParams(window=5, frac_bits=18), "fixed")
     assert stats_tuple(stats) == exact_fixed_stats(pixels, roi, 5, 18)
-    assert stats.scale_stds[0] == 65.2347183227539
+    assert stats.scale_stds[0] / (1 << 18) == 65.2347183227539
 
 
 def test_exact_sums_do_not_wrap():
@@ -185,14 +183,14 @@ def test_exact_sums_do_not_wrap():
 def exact_fixed_map(pixels, roi, window, stats):
     """The fixed combined map at the ROI pixels as exact rationals: the z-scores
     of the quantized raw responses S_L * recip(L) - B * recip(W*W) and of the
-    pixel against the stats quantized to frac_bits, summed over the scales of
+    pixel against the stats, raw at frac_bits, summed over the scales of
     non-zero quantized std and scaled by recip(scale count), with no rounding."""
     f = stats.frac_bits
     window_sums, line_maxima = compact_band_sums(pixels, 0, pixels.shape[0], window)
     scale_recips, window_recip = streaming._fixed_recips(window, f)
 
     def quantized(v):
-        return Fraction(fx_from_real(v, f), 1 << f)
+        return Fraction(v, 1 << f)
 
     scales = [(line_max[roi].tolist(), recip, quantized(mean), quantized(std))
               for line_max, recip, mean, std
@@ -237,9 +235,8 @@ def test_pass2_range_check_boundary(mean):
     img, mask, params = GrayImage(pixels), Mask(roi), MsldParams(window=129, frac_bits=23)
 
     def stats_at(ulps):
-        return ScaleStats(scale_means=(mean,) * params.n_scales,
-                          scale_stds=(ulps / (1 << 23),) * params.n_scales,
-                          igc_mean=170.0, igc_std=120.0, roi_count=mask.count, frac_bits=23)
+        return ScaleStats(scale_means=(int(mean) << 23,) * params.n_scales, scale_stds=(ulps,) * params.n_scales,
+                          igc_mean=170 << 23, igc_std=120 << 23, roi_count=mask.count, frac_bits=23)
 
     def accepted(ulps):
         try:
@@ -285,18 +282,24 @@ def test_fixed_sums_range_check_boundary():
         stream_pass1(img, mask, MsldParams(window=3, frac_bits=44), "fixed")
 
 
-def test_fixed_stats_fit_a_double():
+def test_fixed_stats_wider_than_a_double():
     # the channel mean of the ROI (10, 20, 31) is 61/3, quantized to
-    # round(61 * 2**f / 3): 53 bits at f=48, 54 at f=49, where a double
-    # would carry it one ulp off into pass 2
+    # round(61 * 2**f / 3): 54 bits at f=49, wider than a double's 53. Pass 1
+    # returns the raw words up to f=52; at f=53 the channel's sum of squares
+    # leaves the 64-bit range. Pass 2's own range check still rejects f=49
+    # (exit 3): its coefficients, at f + guard bits, pass int64 from f=44 on
     pixels = np.array([[10, 20, 31], [0, 0, 0], [0, 0, 0]], dtype=np.uint8)
     roi = np.zeros((3, 3), dtype=bool)
     roi[0] = True
     img, mask = GrayImage(pixels), Mask(roi)
-    stats = stream_pass1(img, mask, MsldParams(window=3, frac_bits=48), "fixed")
-    assert stats_tuple(stats) == exact_fixed_stats(pixels, roi, 3, 48)
-    with pytest.raises(FixedPointOverflowError):
-        stream_pass1(img, mask, MsldParams(window=3, frac_bits=49), "fixed")
+    for frac_bits in range(49, 53):
+        stats = stream_pass1(img, mask, MsldParams(window=3, frac_bits=frac_bits), "fixed")
+        assert stats_tuple(stats) == exact_fixed_stats(pixels, roi, 3, frac_bits)
+    assert stats.igc_mean == div_round_half_away(61 << 52, 3)
+    with pytest.raises(FixedPointOverflowError, match="a fixed ROI sum exceeds"):
+        stream_pass1(img, mask, MsldParams(window=3, frac_bits=53), "fixed")
+    with pytest.raises(FixedPointOverflowError, match="the fixed combined map exceeds"):
+        msld_streaming(img, mask, MsldParams(window=3, frac_bits=49), "fixed")
 
 
 def test_window_larger_than_image():
@@ -592,7 +595,13 @@ def test_stats_reject_non_finite_values(field, value):
     (dict(roi_count=0), "roi_count"),
     (dict(scale_stds=(0.5, -0.25)), "non-negative"),
     (dict(igc_std=-10.0), "non-negative"),
-], ids=["unequal_lengths", "no_roi", "negative_scale_std", "negative_igc_std"])
+    # one representation per mode: floats without frac_bits, raw 64-bit ints with it
+    (dict(scale_means=(10**400, -2.0)), "finite floats"),
+    (dict(frac_bits=18), "raw 64-bit ints"),
+    (dict(scale_means=(1, -2), scale_stds=(1, 2), igc_mean=True, igc_std=3, frac_bits=18), "raw 64-bit ints"),
+    (dict(scale_means=(1, -2), scale_stds=(1, 1 << 63), igc_mean=1, igc_std=3, frac_bits=18), "raw 64-bit ints"),
+], ids=["unequal_lengths", "no_roi", "negative_scale_std", "negative_igc_std",
+        "int_beyond_a_double", "float_in_fixed", "bool_in_fixed", "word_beyond_64_bits"])
 def test_stats_reject_inconsistent_values(change, message):
     fields = dict(scale_means=(1.0, -2.0), scale_stds=(0.5, 0.25), igc_mean=100.0, igc_std=10.0,
                   roi_count=4)
