@@ -1,4 +1,5 @@
-"""Timing of ``metrics.best_threshold``, the work of ``msld eval``.
+"""Timing of ``metrics.best_threshold`` and ``metrics.report_at_threshold``,
+the work of ``msld eval`` without and with ``--threshold``.
 
 Run with pytest-benchmark (the file name keeps the tier-1 suite from
 collecting it):
@@ -13,7 +14,7 @@ so the sort and the per-group counts of the ROI scores set the time.
 import numpy as np
 
 from msld import Mask, ResponseMap
-from msld.metrics import best_threshold
+from msld.metrics import best_threshold, report_at_threshold
 
 
 def drive_case():
@@ -27,3 +28,7 @@ def drive_case():
 
 def test_best_threshold(benchmark):
     benchmark(best_threshold, *drive_case())
+
+
+def test_report_at_threshold(benchmark):
+    benchmark(report_at_threshold, *drive_case(), 0.5)

@@ -10,6 +10,14 @@ those groups, so no argsort permutation is formed. The AUC, the best
 threshold and the rates at a fixed threshold are integer counts per tie
 group, so no result depends on the order of the pixels or on the order
 the sort leaves inside a group. The ROI scores must be finite.
+
+Each ROI-sized quantity has one buffer, updated in place: the group ends
+are found once and become the counts at or below each group, the group
+values are taken from the sorted scores, which are then freed, the AUC is
+two integer dot products over the groups, the positives per group become
+their running count in place, and the accuracy key is formed in one more
+buffer. So a call peaks at a fixed number of bytes per ROI pixel, about
+32 when the scores are distinct.
 """
 
 from __future__ import annotations
@@ -79,10 +87,17 @@ def _tie_groups(resp: ResponseMap, truth: Mask, roi: Mask):
     if not (np.isfinite(scores[0]) and np.isfinite(scores[-1])):
         raise ValueError(f"ROI scores must be finite, got a range of "
                          f"{float(scores[0])!r} .. {float(scores[-1])!r}")
-    upto = np.append(np.flatnonzero(scores[1:] != scores[:-1]) + 1, scores.size)
+    # a group ends where the next score differs, and the last at the end
+    ends = np.empty(scores.size, dtype=bool)
+    np.not_equal(scores[1:], scores[:-1], out=ends[:-1])
+    ends[-1] = True
+    upto = np.flatnonzero(ends)
+    values = scores.take(upto)
+    del scores
     # + 0.0 makes a group of zeros read 0.0 whichever of -0.0 and 0.0 the
     # sort leaves last
-    values = scores[upto - 1] + 0.0
+    values += 0.0
+    upto += 1
     # sorted needles make the binary searches walk the groups in order
     positives.sort()
     pos_in = np.bincount(np.searchsorted(values, positives), minlength=values.size)
@@ -94,11 +109,12 @@ def _auc_of_groups(upto, pos_in, n_pos: int, n_neg: int) -> float:
     average rank of their group.
 
     A group at 0-based sorted positions start..upto-1 has the 1-based
-    midrank (start + 1 + upto) / 2, so twice the positives' rank sum is an
-    exact integer.
+    midrank (start + 1 + upto) / 2, and start is the previous group's upto
+    (0 for the first), so twice the positives' rank sum is the exact integer
+    pos_in . upto + pos_in[1:] . upto[:-1] + n_pos: two int64 dots over the
+    group arrays, with no temporary.
     """
-    start = np.concatenate(([0], upto[:-1]))
-    rank_sum2 = int(np.dot(pos_in, start + upto + 1))
+    rank_sum2 = int(np.dot(pos_in, upto)) + int(np.dot(pos_in[1:], upto[:-1])) + n_pos
     return (rank_sum2 / 2 - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
@@ -130,16 +146,24 @@ def best_threshold(resp: ResponseMap, truth: Mask, roi: Mask) -> tuple[float, Me
     larger threshold.
     """
     values, upto, pos_in, n_pos, n_neg = _tie_groups(resp, truth, roi)
-    pos_upto = np.cumsum(pos_in)
+    area = _auc_of_groups(upto, pos_in, n_pos, n_neg)
+    pos_upto = np.cumsum(pos_in, out=pos_in)
     # at t = a group's value, tp are the positives above it and tn the
     # negatives at or below it; accuracy and specificity rank the groups as
-    # the integers tp + tn and tn do
-    tn = upto - pos_upto
-    key = (n_pos - pos_upto + tn) * (n_neg + 1) + tn
-    pick = key.size - 1 - int(np.argmax(key[::-1]))
+    # the integers tp + tn and tn do, so as the key (tp + tn) * (n_neg + 1)
+    # + tn, formed here in one buffer less its constant n_pos * (n_neg + 1)
+    # as (tn - pos_upto) * (n_neg + 1) + tn with tn = upto - pos_upto
+    key = np.subtract(upto, pos_upto)
+    key -= pos_upto
+    key *= n_neg + 1
+    key += upto
+    key -= pos_upto
+    # key mod (n_neg + 1) is tn, so two groups share a key only with equal
+    # tn and tp, which no two groups have: the maximum is unique and is
+    # already the one at the larger threshold
+    pick = int(np.argmax(key))
     threshold = float(values[pick])
-    report = _report(_auc_of_groups(upto, pos_in, n_pos, n_neg),
-                     int(upto[pick]), int(pos_upto[pick]), n_pos, n_neg, threshold)
+    report = _report(area, int(upto[pick]), int(pos_upto[pick]), n_pos, n_neg, threshold)
     return threshold, report
 
 

@@ -431,8 +431,9 @@ def _fixed_terms(params: MsldParams, stats: ScaleStats) -> tuple[list, np.int64,
                   255 * (channel_coeff + sum(a * length for a, length in zip(scale_coeffs, params.scales))))
     if 2 * (largest + abs(offset)) + (1 << g) >= RAW_LIMIT:
         raise FixedPointOverflowError(
-            "the fixed combined map exceeds the vectorized int64 range "
-            "(a near-degenerate standard deviation inflates its coefficients)"
+            f"the fixed combined map exceeds the vectorized int64 range at frac_bits={f}: "
+            f"each coefficient carries frac_bits + {g} guard bits = {f + g} fractional bits, "
+            "scaled by the inverse std of its scale"
         )
     return ([(s, np.int64(a)) for s, a in enumerate(scale_coeffs) if a],
             np.int64(window_coeff), np.int64(channel_coeff), np.int64(offset))

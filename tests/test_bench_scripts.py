@@ -27,3 +27,9 @@ def test_best_threshold_case_runs():
     bench = load("bench_eval")
     threshold, _ = bench.best_threshold(*bench.drive_case())
     assert math.isfinite(threshold)
+
+
+def test_report_at_threshold_case_runs():
+    bench = load("bench_eval")
+    report = bench.report_at_threshold(*bench.drive_case(), 0.5)
+    assert report.threshold == 0.5

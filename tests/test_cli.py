@@ -202,6 +202,26 @@ def test_failures_exit_with_their_code_and_leave_no_output(inputs, tmp_path):
         assert list(out.parent.iterdir()) == []
 
 
+def test_fixed_range_error_names_the_fractional_width(tmp_path, capsys):
+    # the 3-pixel ROI (10, 20, 31) of test_fixed_stats_wider_than_a_double:
+    # its scale stds are about 4.77 and 1.91 at every f, far from degenerate,
+    # and pass 2's coefficients leave the int64 range from f = 44 on
+    pixels = np.zeros((3, 3), dtype=np.uint8)
+    pixels[0] = (10, 20, 31)
+    roi = np.zeros((3, 3), dtype=np.uint8)
+    roi[0] = 255
+    save_pnm(GrayImage(pixels), tmp_path / "image.pgm")
+    save_pnm(GrayImage(roi), tmp_path / "mask.pgm")
+    out = tmp_path / "out" / "resp.msldf"
+    out.parent.mkdir()
+    args = ["segment", "--input", str(tmp_path / "image.pgm"), "--mask", str(tmp_path / "mask.pgm"),
+            "--window", "3", "--engine", "streaming-fixed", "--out", str(out)]
+    assert main([*args, "--frac-bits", "44"]) == EXIT_NUMERIC
+    assert "frac_bits=44" in capsys.readouterr().err
+    assert list(out.parent.iterdir()) == []
+    assert main([*args, "--frac-bits", "43"]) == EXIT_OK
+
+
 def test_response_write_allocates_one_payload(tmp_path):
     # four blocks of 128 rows
     resp = ResponseMap(np.random.default_rng(1).random((512, 512)))

@@ -1,5 +1,6 @@
 """ROI metrics against brute-force scans over every threshold."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -262,3 +263,26 @@ def test_metrics_pinned(make):
     got = [repr(auc(*case)), repr(best_threshold(*case)),
            *(repr(report_at_threshold(*case, t)) for t in thresholds)]
     assert got == expected
+
+
+@pytest.mark.parametrize("run", [best_threshold, lambda *case: report_at_threshold(*case, 0.5)],
+                         ids=["best_threshold", "report_at_threshold"])
+def test_metrics_peak_in_a_fixed_set_of_roi_buffers(run):
+    side = 256
+    rng = np.random.default_rng(22)
+    case = (ResponseMap(rng.permutation(side * side).reshape(side, side) / side**2),
+            Mask(rng.random((side, side)) < 0.125), Mask(np.ones((side, side), dtype=bool)))
+    run(*case)
+    tracemalloc.start()
+    try:
+        run(*case)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # per ROI pixel, with every score its own group, at most these are alive
+    # at once: the scores (8 B), the truth flags and the group-end flags (1 B
+    # each), per group its value, upto and positives count (8 B each), and
+    # the positives' scores and group indices (8 B each per positive, 2 B at
+    # this truth), 36 B; the accuracy key (8 B) is formed once the scores are
+    # freed
+    assert peak <= 36 * side * side + 16384
