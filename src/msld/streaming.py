@@ -37,13 +37,15 @@ rationals of the pass-1 sums, rounded once. The fixed-point datapath models
 the hardware: divisions by the constant line lengths, the window area, and
 the scale count are multiplications by precomputed reciprocals, and the
 data-dependent divisions (by the ROI count and by each standard deviation)
-are made once per scale, between the passes. In both modes each band of
-the combined map is then one affine form of the kernel sums and the pixel,
-with float coefficients or with integer ones of guard bits beyond the
-fractional width, which fixed mode multiplies and accumulates in int64 and
-rounds once. Taking the maximum over orientations on the integer sums
-before multiplying by the positive reciprocal of the line length gives the
-same value as scaling each line first.
+are made once per scale, between the passes. The combined map is one
+affine form of the kernel sums and the pixel, whose coefficients one
+builder (``_affine_terms``) forms in both modes: they differ only in the
+constants (divisions by L and W*W, or quantized reciprocals), the
+rounding (doubles, or exact rationals rounded once to guard bits beyond
+the fractional width, which fixed mode accumulates in int64 and rounds
+once) and the floor of a live std. Taking the maximum over orientations
+on the integer sums before multiplying by the positive reciprocal of the
+line length gives the same value as scaling each line first.
 
 The footprint reports the architectural line-buffer size of the modeled
 datapath, (window - 1) * ncols + window pixels, next to the bytes a band
@@ -55,6 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import truediv
 from typing import Iterable, Iterator, Literal
 
 import numpy as np
@@ -261,16 +264,16 @@ class StreamAccumulators:
     def finalize(self) -> ScaleStats:
         if self.roi_count == 0:
             raise EmptyRoiError("mask contains no ROI pixels")
-        n = self.roi_count
+        n, f = self.roi_count, self.params.frac_bits
+        fixed = self.mode == "fixed"
+        # the channel is one more term: scale 1's line sum, the pixel, with no
+        # window term; a pixel p is p << f in fixed point
+        channel = self._raw_sums(0, 1 << f if fixed else 1, 0)
         clamps = 0
-        if self.mode == "fixed":
-            f = self.params.frac_bits
+        if fixed:
             n_fx = fx_from_int(n, f)
             recips, window_recip = _fixed_recips(self.params.window, f)
-            sums = [self._raw_sums(s, r, window_recip) for s, r in enumerate(recips)]
-            # the channel's sums are scale 1's: a pixel p is p << f in fixed
-            # point, and p * p has 2f fractional bits
-            sums.append((self.line_sum[0] << f, self.line_sum2[0] << 2 * f))
+            sums = [self._raw_sums(s, r, window_recip) for s, r in enumerate(recips)] + [channel]
             pairs = []
             for sx, sx2 in sums:
                 # sx2 >= 0, so rounding it half away from zero to f bits is
@@ -288,9 +291,7 @@ class StreamAccumulators:
         else:
             area = self.params.window ** 2
             pairs = [scale_stats(*self._raw_sums(s, area, length), n, length * area)
-                     for s, length in enumerate(self.params.scales)]
-            # the channel's sums are scale 1's
-            pairs.append(scale_stats(self.line_sum[0], self.line_sum2[0], n))
+                     for s, length in enumerate(self.params.scales)] + [scale_stats(*channel, n)]
         means, stds = zip(*pairs)
         return ScaleStats(
             scale_means=means[:-1],
@@ -298,7 +299,7 @@ class StreamAccumulators:
             igc_mean=means[-1],
             igc_std=stds[-1],
             roi_count=n,
-            frac_bits=self.params.frac_bits if self.mode == "fixed" else None,
+            frac_bits=f if fixed else None,
             negative_variance_clamps=clamps,
         )
 
@@ -363,29 +364,6 @@ def stream_pass1(
     return _run_pass1(img.pixels, params, arithmetic_mode, bands, band_height(width, height) * width)
 
 
-def _float_terms(params: MsldParams, stats: ScaleStats) -> tuple[list, float, float, float]:
-    """The float combined map as an affine form of the kernel sums and the pixel.
-
-    Averaging the z-scores (S_L / L - B / (W*W) - mean_L) / std_L of the
-    non-degenerate scales and (p - igc_mean) / igc_std of the channel gives
-    sum_L a_L * S_L - b * B + c * p - offset. Returns ([(scale index, a_L)],
-    b, c, offset).
-    """
-    weight = 1.0 / (params.n_scales + 1)
-    area = params.window * params.window
-    scale_terms = []
-    window_coeff = channel_coeff = offset = 0.0
-    for s, (length, mean, std) in enumerate(zip(params.scales, stats.scale_means, stats.scale_stds)):
-        if std >= DEGENERATE_STD:
-            scale_terms.append((s, weight / (length * std)))
-            window_coeff += weight / (area * std)
-            offset += weight * mean / std
-    if stats.igc_std >= DEGENERATE_STD:
-        channel_coeff = weight / stats.igc_std
-        offset += weight * stats.igc_mean / stats.igc_std
-    return scale_terms, window_coeff, channel_coeff, offset
-
-
 def _guard_bits(window: int) -> int:
     """Guard bits g beyond frac_bits of the fixed pass-2 coefficients.
 
@@ -400,52 +378,72 @@ def _rounded(q: Fraction) -> int:
     return div_round_half_away(q.numerator, q.denominator)
 
 
-def _fixed_terms(params: MsldParams, stats: ScaleStats) -> tuple[list, np.int64, np.int64, np.int64]:
-    """The fixed combined map as an affine form with int64 coefficients.
+def _affine_terms(params: MsldParams, stats: ScaleStats,
+                  mode: ArithmeticMode) -> tuple[list, float | np.int64, float | np.int64, float | np.int64]:
+    """The combined map as one affine form of the kernel sums and the pixel.
 
-    The modeled datapath averages, with the reciprocal r_C of the scale
-    count, the z-scores (S_L * r_L - B * r_W - m_L) / s_L of the scales and
-    (p - m_p) / s_p of the channel whose std s is not zero, with the
-    reciprocals quantized to f fractional bits and the statistics the raw
-    words of ``stats``, already at f. That is sum_L a_L * S_L - b * B +
-    c * p - offset, each coefficient rounded once to f + ``_guard_bits``
-    fractional bits. Returns ([(scale index, a_L)], b, c, offset) like
-    ``_float_terms``. Raises FixedPointOverflowError unless every partial
-    sum of the form, doubled and plus 2**g, fits int64: the precondition of
-    its final rounding, ``div_round_half_away_i64``.
+    Averaging with weight w the z-scores (S_L * r_L - B * r_W - m_L) / s_L
+    of the scales and (p * r_p - m_p) / s_p of the channel, over the live
+    stds s, gives sum_L a_L * S_L - b * B + c * p - offset with a_L = w *
+    r_L / s_L, b = sum_L w * r_W / s_L, c = w * r_p / s_p and offset = sum
+    w * m / s. The mode chooses only the constants, the number type with
+    its rounding, and which stds are live. Float mode: w = 1 / (n + 1), r
+    divisions by L, W*W and 1 (a_L = w / (L * s_L)), in doubles, each sum
+    added in scale order and the channel last; std >= DEGENERATE_STD.
+    Fixed mode: w = r_C * 2**g (r_C the quantized reciprocal of n + 1, g
+    the ``_guard_bits``), r_L and r_W of ``_fixed_recips`` and r_p = 2**f,
+    the pixel's shift, over the raw words of ``stats`` in exact rationals,
+    each coefficient rounded once to f + g fractional bits; std not 0.
+    Raises FixedPointOverflowError unless every partial sum of the form,
+    doubled and plus 2**g, fits int64: the precondition of its final
+    rounding, ``div_round_half_away_i64``. Returns ([(scale index, a_L)],
+    b, c, offset) as doubles or int64 words.
     """
-    f, window = params.frac_bits, params.window
-    g = _guard_bits(window)
-    scale_recips, window_recip = _fixed_recips(window, f)
-    # a coefficient in units of 2**-(f + g) is r_C * 2**g times its f-bit
-    # numerator over the f-bit std
-    unit = fx_reciprocal(params.n_scales + 1, f) << g
-    means, stds = stats.scale_means + (stats.igc_mean,), stats.scale_stds + (stats.igc_std,)
-    inv_stds = [Fraction(unit, std) if std else Fraction(0) for std in stds]
-    # the channel's raw response is the pixel shifted by f: its reciprocal is 2**f
-    *scale_coeffs, channel_coeff = [_rounded(r * inv) for r, inv in zip(scale_recips + (1 << f,), inv_stds)]
-    window_coeff = _rounded(window_recip * sum(inv_stds[:-1]))
-    offset = _rounded(sum(mean * inv for mean, inv in zip(means, inv_stds)))
-    # every coefficient but the offset is non-negative
-    largest = max(window_coeff * 255 * window * window,
-                  255 * (channel_coeff + sum(a * length for a, length in zip(scale_coeffs, params.scales))))
-    if 2 * (largest + abs(offset)) + (1 << g) >= RAW_LIMIT:
-        raise FixedPointOverflowError(
-            f"the fixed combined map exceeds the vectorized int64 range at frac_bits={f}: "
-            f"each coefficient carries frac_bits + {g} guard bits = {f + g} fractional bits, "
-            "scaled by the inverse std of its scale"
-        )
-    return ([(s, np.int64(a)) for s, a in enumerate(scale_coeffs) if a],
-            np.int64(window_coeff), np.int64(channel_coeff), np.int64(offset))
+    n, window = params.n_scales, params.window
+    fixed = mode == "fixed"
+    if fixed:
+        f, g = params.frac_bits, _guard_bits(window)
+        scale_recips, window_recip = _fixed_recips(window, f)
+        # the reciprocals multiply; the channel's raw response is the pixel
+        # shifted by f, so its reciprocal is 2**f
+        muls, divs, window_mul, window_div = scale_recips + (1 << f,), (1,) * (n + 1), window_recip, 1
+        weight, floor, ratio, rounded = fx_reciprocal(n + 1, f) << g, 1, Fraction, _rounded
+    else:
+        # the reciprocals divide: by L, by 1 for the channel, and by W*W
+        muls, divs, window_mul, window_div = (1,) * (n + 1), params.scales + (1,), 1, window * window
+        weight, floor, ratio, rounded = 1.0 / (n + 1), DEGENERATE_STD, truediv, float
+    means = stats.scale_means + (stats.igc_mean,)
+    stds = stats.scale_stds + (stats.igc_std,)
+    live = [s for s, std in enumerate(stds) if std >= floor]
+    coeffs = {s: rounded(ratio(weight * muls[s], divs[s] * stds[s])) for s in live}
+    window_coeff = offset = 0
+    for s in live:
+        if s < n:
+            window_coeff += ratio(weight * window_mul, window_div * stds[s])
+        offset += ratio(weight * means[s], stds[s])
+    channel_coeff, window_coeff, offset = coeffs.pop(n, 0), rounded(window_coeff), rounded(offset)
+    if fixed:
+        # every coefficient but the offset is non-negative
+        largest = max(window_coeff * 255 * window * window,
+                      255 * (channel_coeff + sum(a * params.scales[s] for s, a in coeffs.items())))
+        if 2 * (largest + abs(offset)) + (1 << g) >= RAW_LIMIT:
+            raise FixedPointOverflowError(
+                f"the fixed combined map exceeds the vectorized int64 range at frac_bits={f}: "
+                f"each coefficient carries frac_bits + {g} guard bits = {f + g} fractional bits, "
+                "scaled by the inverse std of its scale"
+            )
+    word = np.int64 if fixed else float
+    return [(s, word(a)) for s, a in coeffs.items()], word(window_coeff), word(channel_coeff), word(offset)
 
 
 def _run_pass2(pixels: np.ndarray, params: MsldParams, mode: ArithmeticMode,
                bands: Iterable[Band], stats: ScaleStats) -> ResponseMap:
-    """One band loop for both modes: float mode forms the affine form in the
-    output rows, fixed mode in an int64 accumulator that it rounds once."""
+    """One band loop for both modes over the coefficients of ``_affine_terms``:
+    float mode forms the affine form in the output rows, fixed mode in an
+    int64 accumulator that it rounds once."""
     out = np.zeros(pixels.shape, dtype=np.float64)
     fixed = mode == "fixed"
-    scale_terms, window_coeff, channel_coeff, offset = (_fixed_terms if fixed else _float_terms)(params, stats)
+    scale_terms, window_coeff, channel_coeff, offset = _affine_terms(params, stats, mode)
     term = acc = None
     guard = 1 << _guard_bits(params.window)
     ncols = pixels.shape[1]

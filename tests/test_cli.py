@@ -47,12 +47,15 @@ def inputs(tmp_path):
     return paths
 
 
+ENGINES = ("reference", "streaming-float", "streaming-fixed")
+
+
 def segment_args(paths, out, *extra):
     return ["segment", "--input", str(paths["image"]), "--mask", str(paths["mask"]),
             "--window", "5", "--out", str(out), *extra]
 
 
-@pytest.mark.parametrize("engine", ["reference", "streaming-float", "streaming-fixed"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_segment_eval_round_trip(inputs, tmp_path, capsys, engine):
     out = tmp_path / "resp.msldf"
     assert main(segment_args(inputs, out, "--engine", engine, "--threshold", "0.5")) == EXIT_OK
@@ -65,6 +68,32 @@ def test_segment_eval_round_trip(inputs, tmp_path, capsys, engine):
     assert main(["eval", "--input", str(out), "--truth", str(inputs["truth"]),
                  "--mask", str(inputs["mask"])]) == EXIT_OK
     assert float(report(capsys)["auc"]) > 0.9
+
+
+@pytest.mark.parametrize("shape", [(6, 8), (1, 11), (11, 1)])
+def test_segment_of_degenerate_images(tmp_path, capsys, shape):
+    # a window wider than the image; a constant image has no live term at
+    # all, so its map is zero and ranks every pixel alike
+    constant = shape == (6, 8)
+    pixels = (np.full(shape, 77, dtype=np.uint8) if constant
+              else np.random.default_rng(3).integers(0, 256, shape, dtype=np.uint8))
+    save_pnm(GrayImage(pixels), tmp_path / "image.pgm")
+    for engine in ENGINES:
+        assert main(["segment", "--input", str(tmp_path / "image.pgm"), "--window", "15",
+                     "--engine", engine, "--out", str(tmp_path / f"{engine}.msldf")]) == EXIT_OK, engine
+    assert ((tmp_path / "reference.msldf").read_bytes()
+            == (tmp_path / "streaming-float.msldf").read_bytes())
+    if constant:
+        truth = np.zeros(shape, dtype=np.uint8)
+        truth[:, :4] = 255
+        save_pnm(GrayImage(truth), tmp_path / "truth.pgm")
+        for engine in ENGINES:
+            out = tmp_path / f"{engine}.msldf"
+            assert not read_response_file(out).values.any(), engine
+            capsys.readouterr()
+            assert main(["eval", "--input", str(out), "--truth", str(tmp_path / "truth.pgm")]) == EXIT_OK
+            pairs = report(capsys)
+            assert (pairs["auc"], pairs["threshold"]) == ("0.500000", "0.0"), engine
 
 
 def test_bench_and_segment_report_the_same_footprint(inputs, tmp_path, capsys):

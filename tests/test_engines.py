@@ -240,7 +240,7 @@ def test_pass2_range_check_boundary(mean):
 
     def accepted(ulps):
         try:
-            streaming._fixed_terms(params, stats_at(ulps))
+            streaming._affine_terms(params, stats_at(ulps), "fixed")
         except FixedPointOverflowError:
             return False
         return True
@@ -254,6 +254,30 @@ def test_pass2_range_check_boundary(mean):
     assert_within_one_ulp(pixels, roi, 129, stream_pass2(img, mask, params, stats, "fixed"), stats)
     with pytest.raises(FixedPointOverflowError):
         stream_pass2(img, mask, params, stats_at(lo), "fixed")
+
+
+@pytest.mark.parametrize("mode", ["float", "fixed"])
+def test_degenerate_scale_drops_its_term(mode):
+    # the third scale's (L = 5) std set to zero in real stats: its term is
+    # dropped, so its mean moves no bit of the map, which is not the full one
+    rng = np.random.default_rng(8)
+    pixels = rng.integers(0, 256, (12, 14), dtype=np.uint8)
+    roi = rng.random((12, 14)) < 0.7
+    img, mask, params = GrayImage(pixels), Mask(roi), MsldParams(window=7, frac_bits=18)
+    stats = stream_pass1(img, mask, params, mode)
+    means = (0, 1 << 30, -5 << 18) if mode == "fixed" else (0.0, 1e6, -5.0)
+
+    def at_third_scale(values, value):
+        return values[:2] + (value,) + values[3:]
+
+    degenerate = [replace(stats, scale_means=at_third_scale(stats.scale_means, mean),
+                          scale_stds=at_third_scale(stats.scale_stds, 0 if mode == "fixed" else 0.0))
+                  for mean in (stats.scale_means[2], *means)]
+    maps = [stream_pass2(img, mask, params, s, mode) for s in degenerate]
+    assert all(np.array_equal(m.values, maps[0].values) for m in maps)
+    assert not np.array_equal(maps[0].values, stream_pass2(img, mask, params, stats, mode).values)
+    if mode == "fixed":
+        assert_within_one_ulp(pixels, roi, 7, maps[0], degenerate[0])
 
 
 def test_fixed_negative_variance_clamped_to_zero():
@@ -641,3 +665,31 @@ def test_fixed_maps_pinned(case):
     assert hashlib.sha256(resp.values.tobytes()).hexdigest() == FIXED_DIGESTS[case]
     assert stream_pass1(img, mask, params, "fixed") == stats
     assert stream_pass2(img, mask, params, stats, "fixed") == resp
+
+
+# sha256 of the float64 msld_reference maps on the inputs of FIXED_DIGESTS,
+# recorded from the builder that formed the float coefficients in doubles as
+# w / (L * s), in scale order and then the channel: the float datapath is
+# bit-true too, and each of its entry points gives the same bytes.
+# (seed, height, width, window) -> digest
+FLOAT_DIGESTS = {
+    (0, 13, 17, 5): "02b5ac8373be53a5433395097aefb807e05c2e518c957f129245271f8acf5f08",
+    (1, 20, 9, 7): "084257745290ff8281416df0f0cf2cbfebc2c90746b9913b130ecacbfcb1e296",
+    (2, 11, 11, 15): "d4a2c6b60d851f1363d647455cc58f53e090ff88ed5fa490a324747d18a062c7",
+    (3, 32, 24, 9): "62f4f40addc0b965eb7ed0b86c1740640dfe2c82abb2a66e1c6bd7346178e72f",
+    (4, 3, 40, 5): "33976f418655166f5c07911b4cb9490942dfcaadc726d378222615dec34c2598",
+    (5, 2, 3, 129): "96da4d7deddd1a442d909fc939c98b602c27e4e17998228b8548bfa9caaae8ff",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_DIGESTS))
+def test_float_maps_pinned(case):
+    seed, height, width, window = case
+    rng = np.random.default_rng(seed)
+    img = GrayImage(rng.integers(0, 256, (height, width), dtype=np.uint8))
+    mask = Mask(rng.random((height, width)) < 0.6)
+    params = MsldParams(window=window)
+    stats = stream_pass1(img, mask, params, "float")
+    for resp in (msld_reference(img, mask, params)[0], msld_streaming(img, mask, params, "float")[0],
+                 stream_pass2(img, mask, params, stats, "float")):
+        assert hashlib.sha256(resp.values.tobytes()).hexdigest() == FLOAT_DIGESTS[case]
