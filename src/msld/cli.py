@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 validation failure, 2 I/O or format failure,
 3 numeric failure (empty ROI, single-class ground truth, fixed-point
 range exceeded). Each output file is written atomically via a uniquely
 named temporary sibling, and a failed run removes the ones it wrote, so it
-leaves no outputs and concurrent runs never share a temporary.
+leaves no outputs and concurrent runs never share a temporary. A run that
+would write over a file it reads, or write two outputs to one path, is
+refused before it loads anything.
 """
 
 from __future__ import annotations
@@ -100,9 +102,26 @@ def _atomic_write_bytes(path: Path, chunks: Iterable):
             # writelines drops each chunk before it takes the next
             f.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            # the error names the user's path, not the temporary
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
+
+
+def _check_paths(args):
+    """Refuse a run that would write over a file it reads or write two
+    outputs to one path, before anything is loaded."""
+    options = vars(args)
+    seen = {os.path.abspath(options[key]) for key in ("input", "mask", "truth") if options.get(key)}
+    writes = [options.get("out"), args.report]
+    if writes[0] and args.threshold is not None:
+        writes.append(writes[0] + ".seg.pgm")
+    for path in filter(None, writes):
+        if os.path.abspath(path) in seen:
+            raise ValueError(f"this run would write {path} over a file it reads or writes")
+        seen.add(os.path.abspath(path))
 
 
 def _atomic_write_text(path: Path, text: str):
@@ -318,6 +337,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_paths(args)
         return args.func(args)
     except (EmptyRoiError, SingleClassRoiError, FixedPointOverflowError, ZeroDivisionError) as exc:
         print(f"msld: numeric error: {exc}", file=sys.stderr)

@@ -24,12 +24,10 @@ bounded independently of the height; the second bounds the footprint of
 pass 2, which holds the response map, on short images, where 64-row tiles
 keep 8-row bands. Pass 1 runs before the map is allocated, so its bands
 (``pass1_height``) take up to four budgets (``PASS1_BAND_PIXELS``) until
-their kernel buffers fill the map's bytes plus one pass-2 band: 144 rows
-at DRIVE width and 40 at HRF width, where the pixel cap binds, and 27 rows
-on a 64-row tile, where the map does. The reference keeps all its sums
-anyway, so both its passes take max(8, BAND_PIXELS // width) rows, and a
-tile is one band. The height changes no output bit: pass 1 sums exact
-integers and pass 2 works per pixel.
+their kernel buffers fill the map's bytes plus one pass-2 band. The
+reference keeps all its sums anyway, so both its passes take max(8,
+BAND_PIXELS // width) rows, and a tile is one band. The height changes no
+output bit: pass 1 sums exact integers and pass 2 works per pixel.
 
 Arithmetic runs either in IEEE doubles or in integer fixed point with a
 configurable fractional width. In float mode the statistics are exact
@@ -37,15 +35,16 @@ rationals of the pass-1 sums, rounded once. The fixed-point datapath models
 the hardware: divisions by the constant line lengths, the window area, and
 the scale count are multiplications by precomputed reciprocals, and the
 data-dependent divisions (by the ROI count and by each standard deviation)
-are made once per scale, between the passes. The combined map is one
-affine form of the kernel sums and the pixel, whose coefficients one
-builder (``_affine_terms``) forms in both modes: they differ only in the
-constants (divisions by L and W*W, or quantized reciprocals), the
-rounding (doubles, or exact rationals rounded once to guard bits beyond
-the fractional width, which fixed mode accumulates in int64 and rounds
-once) and the floor of a live std. Taking the maximum over orientations
-on the integer sums before multiplying by the positive reciprocal of the
-line length gives the same value as scaling each line first.
+are made once per scale, between the passes. The combined map is an affine
+form, n + 2 (source, coefficient) terms over the pixel and the kernel sums
+for n live scales, that one builder (``_affine_terms``) forms in both modes
+and pass 2 multiplies and adds in one loop. The modes differ only in the
+constants (divisions by L and W*W, or quantized reciprocals), the rounding
+(doubles, or exact rationals rounded once to guard bits beyond the
+fractional width, which fixed mode accumulates in int64 and rounds once)
+and the floor of a live std. Taking the maximum over orientations on the
+integer sums before multiplying by the positive reciprocal of the line
+length gives the same value as scaling each line first.
 
 The footprint reports the architectural line-buffer size of the modeled
 datapath, (window - 1) * ncols + window pixels, next to the bytes a band
@@ -271,6 +270,8 @@ class StreamAccumulators:
         channel = self._raw_sums(0, 1 << f if fixed else 1, 0)
         clamps = 0
         if fixed:
+            if n << f >= RAW_LIMIT:
+                raise FixedPointOverflowError(f"the ROI count {n} exceeds the signed 64-bit range at frac_bits={f}")
             n_fx = fx_from_int(n, f)
             recips, window_recip = _fixed_recips(self.params.window, f)
             sums = [self._raw_sums(s, r, window_recip) for s, r in enumerate(recips)] + [channel]
@@ -280,14 +281,13 @@ class StreamAccumulators:
                 # adding half an ulp and shifting
                 sx2 = (sx2 + (1 << (f - 1))) >> f
                 if max(abs(sx), sx2) >= RAW_LIMIT:
-                    raise FixedPointOverflowError("a fixed ROI sum exceeds the signed 64-bit range")
+                    raise FixedPointOverflowError(
+                        f"a fixed ROI sum exceeds the signed 64-bit range at roi_count={n}, frac_bits={f}")
                 m = fx_div(sx, n_fx, f)
                 var = fx_sub(fx_div(sx2, n_fx, f), fx_mul(m, m, f))
-                if var < 0:
-                    var = 0
-                    clamps += 1
+                clamps += var < 0
                 # raw words cross to pass 2 as they are: no double holds them
-                pairs.append((m, fx_sqrt(var, f)))
+                pairs.append((m, fx_sqrt(max(var, 0), f)))
         else:
             area = self.params.window ** 2
             pairs = [scale_stats(*self._raw_sums(s, area, length), n, length * area)
@@ -379,25 +379,26 @@ def _rounded(q: Fraction) -> int:
 
 
 def _affine_terms(params: MsldParams, stats: ScaleStats,
-                  mode: ArithmeticMode) -> tuple[list, float | np.int64, float | np.int64, float | np.int64]:
-    """The combined map as one affine form of the kernel sums and the pixel.
+                  mode: ArithmeticMode) -> tuple[list, float | np.int64]:
+    """The combined map as (terms, offset): sum(coefficient * source) - offset.
 
-    Averaging with weight w the z-scores (S_L * r_L - B * r_W - m_L) / s_L
-    of the scales and (p * r_p - m_p) / s_p of the channel, over the live
-    stds s, gives sum_L a_L * S_L - b * B + c * p - offset with a_L = w *
-    r_L / s_L, b = sum_L w * r_W / s_L, c = w * r_p / s_p and offset = sum
-    w * m / s. The mode chooses only the constants, the number type with
-    its rounding, and which stds are live. Float mode: w = 1 / (n + 1), r
-    divisions by L, W*W and 1 (a_L = w / (L * s_L)), in doubles, each sum
-    added in scale order and the channel last; std >= DEGENERATE_STD.
-    Fixed mode: w = r_C * 2**g (r_C the quantized reciprocal of n + 1, g
-    the ``_guard_bits``), r_L and r_W of ``_fixed_recips`` and r_p = 2**f,
-    the pixel's shift, over the raw words of ``stats`` in exact rationals,
-    each coefficient rounded once to f + g fractional bits; std not 0.
-    Raises FixedPointOverflowError unless every partial sum of the form,
-    doubled and plus 2**g, fits int64: the precondition of its final
-    rounding, ``div_round_half_away_i64``. Returns ([(scale index, a_L)],
-    b, c, offset) as doubles or int64 words.
+    Averaging with weight w the z-scores (p * r_p - m_p) / s_p of the
+    channel and (S_L * r_L - B * r_W - m_L) / s_L of the scales over the
+    live stds s gives the terms (p, c), (B, -b) and (S_L, a_L) per live
+    scale, in the order pass 2 adds them, with c = w * r_p / s_p, b = sum_L
+    w * r_W / s_L, a_L = w * r_L / s_L and offset = sum w * m / s; c and b
+    are 0 when no live std feeds them. A source is a row of ``band_sums`` (0
+    for B, s for scale s) or None for the pixel, the channel and scale 1's
+    line sum. The mode chooses only the constants, the number type with its
+    rounding, and which stds are live. Float mode: w = 1 / (n + 1), r
+    divisions by L, W*W and 1, in doubles, each sum added in scale order and
+    the channel last; std >= DEGENERATE_STD. Fixed mode: w = r_C * 2**g (r_C
+    the quantized reciprocal of n + 1, g the ``_guard_bits``), r_L and r_W
+    of ``_fixed_recips`` and r_p = 2**f, over the raw words of ``stats`` in
+    exact rationals, each coefficient rounded once to an int64 of f + g
+    fractional bits; std not 0. Raises FixedPointOverflowError unless every
+    partial sum, doubled and plus 2**g, fits int64, as
+    ``div_round_half_away_i64`` requires.
     """
     n, window = params.n_scales, params.window
     fixed = mode == "fixed"
@@ -407,11 +408,11 @@ def _affine_terms(params: MsldParams, stats: ScaleStats,
         # the reciprocals multiply; the channel's raw response is the pixel
         # shifted by f, so its reciprocal is 2**f
         muls, divs, window_mul, window_div = scale_recips + (1 << f,), (1,) * (n + 1), window_recip, 1
-        weight, floor, ratio, rounded = fx_reciprocal(n + 1, f) << g, 1, Fraction, _rounded
+        weight, floor, ratio, rounded, word = fx_reciprocal(n + 1, f) << g, 1, Fraction, _rounded, np.int64
     else:
         # the reciprocals divide: by L, by 1 for the channel, and by W*W
         muls, divs, window_mul, window_div = (1,) * (n + 1), params.scales + (1,), 1, window * window
-        weight, floor, ratio, rounded = 1.0 / (n + 1), DEGENERATE_STD, truediv, float
+        weight, floor, ratio, rounded, word = 1.0 / (n + 1), DEGENERATE_STD, truediv, float, float
     means = stats.scale_means + (stats.igc_mean,)
     stds = stats.scale_stds + (stats.igc_std,)
     live = [s for s, std in enumerate(stds) if std >= floor]
@@ -421,29 +422,28 @@ def _affine_terms(params: MsldParams, stats: ScaleStats,
         if s < n:
             window_coeff += ratio(weight * window_mul, window_div * stds[s])
         offset += ratio(weight * means[s], stds[s])
-    channel_coeff, window_coeff, offset = coeffs.pop(n, 0), rounded(window_coeff), rounded(offset)
+    terms = [(None, coeffs.pop(n, 0)), (0, -rounded(window_coeff))] + [(s or None, a) for s, a in coeffs.items()]
+    offset = rounded(offset)
     if fixed:
-        # every coefficient but the offset is non-negative
-        largest = max(window_coeff * 255 * window * window,
-                      255 * (channel_coeff + sum(a * params.scales[s] for s, a in coeffs.items())))
+        # a partial sum lies between the negative and the positive terms' sums at their sources' peaks
+        peaks = [255 * a * (window * window if source == 0 else params.scales[source or 0]) for source, a in terms]
+        largest = max(sum(p for p in peaks if p > 0), -sum(p for p in peaks if p < 0))
         if 2 * (largest + abs(offset)) + (1 << g) >= RAW_LIMIT:
             raise FixedPointOverflowError(
                 f"the fixed combined map exceeds the vectorized int64 range at frac_bits={f}: "
                 f"each coefficient carries frac_bits + {g} guard bits = {f + g} fractional bits, "
                 "scaled by the inverse std of its scale"
             )
-    word = np.int64 if fixed else float
-    return [(s, word(a)) for s, a in coeffs.items()], word(window_coeff), word(channel_coeff), word(offset)
+    return [(source, word(a)) for source, a in terms], word(offset)
 
 
 def _run_pass2(pixels: np.ndarray, params: MsldParams, mode: ArithmeticMode,
                bands: Iterable[Band], stats: ScaleStats) -> ResponseMap:
-    """One band loop for both modes over the coefficients of ``_affine_terms``:
-    float mode forms the affine form in the output rows, fixed mode in an
-    int64 accumulator that it rounds once."""
+    """One band loop for both modes over the terms of ``_affine_terms``, summed
+    in the output rows or in an int64 accumulator that fixed mode rounds once."""
     out = np.zeros(pixels.shape, dtype=np.float64)
     fixed = mode == "fixed"
-    scale_terms, window_coeff, channel_coeff, offset = _affine_terms(params, stats, mode)
+    terms, offset = _affine_terms(params, stats, mode)
     term = acc = None
     guard = 1 << _guard_bits(params.window)
     ncols = pixels.shape[1]
@@ -454,13 +454,12 @@ def _run_pass2(pixels: np.ndarray, params: MsldParams, mode: ArithmeticMode,
             acc = np.empty_like(term) if fixed else None
         combined = acc[:rows.stop - rows.start] if fixed else out[rows]
         band_term = term[:combined.shape[0]]
-        np.multiply(pixels[rows], channel_coeff, out=combined)
-        np.multiply(sums[0, :, :ncols], window_coeff, out=band_term)
-        combined -= band_term
-        for s, coeff in scale_terms:
-            # scale 1's line sum is the pixel
-            np.multiply(sums[s, :, :ncols] if s else pixels[rows], coeff, out=band_term)
-            combined += band_term
+        for k, (source, coeff) in enumerate(terms):
+            # no name holds the view, so that del sums releases the band
+            np.multiply(pixels[rows] if source is None else sums[source, :, :ncols], coeff,
+                        out=band_term if k else combined)
+            if k:
+                combined += band_term
         # released before the rounding's temporaries and the next band's sums
         del sums
         combined -= offset

@@ -347,3 +347,45 @@ def test_segment_of_a_giant_ascii_header_is_a_format_error(tmp_path):
     out = tmp_path / "r.msldf"
     assert main(["segment", "--input", str(image), "--out", str(out)]) == EXIT_IO
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["dir_missing", "is_a_directory"])
+def test_write_error_names_the_given_path(inputs, tmp_path, capsys, case):
+    out = tmp_path / "missing" / "r.msldf" if case == "dir_missing" else tmp_path / "r.msldf"
+    if case == "is_a_directory":
+        out.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main(segment_args(inputs, out)) == EXIT_IO
+    err = capsys.readouterr().err
+    assert str(out) in err and ".tmp" not in err.replace(str(tmp_path), "")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["segment", "eval", "compare", "bench"])
+def test_run_refuses_to_write_over_a_file_it_reads_or_writes(inputs, tmp_path, monkeypatch, capsys, command):
+    # paths are compared as absolute paths, before anything is loaded
+    monkeypatch.chdir(tmp_path)
+    resp = tmp_path / "r.msldf"
+    write_response_file(ResponseMap(np.random.default_rng(3).random((24, 20))), resp)
+    image, mask, truth = (str(inputs[name]) for name in ("image", "mask", "truth"))
+    common = ["--input", image, "--mask", mask, "--window", "5"]
+    cases = {
+        "segment": [
+            [*common, "--out", "s.msldf", "--report", "./s.msldf"],
+            [*common, "--out", image],
+            [*common, "--out", "s.msldf", "--threshold", "0", "--report", str(tmp_path / "s.msldf.seg.pgm")],
+            [*common, "--out", "s.msldf", "--report", "mask.pgm"],
+            ["--input", "missing.pgm", "--out", "missing.pgm"],
+        ],
+        "eval": [
+            ["--input", "r.msldf", "--truth", truth, "--report", str(resp)],
+            ["--input", str(resp), "--truth", truth, "--mask", mask, "--report", "truth.pgm"],
+        ],
+        "compare": [[*common, "--report", image]],
+        "bench": [[*common, "--report", "./mask.pgm"]],
+    }
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    for extra in cases[command]:
+        assert main([command, *extra]) == EXIT_VALIDATION, extra
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+        assert "over a file it reads or writes" in capsys.readouterr().err

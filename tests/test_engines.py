@@ -280,6 +280,55 @@ def test_degenerate_scale_drops_its_term(mode):
         assert_within_one_ulp(pixels, roi, 7, maps[0], degenerate[0])
 
 
+@pytest.mark.parametrize("mode", ["float", "fixed"])
+def test_pass2_term_list(mode):
+    # at W = 15 pass 2 makes n + 2 = 10 multiply-accumulates per pixel: the
+    # channel (the pixel), the window sums, scale 1 (the pixel again) and
+    # the seven line sums above it, each read from its row of band_sums
+    rng = np.random.default_rng(24)
+    pixels = rng.integers(0, 256, (40, 36), dtype=np.uint8)
+    roi = rng.random((40, 36)) < 0.8
+    params = MsldParams(window=15)
+    n = params.n_scales
+    stats = stream_pass1(GrayImage(pixels), Mask(roi), params, mode)
+    zero = 0 if mode == "fixed" else 0.0
+
+    def terms_of(s):
+        terms, _ = streaming._affine_terms(params, s, mode)
+        (_, window_coeff), others = terms[1], terms[:1] + terms[2:]
+        assert window_coeff <= 0 and all(coeff >= 0 for _, coeff in others)
+        return terms
+
+    assert [source for source, _ in terms_of(stats)] == [None, 0, None, 1, 2, 3, 4, 5, 6, 7]
+    # a degenerate scale drops exactly its own term
+    for s in range(n):
+        dead = replace(stats, scale_stds=stats.scale_stds[:s] + (zero,) + stats.scale_stds[s + 1:])
+        assert [source for source, _ in terms_of(dead)] == [None, 0] + [t or None for t in range(n) if t != s]
+    # the channel and the window sums stay, at 0 when no live std feeds them
+    no_scales = replace(stats, scale_stds=(zero,) * n)
+    for dead, channel_live, window_live in [(stats, True, True), (no_scales, True, False),
+                                            (replace(stats, igc_std=zero), False, True),
+                                            (replace(no_scales, igc_std=zero), False, False)]:
+        (channel, channel_coeff), (window, window_coeff), *_ = terms_of(dead)
+        assert (channel, window) == (None, 0)
+        assert (channel_coeff != 0, window_coeff != 0) == (channel_live, window_live)
+
+
+def test_fixed_finalize_overflow_names_the_roi_count_and_width():
+    # 600 ROI pixels shifted by 60 bits exceed the 64-bit range; on the
+    # 3-pixel ROI of test_fixed_stats_wider_than_a_double the channel's sum
+    # of squares does at f = 53
+    pixels = np.random.default_rng(5).integers(0, 256, (20, 30), dtype=np.uint8)
+    img, mask = GrayImage(pixels), Mask(np.ones((20, 30), dtype=bool))
+    with pytest.raises(FixedPointOverflowError, match=r"^the ROI count 600 exceeds .* at frac_bits=60$"):
+        stream_pass1(img, mask, MsldParams(window=3, frac_bits=60), "fixed")
+    pixels = np.array([[10, 20, 31], [0, 0, 0], [0, 0, 0]], dtype=np.uint8)
+    roi = np.zeros((3, 3), dtype=bool)
+    roi[0] = True
+    with pytest.raises(FixedPointOverflowError, match=r"^a fixed ROI sum exceeds .* at roi_count=3, frac_bits=53$"):
+        stream_pass1(GrayImage(pixels), Mask(roi), MsldParams(window=3, frac_bits=53), "fixed")
+
+
 def test_fixed_negative_variance_clamped_to_zero():
     # one 255 among 254s: at f=12 the channel's mean 254 + 1/36 rounds up by
     # about a fifth of an ulp, which raises its square by about 112 ulps,
@@ -401,6 +450,27 @@ def test_streaming_peak_is_the_response_and_its_modeled_footprint(height, width,
         tracemalloc.stop()
     response = 8 * height * width
     assert peak <= response + streaming.memory_footprint(params, width, height).peak_total_bytes
+
+
+@pytest.mark.parametrize("mode", ["float", "fixed"])
+@pytest.mark.parametrize("height, width", [(64, 64), (584, 565)])
+def test_pass2_peak_is_the_response_and_one_band(height, width, mode):
+    # pass 2 drops each band's sums before it forms the next: its peak is the
+    # map, one band's kernel buffers and its registers, the term buffer and,
+    # in fixed mode, the accumulator, plus a few KB of small objects
+    pixels = np.random.default_rng(8).integers(0, 256, (height, width), dtype=np.uint8)
+    img, mask, params = GrayImage(pixels), Mask(np.ones((height, width), dtype=bool)), MsldParams(window=15)
+    stats = stream_pass1(img, mask, params, mode)
+    stream_pass2(img, mask, params, stats, mode)  # fills the line-geometry cache outside the trace
+    tracemalloc.start()
+    try:
+        stream_pass2(img, mask, params, stats, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = streaming.band_height(width, height)
+    registers = (2 if mode == "fixed" else 1) * 8 * rows * width
+    assert peak <= 8 * height * width + band_bytes(rows, width, 15) + registers + 4096
 
 
 @given(cases(max_side=40), st.sampled_from(["float", "fixed"]))
