@@ -21,11 +21,13 @@ from .imageio import (
     GrayImage,
     Mask,
     PnmFormatError,
+    PnmRows,
     RgbImage,
     extract_inverted_green,
     full_mask,
     load_mask,
     load_pnm,
+    open_rows,
     save_pnm,
 )
 from .metrics import (

@@ -5,13 +5,22 @@ Exit codes: 0 success, 1 validation failure, 2 I/O or format failure,
 range exceeded). Each output file is written atomically via a uniquely
 named temporary sibling, and a failed run removes the ones it wrote, so it
 leaves no outputs and concurrent runs never share a temporary. A run that
-would write over a file it reads, or write two outputs to one path, is
-refused before it loads anything.
+would write over a file it reads, write two outputs to one path, or write
+to a path that names no file, is refused before it loads anything.
+
+``segment``, ``compare`` and ``bench`` open their image and mask with
+``imageio.open_rows``: a binary (P5, P6) file's header and length errors
+are raised on opening and the engines read its rows band by band, so no
+whole gray image or mask is held. ASCII (P2, P3) files have no row index
+and are loaded whole, as is a file that cannot seek, such as a pipe. A run
+without ``--mask`` reads its full-frame ROI from a view of one flag.
+``eval`` scores whole maps, so it loads its masks whole.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import os
@@ -28,12 +37,13 @@ from .imageio import (
     GrayImage,
     Mask,
     PnmFormatError,
-    RgbImage,
     encode_pnm,
-    extract_inverted_green,
     full_mask,
     load_mask,
+    # not called here, as inputs are opened with open_rows; perfbench's
+    # selftest checks that its span wrapper replaces this name too
     load_pnm,
+    open_rows,
 )
 from .metrics import (
     SingleClassRoiError,
@@ -111,14 +121,18 @@ def _atomic_write_bytes(path: Path, chunks: Iterable):
 
 
 def _check_paths(args):
-    """Refuse a run that would write over a file it reads or write two
-    outputs to one path, before anything is loaded."""
+    """Refuse a run that would write to a path that names no file, write
+    over a file it reads or write two outputs to one path, before anything
+    is loaded."""
     options = vars(args)
     seen = {os.path.abspath(options[key]) for key in ("input", "mask", "truth") if options.get(key)}
     writes = [options.get("out"), args.report]
     if writes[0] and args.threshold is not None:
         writes.append(writes[0] + ".seg.pgm")
-    for path in filter(None, writes):
+    for path in (path for path in writes if path is not None):
+        # the temporary is a sibling of the named file, and '', '.' and '/' name none
+        if not Path(path).name:
+            raise ValueError(f"cannot write {path!r}: the path names no file")
         if os.path.abspath(path) in seen:
             raise ValueError(f"this run would write {path} over a file it reads or writes")
         seen.add(os.path.abspath(path))
@@ -128,19 +142,15 @@ def _atomic_write_text(path: Path, text: str):
     _atomic_write_bytes(path, [text.encode("ascii")])
 
 
-def _load_gray_input(path) -> GrayImage:
-    image = load_pnm(path)
-    if isinstance(image, RgbImage):
-        return extract_inverted_green(image)
-    return image
-
-
-def _load_roi(mask_path, grid) -> Mask:
-    """The mask file, or the full frame of the grid; the engines and
-    ``metrics`` reject a mask of other dimensions."""
-    if mask_path is None:
-        return full_mask(grid.width, grid.height)
-    return load_mask(mask_path)
+@contextlib.contextmanager
+def _inputs(args):
+    """The gray input and the ROI of a run as row sources: the mask file or,
+    without one, the full frame as a view of one flag. The engines reject a
+    mask of other dimensions."""
+    with contextlib.ExitStack() as files:
+        img = files.enter_context(open_rows(args.input))
+        roi = files.enter_context(open_rows(args.mask, mask=True)) if args.mask else np.broadcast_to(True, img.shape)
+        yield img, roi
 
 
 def _params(args) -> MsldParams:
@@ -166,17 +176,26 @@ def _emit_report(args, lines: str):
     sys.stdout.write(lines)
 
 
+def _segmentation(resp: ResponseMap, roi, threshold: float) -> GrayImage:
+    """``metrics.binarize`` as 0/255 samples, made a write block of rows at a
+    time from the ROI's row source."""
+    seg = np.empty(resp.values.shape, dtype=np.uint8)
+    rows = max(1, RESPONSE_BLOCK_PIXELS // resp.width)
+    for y in range(0, resp.height, rows):
+        vessel = binarize(ResponseMap(resp.values[y:y + rows]), Mask(roi[y:y + rows]), threshold)
+        seg[y:y + rows] = np.where(vessel.inside, 255, 0)
+    return GrayImage(seg)
+
+
 def cmd_segment(args) -> int:
-    img = _load_gray_input(args.input)
-    mask = _load_roi(args.mask, img)
     params = _params(args)
-    start = time.perf_counter()
-    resp, stats, footprint = _run_engine(args.engine, img, mask, params)
-    elapsed = time.perf_counter() - start
-    # binarize before writing anything, so a bad threshold leaves no output
-    if args.threshold is not None:
-        vessel = binarize(resp, mask, args.threshold)
-        seg = GrayImage(np.where(vessel.inside, 255, 0).astype(np.uint8))
+    with _inputs(args) as (img, roi):
+        start = time.perf_counter()
+        resp, stats, footprint = _run_engine(args.engine, img, roi, params)
+        elapsed = time.perf_counter() - start
+        # binarize before writing anything, so a bad threshold leaves no output
+        if args.threshold is not None:
+            seg = _segmentation(resp, roi, args.threshold)
     pairs = [
         ("engine", args.engine),
         ("window", params.window),
@@ -207,7 +226,7 @@ def cmd_segment(args) -> int:
 def cmd_eval(args) -> int:
     resp = read_response_file(args.input)
     truth = load_mask(args.truth)
-    roi = _load_roi(args.mask, resp)
+    roi = load_mask(args.mask) if args.mask else full_mask(resp.width, resp.height)
     if args.threshold is not None:
         report = report_at_threshold(resp, truth, roi, args.threshold)
     else:
@@ -228,13 +247,14 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     """Diff fixed mode against the float reference; streaming-float equals
     the reference by construction, so it is not run."""
-    img = _load_gray_input(args.input)
-    mask = _load_roi(args.mask, img)
     params = _params(args)
-
-    ref_resp, ref_stats = msld_reference(img, mask, params)
-    resp, stats, _ = msld_streaming(img, mask, params, "fixed")
-    diff = np.abs(resp.values[mask.inside] - ref_resp.values[mask.inside])
+    with _inputs(args) as (img, roi):
+        ref_resp, ref_stats = msld_reference(img, roi, params)
+        resp, stats, _ = msld_streaming(img, roi, params, "fixed")
+        # the ROI's diffs in raster order, read a block of rows at a time
+        step = max(1, RESPONSE_BLOCK_PIXELS // resp.width)
+        diff = np.concatenate([np.abs(resp.values[y:y + step] - ref_resp.values[y:y + step])[roi[y:y + step]]
+                               for y in range(0, resp.height, step)])
     pairs = [
         ("window", params.window),
         ("frac_bits", params.frac_bits),
@@ -255,28 +275,27 @@ def cmd_compare(args) -> int:
 def cmd_bench(args) -> int:
     if args.reps < 1:
         raise ValueError(f"--reps must be at least 1, got {args.reps}")
-    img = _load_gray_input(args.input)
-    mask = _load_roi(args.mask, img)
     params = _params(args)
     mode = ENGINES[args.engine]
-
     pairs = [("engine", args.engine), ("window", params.window), ("reps", args.reps)]
-    for rep in range(args.reps):
-        start = time.perf_counter()
-        if mode is None:
-            msld_reference(img, mask, params)
-            pairs.append((f"rep{rep}_seconds", f"{time.perf_counter() - start:.3f}"))
-        else:
-            stats = stream_pass1(img, mask, params, mode)
-            mid = time.perf_counter()
-            stream_pass2(img, mask, params, stats, mode)
-            end = time.perf_counter()
-            pairs += [
-                (f"rep{rep}_pass1_seconds", f"{mid - start:.3f}"),
-                (f"rep{rep}_pass2_seconds", f"{end - mid:.3f}"),
-            ]
+    with _inputs(args) as (img, roi):
+        for rep in range(args.reps):
+            start = time.perf_counter()
+            if mode is None:
+                msld_reference(img, roi, params)
+                pairs.append((f"rep{rep}_seconds", f"{time.perf_counter() - start:.3f}"))
+            else:
+                stats = stream_pass1(img, roi, params, mode)
+                mid = time.perf_counter()
+                stream_pass2(img, roi, params, stats, mode)
+                end = time.perf_counter()
+                pairs += [
+                    (f"rep{rep}_pass1_seconds", f"{mid - start:.3f}"),
+                    (f"rep{rep}_pass2_seconds", f"{end - mid:.3f}"),
+                ]
     if mode is not None:
-        pairs += vars(memory_footprint(params, img.width, img.height)).items()
+        height, width = img.shape
+        pairs += vars(memory_footprint(params, width, height)).items()
     _emit_report(args, _report_lines(pairs))
     return EXIT_OK
 

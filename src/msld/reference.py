@@ -19,7 +19,7 @@ import numpy as np
 
 from .detector import MsldParams
 from .fixedpoint import RAW_LIMIT
-from .imageio import GrayImage, Grid, Mask
+from .imageio import Grid, row_source
 
 
 class EmptyRoiError(ValueError):
@@ -88,16 +88,17 @@ def scale_stats(sum_x: int, sum_x2: int, roi_count: int, divisor: int = 1) -> tu
     return sum_x / scaled_count, math.sqrt(variance)
 
 
-def msld_reference(img: GrayImage, mask: Mask, params: MsldParams) -> tuple[ResponseMap, ScaleStats]:
+def msld_reference(img, mask, params: MsldParams) -> tuple[ResponseMap, ScaleStats]:
     """Run the full pipeline over an inverted-channel image.
 
-    Returns the combined response map and the per-scale ROI statistics of
-    the streaming engine's float datapath. Bands are max(8, BAND_PIXELS //
-    width) rows, without the streaming engine's cap at an eighth of the
-    height: the cap bounds a sweep that drops its sums, and these are all
-    kept, so a short image is one band.
+    img and mask are a GrayImage and a Mask or row sources of their rows
+    (``imageio.row_source``). Returns the combined response map and the
+    per-scale ROI statistics of the streaming engine's float datapath. Bands
+    are max(8, BAND_PIXELS // width) rows, without the streaming engine's
+    cap at an eighth of the height: the cap bounds a sweep that drops its
+    sums, and these are all kept, so a short image is one band.
     """
     # streaming builds on this module's types, so it is imported on use
     from .streaming import BAND_PIXELS, sweep
 
-    return sweep(img, mask, params, "float", max(8, BAND_PIXELS // img.width))
+    return sweep(img, mask, params, "float", max(8, BAND_PIXELS // row_source(img).shape[1]))

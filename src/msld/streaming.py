@@ -17,6 +17,13 @@ handful of per-scale words, regardless of image height.
 ``reference.msld_reference`` runs the float datapath through ``sweep``,
 which keeps every band's sums for pass 2 instead.
 
+The engines take the image and the mask as a ``GrayImage`` and a ``Mask``
+or as row sources (``imageio``), such as the ``imageio.PnmRows`` that
+``imageio.open_rows`` gives for a binary file. Each band reads its mask rows and then its image rows with the
+window's halo once; the band record carries those rows to both passes'
+arithmetic, so a run over a file holds no whole image or mask, and each
+pass reads the file once more.
+
 The streaming pass-2 band height is max(8, min(BAND_PIXELS // width,
 height // 8)) rows. The first term spends a fixed pixel budget per kernel
 call, so per-call overhead is amortized on wide images while the rows stay
@@ -74,13 +81,14 @@ from .fixedpoint import (
     fx_sqrt,
     fx_sub,
 )
-from .imageio import GrayImage, Mask
+from .imageio import row_source
 from .kernel import band_bytes, band_sums
 from .reference import EmptyRoiError, ResponseMap, ScaleStats, scale_stats
 
 ArithmeticMode = Literal["float", "fixed"]
-# (rows, roi, sums) of one band, sums as ``kernel.band_sums`` returns them
-Band = tuple[slice, np.ndarray, np.ndarray]
+# (rows, roi, channel, sums) of one band: its ROI flags and channel rows, and
+# its sums as ``kernel.band_sums`` returns them
+Band = tuple[slice, np.ndarray, np.ndarray, np.ndarray]
 
 # pixels per band above the 8-row floor: at DRIVE width (565 columns, 36
 # rows) the largest budget of a sweep at which the float engine's measured
@@ -210,10 +218,14 @@ class StreamAccumulators:
         self.roi_count = 0
         # ROI pixels are added at most this many at a time: at most
         # block_pixels, one pass-2 band's pixels, so that a taller pass-1 band
-        # brings no larger int64 gathers; and few enough that no int64 partial
-        # sum can wrap, since no product of two kernel sums exceeds the
-        # largest window sum squared
-        self._block = max(1, min(block_pixels, (2**63 - 1) // (255 * params.window**2) ** 2))
+        # brings no larger gathers; and few enough that no int64 partial sum
+        # can wrap, since no product of two kernel sums exceeds the largest
+        # window sum squared. Values are gathered as float64, whose dots run
+        # in BLAS, when no partial sum of a whole block can pass 2**53, so
+        # that every one is an exact integer in any order of addition
+        largest = (255 * params.window**2) ** 2
+        self._block = max(1, min(block_pixels, (2**63 - 1) // largest))
+        self._dtype = np.float64 if self._block * largest <= 2**53 else np.int64
 
     def update_row(self, sums: np.ndarray, channel: np.ndarray, roi: np.ndarray):
         """Add one band: its padded kernel sums, channel rows and ROI flags.
@@ -235,13 +247,14 @@ class StreamAccumulators:
 
         Gathering by index is several times faster than by a boolean mask
         when the ROI is scattered. Pixel i of the channel sits at i + i //
-        ncols * (W - 1) in the padded kernel sums.
+        ncols * (W - 1) in the padded kernel sums. The values are gathered
+        as the block's exact dtype (``__init__``).
         """
         ncols = channel.shape[1]
         padded = inside // ncols
         padded *= sums.shape[2] - ncols
         padded += inside
-        wsums = sums[0].reshape(-1).take(padded).astype(np.int64)
+        wsums = sums[0].reshape(-1).take(padded).astype(self._dtype)
         self.window_sum += int(wsums.sum())
         self.window_sum2 += int(wsums @ wsums)
         # one scale's values at a time, in one buffer
@@ -311,57 +324,96 @@ def _fixed_recips(window: int, frac_bits: int) -> tuple[tuple[int, ...], int]:
     return scale_recips, fx_reciprocal(window * window, frac_bits)
 
 
-def _bands(pixels: np.ndarray, mask: Mask, window: int, band_rows: int) -> Iterator[Band]:
-    """Yield (rows, roi, sums) for every band of band_rows output rows that
-    holds an ROI pixel."""
+class _Halo:
+    """A band's rows with their halo, read once and sliced by image row: the
+    rows from lo on of an image of the given shape, a row source for
+    ``band_sums``. Slicing the block itself would clamp at the same edges,
+    but ``band_sums`` would then name the band by block rows, not by the
+    image rows that the band records and their tests use."""
+
+    def __init__(self, block: np.ndarray, lo: int, shape: tuple[int, int]):
+        self.block, self.lo, self.shape = block, lo, shape
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.block[rows.start - self.lo:rows.stop - self.lo]
+
+
+def _bands(pixels, inside, window: int, band_rows: int, keep: bool = False) -> Iterator[Band]:
+    """Yield (rows, roi, channel, sums) for every band of band_rows output
+    rows that holds an ROI pixel.
+
+    Each band reads its ROI rows, then its channel rows with the window's
+    halo once, from which ``band_sums`` forms its sums; it clamps at the
+    image's edges only, so the sums are those of the whole image. A band
+    that is kept holds compact channel rows, not a view of a block that was
+    read with its halo.
+    """
     height = pixels.shape[0]
+    half = window // 2
     for y0 in range(0, height, band_rows):
         rows = slice(y0, min(y0 + band_rows, height))
-        roi = mask.inside[rows]
+        roi = inside[rows]
         if roi.any():
-            yield rows, roi, band_sums(pixels, rows.start, rows.stop, window)
+            lo = max(y0 - half, 0)
+            block = pixels[lo:min(rows.stop + half, height)]
+            channel = block[y0 - lo:rows.stop - lo]
+            if keep and not isinstance(pixels, np.ndarray):
+                channel = channel.copy()
+            yield rows, roi, channel, band_sums(_Halo(block, lo, pixels.shape), y0, rows.stop, window)
 
 
-def _run_pass1(pixels: np.ndarray, params: MsldParams, mode: ArithmeticMode,
-               bands: Iterable[Band], block_pixels: int) -> ScaleStats:
+def _run_pass1(params: MsldParams, mode: ArithmeticMode, bands: Iterable[Band],
+               block_pixels: int) -> ScaleStats:
     acc = StreamAccumulators(params, mode, block_pixels)
-    for rows, roi, sums in bands:
-        acc.update_row(sums, pixels[rows], roi)
-        # released before the next band's sums are formed
-        del sums
+    for rows, roi, channel, sums in bands:
+        acc.update_row(sums, channel, roi)
+        # released before the next band is read and its sums are formed
+        del roi, channel, sums
     return acc.finalize()
 
 
-def _check_inputs(img: GrayImage, mask: Mask, arithmetic_mode: str):
-    """Reject an unknown mode and a mask of other dimensions; an empty ROI
-    is rejected by ``StreamAccumulators.finalize``."""
+def _check_inputs(img, mask, arithmetic_mode: str):
+    """The row sources of img and mask (``imageio.row_source``). Rejects an
+    unknown mode, rows that are not 2-D uint8 pixels and bool flags, and a
+    mask of other dimensions; an empty ROI is rejected by
+    ``StreamAccumulators.finalize``."""
     _validate_mode(arithmetic_mode)
-    if (mask.height, mask.width) != (img.height, img.width):
+    pixels, inside = row_source(img), row_source(mask)
+    # no rows are read: a source's dtype and rank are those of any rows
+    for source, dtype, what in ((pixels, np.uint8, "image"), (inside, np.bool_, "mask")):
+        rows = source[0:0]
+        if len(source.shape) != 2 or rows.ndim != 2 or rows.dtype != dtype:
+            raise ValueError(f"{what} rows must be 2-D {np.dtype(dtype).name}, got {rows.ndim}-D {rows.dtype.name}")
+    if inside.shape != pixels.shape:
+        (height, width), (mask_height, mask_width) = pixels.shape, inside.shape
         raise ValueError(
-            f"mask dimensions {mask.width}x{mask.height} do not match "
-            f"image {img.width}x{img.height}"
+            f"mask dimensions {mask_width}x{mask_height} do not match "
+            f"image {width}x{height}"
         )
+    return pixels, inside
 
 
 def stream_pass1(
-    img: GrayImage,
-    mask: Mask,
+    img,
+    mask,
     params: MsldParams,
     arithmetic_mode: ArithmeticMode = "float",
 ) -> ScaleStats:
     """Single raster sweep accumulating per-scale ROI statistics.
 
-    Raw responses are consumed immediately and never stored. The bands are
-    ``pass1_height`` rows, up to four pixel budgets and never lower than
-    pass 2's: this sweep runs before the response map exists and spends its
-    bytes. Float statistics are exact rationals rounded once; fixed-point
-    variances that the sum-of-squares formula makes negative are clamped to
-    zero and counted on the returned stats.
+    img and mask are a GrayImage and a Mask or row sources of their rows
+    (``imageio.row_source``). Raw responses are consumed immediately and
+    never stored. The bands are ``pass1_height`` rows, up to four pixel
+    budgets and never lower than pass 2's: this sweep runs before the
+    response map exists and spends its bytes. Float statistics are exact
+    rationals rounded once; fixed-point variances that the sum-of-squares
+    formula makes negative are clamped to zero and counted on the returned
+    stats.
     """
-    _check_inputs(img, mask, arithmetic_mode)
-    width, height = img.width, img.height
-    bands = _bands(img.pixels, mask, params.window, pass1_height(width, height, params.window))
-    return _run_pass1(img.pixels, params, arithmetic_mode, bands, band_height(width, height) * width)
+    pixels, inside = _check_inputs(img, mask, arithmetic_mode)
+    height, width = pixels.shape
+    bands = _bands(pixels, inside, params.window, pass1_height(width, height, params.window))
+    return _run_pass1(params, arithmetic_mode, bands, band_height(width, height) * width)
 
 
 def _guard_bits(window: int) -> int:
@@ -437,17 +489,17 @@ def _affine_terms(params: MsldParams, stats: ScaleStats,
     return [(source, word(a)) for source, a in terms], word(offset)
 
 
-def _run_pass2(pixels: np.ndarray, params: MsldParams, mode: ArithmeticMode,
+def _run_pass2(shape: tuple[int, int], params: MsldParams, mode: ArithmeticMode,
                bands: Iterable[Band], stats: ScaleStats) -> ResponseMap:
     """One band loop for both modes over the terms of ``_affine_terms``, summed
     in the output rows or in an int64 accumulator that fixed mode rounds once."""
-    out = np.zeros(pixels.shape, dtype=np.float64)
+    out = np.zeros(shape, dtype=np.float64)
     fixed = mode == "fixed"
     terms, offset = _affine_terms(params, stats, mode)
     term = acc = None
     guard = 1 << _guard_bits(params.window)
-    ncols = pixels.shape[1]
-    for rows, roi, sums in bands:
+    ncols = shape[1]
+    for rows, roi, channel, sums in bands:
         if term is None:
             # only the last band can be lower than the first
             term = np.empty(roi.shape, dtype=np.int64 if fixed else np.float64)
@@ -456,24 +508,31 @@ def _run_pass2(pixels: np.ndarray, params: MsldParams, mode: ArithmeticMode,
         band_term = term[:combined.shape[0]]
         for k, (source, coeff) in enumerate(terms):
             # no name holds the view, so that del sums releases the band
-            np.multiply(pixels[rows] if source is None else sums[source, :, :ncols], coeff,
+            np.multiply(channel if source is None else sums[source, :, :ncols], coeff,
                         out=band_term if k else combined)
             if k:
                 combined += band_term
         # released before the rounding's temporaries and the next band's sums
-        del sums
+        del channel, sums
         combined -= offset
         if fixed:
             # rounded into the term buffer, so the band holds no temporaries
             np.divide(div_round_half_away_i64(combined, guard, out=band_term), 1 << params.frac_bits,
                       out=out[rows])
         out[rows][~roi] = 0.0
+        del roi
     return ResponseMap(out)
 
 
-def _check_pass2_inputs(img: GrayImage, mask: Mask, params: MsldParams,
-                        stats: ScaleStats, arithmetic_mode: str):
-    _check_inputs(img, mask, arithmetic_mode)
+def _roi_count(inside) -> int:
+    """The ROI pixels of a mask's row source, counted a budget of rows at a time."""
+    height, width = inside.shape
+    step = max(8, BAND_PIXELS // width)
+    return sum(int(np.count_nonzero(inside[y:y + step])) for y in range(0, height, step))
+
+
+def _check_pass2_inputs(img, mask, params: MsldParams, stats: ScaleStats, arithmetic_mode: str):
+    pixels, inside = _check_inputs(img, mask, arithmetic_mode)
     if stats.n_scales != params.n_scales:
         raise ValueError(
             f"stats carry {stats.n_scales} scales but params require {params.n_scales}"
@@ -484,43 +543,48 @@ def _check_pass2_inputs(img: GrayImage, mask: Mask, params: MsldParams,
             f"stats were produced with frac_bits={stats.frac_bits}, "
             f"expected {expected_frac} for {arithmetic_mode} mode"
         )
-    if stats.roi_count != mask.count:
+    count = _roi_count(inside)
+    if stats.roi_count != count:
         raise ValueError(
-            f"stats cover {stats.roi_count} ROI pixels but mask has {mask.count}"
+            f"stats cover {stats.roi_count} ROI pixels but mask has {count}"
         )
+    return pixels, inside
 
 
 def stream_pass2(
-    img: GrayImage,
-    mask: Mask,
+    img,
+    mask,
     params: MsldParams,
     stats: ScaleStats,
     arithmetic_mode: ArithmeticMode = "float",
 ) -> ResponseMap:
-    """Second raster sweep: recompute the band sums, standardize, combine.
+    """Second raster sweep: read the bands again, recompute their sums,
+    standardize, combine.
 
-    Emits each band of the combined map as soon as its sums are recomputed;
-    per-scale responses exist only as one band of one scale.
+    img and mask are taken as by ``stream_pass1``. Emits each band of the
+    combined map as soon as its sums are recomputed; per-scale responses
+    exist only as one band of one scale.
     """
-    _check_pass2_inputs(img, mask, params, stats, arithmetic_mode)
-    bands = _bands(img.pixels, mask, params.window, band_height(img.width, img.height))
-    return _run_pass2(img.pixels, params, arithmetic_mode, bands, stats)
+    pixels, inside = _check_pass2_inputs(img, mask, params, stats, arithmetic_mode)
+    height, width = pixels.shape
+    bands = _bands(pixels, inside, params.window, band_height(width, height))
+    return _run_pass2(pixels.shape, params, arithmetic_mode, bands, stats)
 
 
-def sweep(img: GrayImage, mask: Mask, params: MsldParams, arithmetic_mode: ArithmeticMode,
+def sweep(img, mask, params: MsldParams, arithmetic_mode: ArithmeticMode,
           band_rows: int) -> tuple[ResponseMap, ScaleStats]:
-    """Both passes over bands of band_rows rows, each band's sums formed
-    once and kept for pass 2; pass 1 gathers at most one band's pixels at a
-    time. ``reference.msld_reference`` fixes the height."""
-    _check_inputs(img, mask, arithmetic_mode)
-    kept = list(_bands(img.pixels, mask, params.window, band_rows))
-    stats = _run_pass1(img.pixels, params, arithmetic_mode, kept, band_rows * img.width)
-    return _run_pass2(img.pixels, params, arithmetic_mode, kept, stats), stats
+    """Both passes over bands of band_rows rows, each band's rows read and
+    its sums formed once and kept for pass 2; pass 1 gathers at most one
+    band's pixels at a time. ``reference.msld_reference`` fixes the height."""
+    pixels, inside = _check_inputs(img, mask, arithmetic_mode)
+    kept = list(_bands(pixels, inside, params.window, band_rows, keep=True))
+    stats = _run_pass1(params, arithmetic_mode, kept, band_rows * pixels.shape[1])
+    return _run_pass2(pixels.shape, params, arithmetic_mode, kept, stats), stats
 
 
 def msld_streaming(
-    img: GrayImage,
-    mask: Mask,
+    img,
+    mask,
     params: MsldParams,
     arithmetic_mode: ArithmeticMode = "float",
 ) -> tuple[ResponseMap, ScaleStats, MemoryFootprint]:
@@ -528,4 +592,5 @@ def msld_streaming(
     report the auxiliary-memory footprint of their bands."""
     stats = stream_pass1(img, mask, params, arithmetic_mode)
     response = stream_pass2(img, mask, params, stats, arithmetic_mode)
-    return response, stats, memory_footprint(params, img.width, img.height)
+    height, width = row_source(img).shape
+    return response, stats, memory_footprint(params, width, height)

@@ -33,3 +33,11 @@ def test_report_at_threshold_case_runs():
     bench = load("bench_eval")
     report = bench.report_at_threshold(*bench.drive_case(), 0.5)
     assert report.threshold == 0.5
+
+
+def test_io_cases_run(tmp_path):
+    bench = load("bench_io")
+    path = bench.drive_file(tmp_path)
+    # 5 pass-1 bands and 17 pass-2 bands, each with up to 14 halo rows
+    assert bench.read_bands(path) == 2 * 584 + 14 * (5 + 17) - 4 * 7
+    assert bench.load_whole(path).shape == (584, 565)

@@ -2,6 +2,7 @@ import argparse
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -19,8 +20,23 @@ from msld.cli import (
     write_response_file,
 )
 import msld
-from msld.imageio import GrayImage, RgbImage, extract_inverted_green, load_mask, save_pnm
-from msld.reference import ResponseMap
+from msld.cli import build_parser
+from msld.detector import MsldParams
+from msld.imageio import (
+    GrayImage,
+    Mask,
+    PnmRows,
+    RgbImage,
+    encode_pnm,
+    extract_inverted_green,
+    full_mask,
+    load_mask,
+    load_pnm,
+    save_pnm,
+)
+from msld.metrics import binarize
+from msld.reference import ResponseMap, msld_reference
+from msld.streaming import band_height, msld_streaming
 
 
 def report(capsys) -> dict:
@@ -132,6 +148,22 @@ def test_segment_of_a_ppm_is_segment_of_its_inverted_green(tmp_path):
         assert main(["segment", "--input", str(tmp_path / name), "--window", "3",
                      "--out", str(tmp_path / f"{name}.msldf")]) == EXIT_OK
     assert (tmp_path / "image.ppm.msldf").read_bytes() == (tmp_path / "green.pgm.msldf").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["image", "mask"])
+def test_segment_reads_an_input_from_a_pipe_whole(inputs, tmp_path, name):
+    # a pipe cannot seek, so its rows cannot be read band by band
+    assert main(segment_args(inputs, tmp_path / "file.msldf")) == EXIT_OK
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(inputs[name].read_bytes()))
+    writer.start()
+    try:
+        assert main(segment_args({**inputs, name: fifo}, tmp_path / "pipe.msldf")) == EXIT_OK
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert (tmp_path / "pipe.msldf").read_bytes() == (tmp_path / "file.msldf").read_bytes()
 
 
 def test_module_run_exits_with_the_code_of_main(inputs, tmp_path):
@@ -389,3 +421,108 @@ def test_run_refuses_to_write_over_a_file_it_reads_or_writes(inputs, tmp_path, m
         assert main([command, *extra]) == EXIT_VALIDATION, extra
         assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
         assert "over a file it reads or writes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", [".", "/", ""])
+def test_output_path_that_names_no_file_is_refused(tmp_path, monkeypatch, capsys, out):
+    # refused before the input, which does not exist, is opened
+    monkeypatch.chdir(tmp_path)
+    assert main(["segment", "--input", "missing.pgm", "--out", out]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"msld: validation error: cannot write {out!r}: the path names no file\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def ascii_pnm(image) -> bytes:
+    """An image as ASCII PGM (P2) or PPM (P3), with a comment in its header."""
+    magic = "P3" if isinstance(image, RgbImage) else "P2"
+    samples = " ".join(map(str, image.pixels.ravel()))
+    return f"{magic}\n# ascii\n{image.width} {image.height}\n255\n{samples}\n".encode("ascii")
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("fmt", ["P2", "P3", "P5", "P6"])
+def test_segment_writes_what_the_engine_gives_on_the_whole_arrays(tmp_path, capsys, fmt, engine):
+    # every format, with and without a mask (binary or ASCII) and a threshold:
+    # the files equal those of the engine run on the whole loaded arrays
+    rng = np.random.default_rng(13)
+    shape = (30, 26, 3) if fmt in ("P3", "P6") else (30, 26)
+    image = (RgbImage if len(shape) == 3 else GrayImage)(rng.integers(0, 256, shape, dtype=np.uint8))
+    (tmp_path / "image").write_bytes(ascii_pnm(image) if fmt in ("P2", "P3") else encode_pnm(image))
+    roi = GrayImage(rng.integers(0, 256, shape[:2], dtype=np.uint8) * (rng.random(shape[:2]) < 0.7))
+    (tmp_path / "mask5").write_bytes(encode_pnm(roi))
+    (tmp_path / "mask2").write_bytes(ascii_pnm(roi))
+    loaded = load_pnm(tmp_path / "image")
+    gray = extract_inverted_green(loaded) if fmt in ("P3", "P6") else loaded
+    params = MsldParams(window=5)
+    for mask_name in (None, "mask5", "mask2"):
+        mask = load_mask(tmp_path / mask_name) if mask_name else full_mask(26, 30)
+        mode = {"streaming-float": "float", "streaming-fixed": "fixed"}.get(engine)
+        resp = msld_reference(gray, mask, params)[0] if mode is None else msld_streaming(gray, mask, params, mode)[0]
+        write_response_file(resp, tmp_path / "expected.msldf")
+        for threshold in (None, "0.25", "-0.25"):
+            args = ["segment", "--input", str(tmp_path / "image"), "--engine", engine, "--window", "5",
+                    "--out", str(tmp_path / "r.msldf")]
+            args += ["--mask", str(tmp_path / mask_name)] if mask_name else []
+            args += ["--threshold", threshold] if threshold else []
+            assert main(args) == EXIT_OK
+            assert (tmp_path / "r.msldf").read_bytes() == (tmp_path / "expected.msldf").read_bytes()
+            if threshold:
+                vessel = binarize(resp, mask, float(threshold)).inside
+                seg = GrayImage(np.where(vessel, 255, 0).astype(np.uint8))
+                assert (tmp_path / "r.msldf.seg.pgm").read_bytes() == encode_pnm(seg)
+                (tmp_path / "r.msldf.seg.pgm").unlink()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["image", "mask"])
+def test_input_that_shrinks_during_the_run_exits_2_and_leaves_no_output(inputs, tmp_path, monkeypatch, name):
+    # the header and the length are checked on opening; the file then loses
+    # its last row before the first band is read
+    path = inputs[name]
+    whole = path.read_bytes()
+    read = PnmRows.__getitem__
+
+    def shrinking(rows, band):
+        if path.stat().st_size == len(whole):
+            path.write_bytes(whole[:-20])
+        return read(rows, band)
+
+    monkeypatch.setattr(PnmRows, "__getitem__", shrinking)
+    out = tmp_path / "out" / "r.msldf"
+    out.parent.mkdir()
+    for engine in ENGINES:
+        path.write_bytes(whole)
+        assert main([*segment_args(inputs, out), "--engine", engine]) == EXIT_IO
+        assert list(out.parent.iterdir()) == []
+        assert len(path.read_bytes()) == len(whole) - 20
+
+
+@pytest.mark.parametrize("engine", ["streaming-float", "streaming-fixed"])
+def test_segment_peak_is_the_engines_and_one_bands_input_rows(tmp_path, capsys, engine):
+    # a DRIVE-size P6 image with a circular field of view: the run reads its
+    # inputs band by band, so it holds neither the gray image nor the mask
+    height, width = 584, 565
+    rgb = RgbImage(np.random.default_rng(12).integers(0, 256, (height, width, 3), dtype=np.uint8))
+    y, x = np.ogrid[:height, :width]
+    fov = Mask((2 * y - height) ** 2 + (2 * x - width) ** 2 <= (0.9 * width) ** 2)
+    save_pnm(rgb, tmp_path / "image.ppm")
+    save_pnm(GrayImage(fov.inside * np.uint8(255)), tmp_path / "mask.pgm")
+    args = ["segment", "--input", str(tmp_path / "image.ppm"), "--mask", str(tmp_path / "mask.pgm"),
+            "--engine", engine, "--out", str(tmp_path / "r.msldf")]
+    gray, params, mode = extract_inverted_green(rgb), MsldParams(window=15), engine.split("-")[1]
+    build_parser()
+    # fills the line-geometry cache outside the traces
+    assert main(args) == EXIT_OK
+    peaks = []
+    for run in (lambda: msld_streaming(gray, fov, params, mode), lambda: main(args)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    # a pass-2 band's P6 rows with the window's halo and its mask rows
+    rows = band_height(width, height)
+    input_rows = (rows + 14) * width * 3 + rows * width
+    assert peaks[1] <= peaks[0] + input_rows

@@ -180,6 +180,19 @@ def test_exact_sums_do_not_wrap():
     assert stats_tuple(fixed) == exact_fixed_stats(pixels, roi, 255, params.frac_bits)
 
 
+def test_exact_sums_at_the_largest_squared_window_sums():
+    # at W=611 an all-255 window sums to 95,196,855, whose odd square is
+    # above 2**53: no double holds it, so the sums must stay integers
+    pixels, roi = np.full((3, 4), 255, dtype=np.uint8), np.ones((3, 4), dtype=bool)
+    img, mask, params = GrayImage(pixels), Mask(roi), MsldParams(window=611)
+    assert (255 * 611**2) ** 2 > 2**53
+    stats = msld_streaming(img, mask, params, "float")[1]
+    assert (stats.scale_means, stats.scale_stds, stats.igc_mean, stats.igc_std) == exact_stats(pixels, roi, 611)
+    assert stats.scale_stds == (0.0,) * params.n_scales
+    fixed = stream_pass1(img, mask, params, "fixed")
+    assert stats_tuple(fixed) == exact_fixed_stats(pixels, roi, 611, params.frac_bits)
+
+
 def exact_fixed_map(pixels, roi, window, stats):
     """The fixed combined map at the ROI pixels as exact rationals: the z-scores
     of the quantized raw responses S_L * recip(L) - B * recip(W*W) and of the
@@ -657,6 +670,22 @@ def test_mask_of_other_dimensions_rejected(small_run, entry):
     mask = Mask(np.ones((12, 10), dtype=bool))
     with pytest.raises(ValueError, match="mask dimensions"):
         entry_points(img, mask, params, stats, "float")[entry]()
+
+
+@pytest.mark.parametrize("entry", ["msld_streaming", "stream_pass1", "stream_pass2", "sweep", "msld_reference"])
+@pytest.mark.parametrize("case", ["uint8-mask", "int64-image", "3-D-image"])
+def test_row_sources_of_other_types_rejected(small_run, entry, case):
+    # bare arrays are row sources: a 0/255 mask would index by integers and a
+    # wider image could overflow the sums
+    img, mask, params, stats = small_run
+    sources = {
+        "uint8-mask": (img, mask.inside * np.uint8(255), "mask rows must be 2-D bool, got 2-D uint8"),
+        "int64-image": (img.pixels.astype(np.int64), mask, "image rows must be 2-D uint8, got 2-D int64"),
+        "3-D-image": (img.pixels[:, :, None], mask, "image rows must be 2-D uint8, got 3-D uint8"),
+    }
+    image, roi, message = sources[case]
+    with pytest.raises(ValueError, match=message):
+        entry_points(image, roi, params, stats, "float")[entry]()
 
 
 @pytest.mark.parametrize("case", ["scales", "float-in-fixed", "fixed-in-float", "frac_bits", "roi_count"])

@@ -1,3 +1,4 @@
+import functools
 import time
 import tracemalloc
 
@@ -11,14 +12,22 @@ from msld.imageio import (
     GrayImage,
     Mask,
     PnmFormatError,
+    PnmRows,
     RgbImage,
     encode_pnm,
     extract_inverted_green,
     load_mask,
     load_pnm,
+    open_rows,
     save_pnm,
 )
 from msld.reference import ResponseMap
+
+
+def opened(path, mask=False):
+    """Enter ``open_rows`` on path and leave it without asking for a row."""
+    with open_rows(path, mask):
+        pass
 
 
 def test_load_p2_single_pixel(tmp_path):
@@ -99,8 +108,21 @@ def test_truncated_payload_rejected(tmp_path):
     (load_pnm, b"P5\n1 1\n255#", "missing whitespace"),
     (load_pnm, b"P2\n2 1\n255\n0 256\n", "out of range"),
     (load_mask, b"P6\n1 1\n255\n\x00\x00\x00", "grayscale"),
+    # a row source raises the same errors on opening, before any row is read
+    (opened, b"P5\nxx 4\n255\n", "width is not an integer"),
+    (opened, b"", "end of file"),
+    (opened, b"P7\n1 1\n255\n\x00", "magic"),
+    (opened, b"P6\n0 4\n255\n", "invalid dimensions 0x4"),
+    (opened, b"P5\n1 1\n65535\n\x00\x00", "maxval"),
+    (opened, b"P5\n1 1\n255#", "missing whitespace"),
+    (opened, b"P6\n4 4\n255\n" + b"\x00" * 47, "truncated pixel data: expected 48 bytes, found 47"),
+    (opened, b"P5 # " + b"long comment " * 100 + b"\n4 4\n255\n\x00\x00", "truncated"),
+    (functools.partial(opened, mask=True), b"P6\n1 1\n255\n\x00\x00\x00", "grayscale"),
+    (opened, b"P2\n2 1\n255\n0 256\n", "out of range"),
 ], ids=["non_integer_width", "empty", "zero_width", "no_whitespace_before_raster",
-        "ascii_sample_256", "mask_is_ppm"])
+        "ascii_sample_256", "mask_is_ppm", "rows_non_integer_width", "rows_empty", "rows_magic",
+        "rows_zero_width", "rows_maxval", "rows_no_whitespace_before_raster", "rows_truncated",
+        "rows_truncated_after_a_long_header", "rows_mask_is_ppm", "rows_ascii_sample_256"])
 def test_malformed_header_rejected(tmp_path, load, data, match):
     path = tmp_path / "h.pgm"
     path.write_bytes(data)
@@ -267,3 +289,54 @@ def test_blank_header_fails_in_linear_time(tmp_path):
     with pytest.raises(PnmFormatError, match="end of file"):
         load_pnm(path)
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (1, 9), (9, 1)])
+@pytest.mark.parametrize("kind", ["P5", "P6", "mask"])
+@pytest.mark.parametrize("comment", [b"# c\n", b"#" + b"a long comment " * 40 + b"\n"], ids=["short", "long"])
+def test_rows_are_those_of_the_whole_file(tmp_path, shape, kind, comment):
+    # header comments longer than the first read and bytes after the raster
+    rng = np.random.default_rng(len(comment) + shape[0])
+    image = (RgbImage(rng.integers(0, 256, (*shape, 3), dtype=np.uint8)) if kind == "P6"
+             else GrayImage(rng.integers(0, 3, shape, dtype=np.uint8)))
+    magic, rest = encode_pnm(image).split(b"\n", 1)
+    path = tmp_path / "image.pnm"
+    path.write_bytes(magic + b" " + comment + rest + b"trailing bytes")
+    if kind == "mask":
+        whole = load_mask(path).inside
+    else:
+        loaded = load_pnm(path)
+        whole = (extract_inverted_green(loaded) if kind == "P6" else loaded).pixels
+    with open_rows(path, mask=kind == "mask") as rows:
+        assert isinstance(rows, PnmRows) and rows.shape == shape
+        for start in range(shape[0] + 1):
+            for stop in range(start, shape[0] + 1):
+                band = rows[start:stop]
+                assert band.dtype == whole.dtype and np.array_equal(band, whole[start:stop])
+
+
+def test_rows_of_a_file_that_shrank_are_a_format_error(tmp_path):
+    path = tmp_path / "image.pgm"
+    save_pnm(GrayImage(np.arange(12, dtype=np.uint8).reshape(4, 3)), path)
+    with open_rows(path) as rows:
+        with open(path, "r+b") as f:
+            f.truncate(path.stat().st_size - 2)
+        assert rows[0:3].tolist() == [[0, 1, 2], [3, 4, 5], [6, 7, 8]]
+        with pytest.raises(PnmFormatError, match="truncated pixel data: rows 2..3"):
+            rows[2:4]
+
+
+@pytest.mark.parametrize("kind", ["P2", "P3", "mask"])
+def test_an_ascii_file_is_read_whole(tmp_path, kind):
+    path = tmp_path / "image.pnm"
+    path.write_bytes({"P2": b"P2 3 2 255 1 2 3 4 5 0", "mask": b"P2 3 2 255 1 2 3 4 5 0",
+                      "P3": b"P3 2 1 255 # c\n1 2 3 4 5 6"}[kind])
+    with open_rows(path, mask=kind == "mask") as rows:
+        assert type(rows) is np.ndarray
+        if kind == "mask":
+            assert np.array_equal(rows, load_mask(path).inside)
+        else:
+            loaded = load_pnm(path)
+            whole = extract_inverted_green(loaded) if kind == "P3" else loaded
+            assert np.array_equal(rows, whole.pixels) and rows.dtype == np.uint8
+
