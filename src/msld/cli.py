@@ -37,13 +37,13 @@ from .imageio import (
     GrayImage,
     Mask,
     PnmFormatError,
-    encode_pnm,
     full_mask,
     load_mask,
     # not called here, as inputs are opened with open_rows; perfbench's
     # selftest checks that its span wrapper replaces this name too
     load_pnm,
     open_rows,
+    pnm_chunks,
 )
 from .metrics import (
     SingleClassRoiError,
@@ -213,7 +213,7 @@ def cmd_segment(args) -> int:
     try:
         if args.threshold is not None:
             seg_path = Path(args.out + ".seg.pgm")
-            _atomic_write_bytes(seg_path, [encode_pnm(seg)])
+            _atomic_write_bytes(seg_path, pnm_chunks(seg))
             written.append(seg_path)
         _emit_report(args, _report_lines(pairs))
     except BaseException:

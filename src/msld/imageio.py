@@ -296,15 +296,21 @@ def open_rows(path, mask: bool = False):
         os.close(fd)
 
 
-def encode_pnm(image: GrayImage | RgbImage) -> bytes:
-    """An image as binary PGM (P5) or PPM (P6) bytes with maxval 255."""
+def pnm_chunks(image: GrayImage | RgbImage) -> tuple[bytes, np.ndarray]:
+    """An image as binary PGM (P5) or PPM (P6) with maxval 255: its header's
+    bytes and its C-contiguous samples, which a file writes with no copy."""
     if isinstance(image, GrayImage):
-        header = f"P5\n{image.width} {image.height}\n255\n"
+        magic = "P5"
     elif isinstance(image, RgbImage):
-        header = f"P6\n{image.width} {image.height}\n255\n"
+        magic = "P6"
     else:
         raise TypeError(f"cannot save object of type {type(image).__name__}")
-    return header.encode("ascii") + image.pixels.tobytes()
+    return f"{magic}\n{image.width} {image.height}\n255\n".encode("ascii"), image.pixels
+
+
+def encode_pnm(image: GrayImage | RgbImage) -> bytes:
+    """An image as binary PGM (P5) or PPM (P6) bytes with maxval 255."""
+    return b"".join(pnm_chunks(image))
 
 
 def save_pnm(image: GrayImage | RgbImage, path):

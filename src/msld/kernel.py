@@ -60,12 +60,11 @@ def band_bytes(rows: int, ncols: int, window: int) -> int:
     return np.dtype(sum_dtype(window)).itemsize * words + _ARRAY_OBJECTS * _ARRAY_OBJECT_BYTES
 
 
-def band_sums(pixels, y0: int, y1: int, window: int) -> np.ndarray:
+def band_sums(pixels: np.ndarray, y0: int, y1: int, window: int) -> np.ndarray:
     """Window sums and per-length maxima of the 12 oriented line sums, rows y0..y1-1.
 
-    Reads the y1 - y0 + window - 1 edge-clamped rows around the band, in
-    one slice, from ``pixels``, a row source of uint8 rows (``imageio``)
-    such as a 2-D array, into the flat padded buffer described in the
+    Reads the y1 - y0 + window - 1 edge-clamped rows around the band from
+    the 2-D uint8 ``pixels`` into the flat padded buffer described in the
     module docstring and builds every sum from slice adds on it: each
     longer line is the shorter one plus its two new endpoints. Returns one
     C-contiguous array of ``sum_dtype(window)`` and shape ((window + 1) / 2,

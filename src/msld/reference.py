@@ -94,11 +94,12 @@ def msld_reference(img, mask, params: MsldParams) -> tuple[ResponseMap, ScaleSta
     img and mask are a GrayImage and a Mask or row sources of their rows
     (``imageio.row_source``). Returns the combined response map and the
     per-scale ROI statistics of the streaming engine's float datapath. Bands
-    are max(8, BAND_PIXELS // width) rows, without the streaming engine's
-    cap at an eighth of the height: the cap bounds a sweep that drops its
-    sums, and these are all kept, so a short image is one band.
+    take pass 1's pixel cap, max(8, PASS1_BAND_PIXELS // width) rows: 144
+    at DRIVE width, 40 at HRF width, one band on a 64 x 64 tile. Every
+    band's sums are kept, so the height sets only transient buffers, and
+    ``sweep`` keeps its registers at one budget of rows whatever it is.
     """
     # streaming builds on this module's types, so it is imported on use
-    from .streaming import BAND_PIXELS, sweep
+    from .streaming import PASS1_BAND_PIXELS, sweep
 
-    return sweep(img, mask, params, "float", max(8, BAND_PIXELS // row_source(img).shape[1]))
+    return sweep(img, mask, params, "float", max(8, PASS1_BAND_PIXELS // row_source(img).shape[1]))

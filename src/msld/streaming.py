@@ -32,9 +32,12 @@ pass 2, which holds the response map, on short images, where 64-row tiles
 keep 8-row bands. Pass 1 runs before the map is allocated, so its bands
 (``pass1_height``) take up to four budgets (``PASS1_BAND_PIXELS``) until
 their kernel buffers fill the map's bytes plus one pass-2 band. The
-reference keeps all its sums anyway, so both its passes take max(8,
-BAND_PIXELS // width) rows, and a tile is one band. The height changes no
-output bit: pass 1 sums exact integers and pass 2 works per pixel.
+reference keeps all its sums anyway, so its height sets only its transient
+buffers: its bands take pass 1's cap, max(8, PASS1_BAND_PIXELS // width)
+rows, and a tile is one band. Its pass 1 gathers, and every pass 2
+multiplies and adds, at most one budget of max(8, BAND_PIXELS // width)
+rows at a time. The height changes no output bit: pass 1 sums exact
+integers and pass 2 works per pixel.
 
 Arithmetic runs either in IEEE doubles or in integer fixed point with a
 configurable fractional width. In float mode the statistics are exact
@@ -324,27 +327,13 @@ def _fixed_recips(window: int, frac_bits: int) -> tuple[tuple[int, ...], int]:
     return scale_recips, fx_reciprocal(window * window, frac_bits)
 
 
-class _Halo:
-    """A band's rows with their halo, read once and sliced by image row: the
-    rows from lo on of an image of the given shape, a row source for
-    ``band_sums``. Slicing the block itself would clamp at the same edges,
-    but ``band_sums`` would then name the band by block rows, not by the
-    image rows that the band records and their tests use."""
-
-    def __init__(self, block: np.ndarray, lo: int, shape: tuple[int, int]):
-        self.block, self.lo, self.shape = block, lo, shape
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        return self.block[rows.start - self.lo:rows.stop - self.lo]
-
-
 def _bands(pixels, inside, window: int, band_rows: int, keep: bool = False) -> Iterator[Band]:
     """Yield (rows, roi, channel, sums) for every band of band_rows output
     rows that holds an ROI pixel.
 
     Each band reads its ROI rows, then its channel rows with the window's
-    halo once, from which ``band_sums`` forms its sums; it clamps at the
-    image's edges only, so the sums are those of the whole image. A band
+    halo once, from which ``band_sums`` forms its sums; the block holds every
+    halo row inside the image, so it clamps at the image's edges only. A band
     that is kept holds compact channel rows, not a view of a block that was
     read with its halo.
     """
@@ -359,7 +348,7 @@ def _bands(pixels, inside, window: int, band_rows: int, keep: bool = False) -> I
             channel = block[y0 - lo:rows.stop - lo]
             if keep and not isinstance(pixels, np.ndarray):
                 channel = channel.copy()
-            yield rows, roi, channel, band_sums(_Halo(block, lo, pixels.shape), y0, rows.stop, window)
+            yield rows, roi, channel, band_sums(block, y0 - lo, rows.stop - lo, window)
 
 
 def _run_pass1(params: MsldParams, mode: ArithmeticMode, bands: Iterable[Band],
@@ -492,43 +481,49 @@ def _affine_terms(params: MsldParams, stats: ScaleStats,
 def _run_pass2(shape: tuple[int, int], params: MsldParams, mode: ArithmeticMode,
                bands: Iterable[Band], stats: ScaleStats) -> ResponseMap:
     """One band loop for both modes over the terms of ``_affine_terms``, summed
-    in the output rows or in an int64 accumulator that fixed mode rounds once."""
+    in the output rows or in an int64 accumulator that fixed mode rounds once,
+    max(8, BAND_PIXELS // width) rows at a time whatever the band height, so
+    the term buffer and the accumulator stay one budget of rows. Raises
+    ValueError if the bands' ROI pixels are not the ``stats.roi_count``."""
     out = np.zeros(shape, dtype=np.float64)
     fixed = mode == "fixed"
     terms, offset = _affine_terms(params, stats, mode)
     term = acc = None
     guard = 1 << _guard_bits(params.window)
     ncols = shape[1]
+    step = max(8, BAND_PIXELS // ncols)
+    count = 0
     for rows, roi, channel, sums in bands:
+        count += int(np.count_nonzero(roi))
         if term is None:
             # only the last band can be lower than the first
-            term = np.empty(roi.shape, dtype=np.int64 if fixed else np.float64)
+            term = np.empty((min(step, len(roi)), ncols), dtype=np.int64 if fixed else np.float64)
             acc = np.empty_like(term) if fixed else None
-        combined = acc[:rows.stop - rows.start] if fixed else out[rows]
-        band_term = term[:combined.shape[0]]
-        for k, (source, coeff) in enumerate(terms):
-            # no name holds the view, so that del sums releases the band
-            np.multiply(channel if source is None else sums[source, :, :ncols], coeff,
-                        out=band_term if k else combined)
-            if k:
-                combined += band_term
-        # released before the rounding's temporaries and the next band's sums
-        del channel, sums
-        combined -= offset
-        if fixed:
-            # rounded into the term buffer, so the band holds no temporaries
-            np.divide(div_round_half_away_i64(combined, guard, out=band_term), 1 << params.frac_bits,
-                      out=out[rows])
-        out[rows][~roi] = 0.0
+        for y in range(0, len(roi), step):
+            part = slice(y, y + step)
+            target = out[rows][part]
+            combined = acc[:len(target)] if fixed else target
+            chunk_term = term[:len(target)]
+            for k, (source, coeff) in enumerate(terms):
+                # no name holds the view, so that del sums releases the band
+                np.multiply(channel[part] if source is None else sums[source, part, :ncols], coeff,
+                            out=chunk_term if k else combined)
+                if k:
+                    combined += chunk_term
+            if y + step >= len(roi):
+                # after the last chunk's products: released before the rounding's
+                # temporaries and the next band's sums
+                del channel, sums
+            combined -= offset
+            if fixed:
+                # rounded into the term buffer, so the chunk holds no temporaries
+                np.divide(div_round_half_away_i64(combined, guard, out=chunk_term), 1 << params.frac_bits,
+                          out=target)
+            target[~roi[part]] = 0.0
         del roi
+    if count != stats.roi_count:
+        raise ValueError(f"stats cover {stats.roi_count} ROI pixels but mask has {count}")
     return ResponseMap(out)
-
-
-def _roi_count(inside) -> int:
-    """The ROI pixels of a mask's row source, counted a budget of rows at a time."""
-    height, width = inside.shape
-    step = max(8, BAND_PIXELS // width)
-    return sum(int(np.count_nonzero(inside[y:y + step])) for y in range(0, height, step))
 
 
 def _check_pass2_inputs(img, mask, params: MsldParams, stats: ScaleStats, arithmetic_mode: str):
@@ -542,11 +537,6 @@ def _check_pass2_inputs(img, mask, params: MsldParams, stats: ScaleStats, arithm
         raise ValueError(
             f"stats were produced with frac_bits={stats.frac_bits}, "
             f"expected {expected_frac} for {arithmetic_mode} mode"
-        )
-    count = _roi_count(inside)
-    if stats.roi_count != count:
-        raise ValueError(
-            f"stats cover {stats.roi_count} ROI pixels but mask has {count}"
         )
     return pixels, inside
 
@@ -574,11 +564,14 @@ def stream_pass2(
 def sweep(img, mask, params: MsldParams, arithmetic_mode: ArithmeticMode,
           band_rows: int) -> tuple[ResponseMap, ScaleStats]:
     """Both passes over bands of band_rows rows, each band's rows read and
-    its sums formed once and kept for pass 2; pass 1 gathers at most one
-    band's pixels at a time. ``reference.msld_reference`` fixes the height."""
+    its sums formed once and kept for pass 2. Pass 1 gathers, and pass 2
+    multiplies and adds, at most one budget of max(8, BAND_PIXELS // width)
+    rows at a time, so a taller band grows no register while the kept sums
+    are alive. ``reference.msld_reference`` fixes the height."""
     pixels, inside = _check_inputs(img, mask, arithmetic_mode)
     kept = list(_bands(pixels, inside, params.window, band_rows, keep=True))
-    stats = _run_pass1(params, arithmetic_mode, kept, band_rows * pixels.shape[1])
+    width = pixels.shape[1]
+    stats = _run_pass1(params, arithmetic_mode, kept, max(8, BAND_PIXELS // width) * width)
     return _run_pass2(pixels.shape, params, arithmetic_mode, kept, stats), stats
 
 

@@ -526,3 +526,31 @@ def test_segment_peak_is_the_engines_and_one_bands_input_rows(tmp_path, capsys, 
     rows = band_height(width, height)
     input_rows = (rows + 14) * width * 3 + rows * width
     assert peaks[1] <= peaks[0] + input_rows
+
+
+def test_segment_threshold_peak_is_one_more_frame(tmp_path, capsys):
+    # the .seg.pgm is its header and then the 0/255 frame's own buffer:
+    # neither a bytes copy of the frame nor one joined to the header. The
+    # streaming-float engine has the lowest peak, so a copy shows there first
+    height, width = 584, 565
+    pixels = np.random.default_rng(13).integers(0, 256, (height, width), dtype=np.uint8)
+    y, x = np.ogrid[:height, :width]
+    fov = (2 * y - height) ** 2 + (2 * x - width) ** 2 <= (0.9 * width) ** 2
+    save_pnm(GrayImage(pixels), tmp_path / "image.pgm")
+    save_pnm(GrayImage(fov * np.uint8(255)), tmp_path / "mask.pgm")
+    args = ["segment", "--input", str(tmp_path / "image.pgm"), "--mask", str(tmp_path / "mask.pgm"),
+            "--engine", "streaming-float", "--out", str(tmp_path / "r.msldf")]
+    build_parser()
+    # fills the line-geometry cache outside the traces
+    assert main(args) == EXIT_OK
+    peaks = []
+    for extra in ([], ["--threshold", "0.5"]):
+        tracemalloc.start()
+        try:
+            assert main([*args, *extra]) == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert (tmp_path / "r.msldf.seg.pgm").stat().st_size == len(f"P5\n{width} {height}\n255\n") + height * width
+    assert peaks[1] <= peaks[0] + height * width + 1024

@@ -418,18 +418,87 @@ def test_reference_forms_its_band_sums_once(monkeypatch):
     assert calls == [(0, 20)]
 
 
-def test_reference_forms_each_budget_band_once(monkeypatch):
+def recorded_bands(monkeypatch) -> list:
+    """The (start, stop) rows of every band that ``streaming._bands`` yields, in order."""
     calls = []
 
-    def counted(pixels, y0, y1, window):
-        calls.append((y0, y1))
-        return band_sums(pixels, y0, y1, window)
+    def recorded(*args, **kwargs):
+        for band in bands(*args, **kwargs):
+            calls.append((band[0].start, band[0].stop))
+            yield band
 
-    monkeypatch.setattr(streaming, "band_sums", counted)
-    pixels = np.random.default_rng(5).integers(0, 256, (50, 1024), dtype=np.uint8)
-    msld_reference(GrayImage(pixels), Mask(np.ones((50, 1024), dtype=bool)), MsldParams(window=5))
-    # the budget gives 20 rows at 1024 columns, and no eighth of the height caps them
-    assert calls == [(0, 20), (20, 40), (40, 50)]
+    bands = streaming._bands
+    monkeypatch.setattr(streaming, "_bands", recorded)
+    return calls
+
+
+def test_reference_forms_each_budget_band_once(monkeypatch):
+    calls = recorded_bands(monkeypatch)
+    pixels = np.random.default_rng(5).integers(0, 256, (200, 1024), dtype=np.uint8)
+    msld_reference(GrayImage(pixels), Mask(np.ones((200, 1024), dtype=bool)), MsldParams(window=5))
+    # pass 1's cap gives 80 rows at 1024 columns, and no eighth of the height caps them
+    assert calls == [(0, 80), (80, 160), (160, 200)]
+
+
+def test_reference_chunks_split_its_bands(monkeypatch):
+    # pass 1's cap gives the reference 32-row bands at 2560 columns, which
+    # pass 1 gathers and pass 2 multiplies and adds 8 rows at a time; the
+    # streaming engine's bands are one chunk each
+    calls, gathers = recorded_bands(monkeypatch), []
+    add_pixels = streaming.StreamAccumulators._add_pixels
+
+    def recorded(self, sums, channel, inside):
+        gathers.append(inside.size)
+        add_pixels(self, sums, channel, inside)
+
+    monkeypatch.setattr(streaming.StreamAccumulators, "_add_pixels", recorded)
+    rng = np.random.default_rng(14)
+    pixels = rng.integers(0, 256, (50, 2560), dtype=np.uint8)
+    img, mask, params = GrayImage(pixels), Mask(rng.random((50, 2560)) < 0.6), MsldParams(window=5)
+    resp, stats = msld_reference(img, mask, params)
+    assert calls == [(0, 32), (32, 50)]
+    assert sum(gathers) == stats.roi_count and max(gathers) <= 8 * 2560
+    for other, other_stats in (msld_streaming(img, mask, params, "float")[:2],
+                               streaming.sweep(img, mask, params, "float", 8)):
+        assert np.array_equal(resp.values, other.values)
+        assert stats == other_stats
+
+
+@pytest.mark.parametrize("width, height, rows", [(565, 584, 144), (2048, 1536, 40), (64, 64, 64)])
+def test_reference_band_schedule_at_the_workload_sizes(monkeypatch, width, height, rows):
+    # DRIVE and HRF take pass 1's cap; a 64 x 64 tile is one band
+    heights = []
+    monkeypatch.setattr(streaming, "sweep", lambda img, mask, params, mode, band_rows: heights.append(band_rows))
+    image = GrayImage(np.zeros((height, width), dtype=np.uint8))
+    msld_reference(image, Mask(np.ones((height, width), dtype=bool)), MsldParams(window=15))
+    assert heights == [max(8, streaming.PASS1_BAND_PIXELS // width)]
+    assert min(heights[0], height) == rows
+
+
+def test_reference_registers_stay_one_budget_of_rows():
+    # DRIVE size with a circular field of view: the reference keeps the sums
+    # of its 144-row bands and the map, and pass 2 multiplies and adds 36 rows
+    # at a time, so one float64 term register of 36 rows and the temporaries
+    # of zeroing a chunk's outside pixels fit in two such registers, where a
+    # 144-row register would not
+    height, width = 584, 565
+    pixels = np.random.default_rng(8).integers(0, 256, (height, width), dtype=np.uint8)
+    y, x = np.ogrid[:height, :width]
+    inside = (2 * y - height) ** 2 + (2 * x - width) ** 2 <= (0.9 * width) ** 2
+    img, mask, params = GrayImage(pixels), Mask(inside), MsldParams(window=15)
+    msld_reference(img, mask, params)  # fills the line-geometry cache outside the trace
+    tracemalloc.start()
+    try:
+        msld_reference(img, mask, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows, step = max(8, streaming.PASS1_BAND_PIXELS // width), max(8, streaming.BAND_PIXELS // width)
+    assert (rows, step) == (144, 36)
+    kept_rows = sum(min(rows, height - y0) for y0 in range(0, height, rows) if inside[y0:y0 + rows].any())
+    # uint16 sums of the padded width: the window sums and the line maxima of scales 3 to 15
+    kept_sums = 2 * params.n_scales * kept_rows * (width + 14)
+    assert peak <= kept_sums + 8 * height * width + 2 * 8 * step * width
 
 
 def test_reference_peak_is_its_kept_sums_and_one_band():
@@ -587,13 +656,7 @@ def test_footprint_models_the_band(width, height):
 
 
 def test_streaming_sweeps_bands_of_the_budget_height(monkeypatch):
-    calls = []
-
-    def counted(pixels, y0, y1, window):
-        calls.append((y0, y1))
-        return band_sums(pixels, y0, y1, window)
-
-    monkeypatch.setattr(streaming, "band_sums", counted)
+    calls = recorded_bands(monkeypatch)
     pixels = np.random.default_rng(6).integers(0, 256, (100, 40), dtype=np.uint8)
     img, mask, params = GrayImage(pixels), Mask(np.ones((100, 40), dtype=bool)), MsldParams(window=5)
     msld_streaming(img, mask, params)
