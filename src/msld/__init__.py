@@ -5,10 +5,11 @@ one exact integer kernel (``kernel.band_sums``) of window sums and
 oriented line-sum maxima. It keeps only per-scale statistics between
 passes and runs its datapath in floating point, with exact integer
 statistics, or in configurable fixed point. Both entry points hand the
-kernel bands of one pixel budget. ``msld_streaming`` is ``stream_pass1``
-then ``stream_pass2``; the reference is the float datapath that keeps
-every band's sums for the second pass, and gives the same map and
-statistics as the streaming engine in float mode.
+kernel bands of up to four pixel budgets, and both passes size their
+registers from records of at most one budget of rows. ``msld_streaming``
+is ``stream_pass1`` then ``stream_pass2``; the reference is the float
+datapath that keeps every band's sums for the second pass, and gives the
+same map and statistics as the streaming engine in float mode.
 """
 
 from .detector import (

@@ -1,8 +1,8 @@
 """Reference engine and the result types both engines share.
 
 ``msld_reference`` is the streaming engine's float datapath over bands of
-the same pixel budget, whose kernel sums are formed once and kept for the
-second pass. Its map and statistics are therefore the same values as
+pass 1's four-budget cap, whose kernel sums are formed once and kept for
+the second pass. Its map and statistics are therefore the same values as
 ``msld_streaming(..., "float")``'s. ``scale_stats`` is the one
 statistics formula of float mode: it rounds the exact rational mean and
 variance of integer ROI sums once. Pixels outside the ROI are emitted as 0

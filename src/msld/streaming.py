@@ -1,7 +1,7 @@
 """Raster-order two-pass engine with bounded auxiliary memory.
 
-Both engines are this one, and both sweep the image in bands from the same
-pixel budget. For each band the integer kernel (``kernel.band_sums``)
+Both engines are this one, and both sweep the image in bands of a few
+pixel budgets. For each band the integer kernel (``kernel.band_sums``)
 forms, in its padded layout and in one integer type, one array indexed by
 scale: the window sums at index 0 and the maxima of the oriented line sums
 of length 2s + 1 at index s >= 1; scale 1's line sum is the pixel. Pass 1
@@ -19,10 +19,10 @@ which keeps every band's sums for pass 2 instead.
 
 The engines take the image and the mask as a ``GrayImage`` and a ``Mask``
 or as row sources (``imageio``), such as the ``imageio.PnmRows`` that
-``imageio.open_rows`` gives for a binary file. Each band reads its mask rows and then its image rows with the
-window's halo once; the band record carries those rows to both passes'
-arithmetic, so a run over a file holds no whole image or mask, and each
-pass reads the file once more.
+``imageio.open_rows`` gives for a binary file. Each band reads its mask
+rows and then its image rows with the window's halo once; the band record
+carries those rows to both passes' arithmetic, so a run over a file holds
+no whole image or mask, and each pass reads the file once more.
 
 The streaming pass-2 band height is max(8, min(BAND_PIXELS // width,
 height // 8)) rows. The first term spends a fixed pixel budget per kernel
@@ -34,10 +34,11 @@ keep 8-row bands. Pass 1 runs before the map is allocated, so its bands
 their kernel buffers fill the map's bytes plus one pass-2 band. The
 reference keeps all its sums anyway, so its height sets only its transient
 buffers: its bands take pass 1's cap, max(8, PASS1_BAND_PIXELS // width)
-rows, and a tile is one band. Its pass 1 gathers, and every pass 2
-multiplies and adds, at most one budget of max(8, BAND_PIXELS // width)
-rows at a time. The height changes no output bit: pass 1 sums exact
-integers and pass 2 works per pixel.
+rows, and a tile is one band. Each pass sizes its registers from the
+records that ``_split`` cuts from the bands: of the pass-2 height in
+``stream_pass1``, and of one budget, max(8, BAND_PIXELS // width) rows, in
+both passes of ``sweep``. The height changes no output bit: pass 1 sums
+exact integers and pass 2 works per pixel.
 
 Arithmetic runs either in IEEE doubles or in integer fixed point with a
 configurable fractional width. In float mode the statistics are exact
@@ -89,8 +90,9 @@ from .kernel import band_bytes, band_sums
 from .reference import EmptyRoiError, ResponseMap, ScaleStats, scale_stats
 
 ArithmeticMode = Literal["float", "fixed"]
-# (rows, roi, channel, sums) of one band: its ROI flags and channel rows, and
-# its sums as ``kernel.band_sums`` returns them
+# (rows, roi, channel, sums) of one band, or of a record of its rows
+# (``_split``): its ROI flags and channel rows, and its sums as
+# ``kernel.band_sums`` returns them
 Band = tuple[slice, np.ndarray, np.ndarray, np.ndarray]
 
 # pixels per band above the 8-row floor: at DRIVE width (565 columns, 36
@@ -133,11 +135,11 @@ class MemoryFootprint:
     band that runs, so it counts pass 1's band of up to four pixel budgets
     (2.50 MB at DRIVE size and W = 15), though pass 1 runs before the
     response map exists and its measured peak stays within pass 2's. The
-    registers bound both datapaths: pass 1 gathers at most a pass-2 band's
-    pixels at a time, and both modes hold their ROI indices, compact and
-    padded, and the ROI values of the window sums and of one scale's line
-    sums; in pass 2 both modes hold one term of the affine form, which float
-    mode adds to the output rows and fixed mode to an int64 accumulator.
+    registers bound both datapaths, whose records (``_split``) are at most a
+    pass-2 band: in pass 1 both modes hold a record's ROI indices, compact
+    and padded, and the ROI values of the window sums and of one scale's
+    line sums; in pass 2 one term of the affine form, which float mode adds
+    to the output rows and fixed mode to an int64 accumulator.
     Expression temporaries, the input image and the output response map are
     excluded; pass 1 runs before the map is allocated.
     """
@@ -198,7 +200,7 @@ class StreamAccumulators:
     maximal line sum S_L, of S_L * S_L and S_L * B (B the window sum), and
     of B and B * B, over blocks of pixels small enough that no int64
     partial sum can wrap. Scale 1's S_L is the pixel, so its sums are the
-    channel's too. Both arithmetic modes keep these sums; ``finalize``
+    channel's too. The sums serve both modes; ``finalize(mode)``
     forms from them the exact sums of a scale's raw response x = alpha *
     S_L - beta * B and of x * x. In float mode alpha = W*W and beta = L, so
     x is S_L / L - B / (W*W) scaled by L * W*W to an integer, and the exact
@@ -209,55 +211,41 @@ class StreamAccumulators:
     outside the signed 64-bit range raises FixedPointOverflowError.
     """
 
-    def __init__(self, params: MsldParams, mode: ArithmeticMode, block_pixels: int):
-        _validate_mode(mode)
+    def __init__(self, params: MsldParams):
         self.params = params
-        self.mode = mode
         self.line_sum = [0] * params.n_scales
         self.line_sum2 = [0] * params.n_scales
         self.line_window_sum = [0] * params.n_scales
         self.window_sum = 0
         self.window_sum2 = 0
         self.roi_count = 0
-        # ROI pixels are added at most this many at a time: at most
-        # block_pixels, one pass-2 band's pixels, so that a taller pass-1 band
-        # brings no larger gathers; and few enough that no int64 partial sum
-        # can wrap, since no product of two kernel sums exceeds the largest
-        # window sum squared. Values are gathered as float64, whose dots run
-        # in BLAS, when no partial sum of a whole block can pass 2**53, so
-        # that every one is an exact integer in any order of addition
-        largest = (255 * params.window**2) ** 2
-        self._block = max(1, min(block_pixels, (2**63 - 1) // largest))
-        self._dtype = np.float64 if self._block * largest <= 2**53 else np.int64
+        # no product of two kernel sums exceeds the largest window sum
+        # squared, so no int64 partial sum of this many ROI pixels can wrap
+        self._largest = (255 * params.window**2) ** 2
+        self._block = max(1, (2**63 - 1) // self._largest)
 
     def update_row(self, sums: np.ndarray, channel: np.ndarray, roi: np.ndarray):
-        """Add one band: its padded kernel sums, channel rows and ROI flags.
-
-        A band of more ROI pixels than a block is taken a block's rows at a
-        time, so that its ROI indices are no larger than the gathers.
-        """
-        ncols = roi.shape[1]
-        step = len(roi) if np.count_nonzero(roi) <= self._block else max(1, self._block // ncols)
-        for y0 in range(0, len(roi), step):
-            inside = np.flatnonzero(roi[y0:y0 + step])
-            inside += y0 * ncols
-            self.roi_count += inside.size
-            for start in range(0, inside.size, self._block):
-                self._add_pixels(sums, channel, inside[start:start + self._block])
+        """Add one record (``_split``): its padded kernel sums, channel rows and ROI flags."""
+        inside = np.flatnonzero(roi)
+        self.roi_count += inside.size
+        for start in range(0, inside.size, self._block):
+            self._add_pixels(sums, channel, inside[start:start + self._block])
 
     def _add_pixels(self, sums: np.ndarray, channel: np.ndarray, inside: np.ndarray):
-        """Add the band pixels at the flat indices inside.
+        """Add the record pixels at the flat indices inside.
 
         Gathering by index is several times faster than by a boolean mask
         when the ROI is scattered. Pixel i of the channel sits at i + i //
-        ncols * (W - 1) in the padded kernel sums. The values are gathered
-        as the block's exact dtype (``__init__``).
+        ncols * (W - 1) in the padded kernel sums. They are gathered as
+        float64, whose dots run in BLAS, when no partial sum can pass 2**53,
+        so every one is exact in any order, and as int64 otherwise.
         """
         ncols = channel.shape[1]
         padded = inside // ncols
         padded *= sums.shape[2] - ncols
         padded += inside
-        wsums = sums[0].reshape(-1).take(padded).astype(self._dtype)
+        dtype = np.float64 if inside.size * self._largest <= 2**53 else np.int64
+        wsums = sums[0].reshape(-1).take(padded).astype(dtype)
         self.window_sum += int(wsums.sum())
         self.window_sum2 += int(wsums @ wsums)
         # one scale's values at a time, in one buffer
@@ -276,11 +264,12 @@ class StreamAccumulators:
                 alpha * alpha * self.line_sum2[s] - 2 * alpha * beta * self.line_window_sum[s]
                 + beta * beta * self.window_sum2)
 
-    def finalize(self) -> ScaleStats:
+    def finalize(self, mode: ArithmeticMode) -> ScaleStats:
+        _validate_mode(mode)
         if self.roi_count == 0:
             raise EmptyRoiError("mask contains no ROI pixels")
         n, f = self.roi_count, self.params.frac_bits
-        fixed = self.mode == "fixed"
+        fixed = mode == "fixed"
         # the channel is one more term: scale 1's line sum, the pixel, with no
         # window term; a pixel p is p << f in fixed point
         channel = self._raw_sums(0, 1 << f if fixed else 1, 0)
@@ -327,15 +316,13 @@ def _fixed_recips(window: int, frac_bits: int) -> tuple[tuple[int, ...], int]:
     return scale_recips, fx_reciprocal(window * window, frac_bits)
 
 
-def _bands(pixels, inside, window: int, band_rows: int, keep: bool = False) -> Iterator[Band]:
+def _bands(pixels, inside, window: int, band_rows: int) -> Iterator[Band]:
     """Yield (rows, roi, channel, sums) for every band of band_rows output
     rows that holds an ROI pixel.
 
     Each band reads its ROI rows, then its channel rows with the window's
     halo once, from which ``band_sums`` forms its sums; the block holds every
-    halo row inside the image, so it clamps at the image's edges only. A band
-    that is kept holds compact channel rows, not a view of a block that was
-    read with its halo.
+    halo row inside the image, so it clamps at the image's edges only.
     """
     height = pixels.shape[0]
     half = window // 2
@@ -345,20 +332,32 @@ def _bands(pixels, inside, window: int, band_rows: int, keep: bool = False) -> I
         if roi.any():
             lo = max(y0 - half, 0)
             block = pixels[lo:min(rows.stop + half, height)]
-            channel = block[y0 - lo:rows.stop - lo]
-            if keep and not isinstance(pixels, np.ndarray):
-                channel = channel.copy()
-            yield rows, roi, channel, band_sums(block, y0 - lo, rows.stop - lo, window)
+            yield rows, roi, block[y0 - lo:rows.stop - lo], band_sums(block, y0 - lo, rows.stop - lo, window)
 
 
-def _run_pass1(params: MsldParams, mode: ArithmeticMode, bands: Iterable[Band],
-               block_pixels: int) -> ScaleStats:
-    acc = StreamAccumulators(params, mode, block_pixels)
-    for rows, roi, channel, sums in bands:
-        acc.update_row(sums, channel, roi)
+def _split(bands: Iterable[Band], rows: int) -> Iterator[Band]:
+    """Yield every band as records of at most rows rows: a band that fits as
+    it is, a taller one as views of its rows. The passes size every register
+    from a record, so this height is the only one they know."""
+    for band in bands:
+        span, roi, channel, sums = band
+        if len(roi) <= rows:
+            yield band
+        else:
+            for y in range(0, len(roi), rows):
+                stop = min(y + rows, len(roi))
+                yield slice(span.start + y, span.start + stop), roi[y:stop], channel[y:stop], sums[:, y:stop]
         # released before the next band is read and its sums are formed
+        del band, span, roi, channel, sums
+
+
+def _run_pass1(params: MsldParams, mode: ArithmeticMode, records: Iterable[Band]) -> ScaleStats:
+    acc = StreamAccumulators(params)
+    for rows, roi, channel, sums in records:
+        acc.update_row(sums, channel, roi)
+        # released before the next record is cut or the next band formed
         del roi, channel, sums
-    return acc.finalize()
+    return acc.finalize(mode)
 
 
 def _check_inputs(img, mask, arithmetic_mode: str):
@@ -402,7 +401,7 @@ def stream_pass1(
     pixels, inside = _check_inputs(img, mask, arithmetic_mode)
     height, width = pixels.shape
     bands = _bands(pixels, inside, params.window, pass1_height(width, height, params.window))
-    return _run_pass1(params, arithmetic_mode, bands, band_height(width, height) * width)
+    return _run_pass1(params, arithmetic_mode, _split(bands, band_height(width, height)))
 
 
 def _guard_bits(window: int) -> int:
@@ -479,47 +478,40 @@ def _affine_terms(params: MsldParams, stats: ScaleStats,
 
 
 def _run_pass2(shape: tuple[int, int], params: MsldParams, mode: ArithmeticMode,
-               bands: Iterable[Band], stats: ScaleStats) -> ResponseMap:
-    """One band loop for both modes over the terms of ``_affine_terms``, summed
-    in the output rows or in an int64 accumulator that fixed mode rounds once,
-    max(8, BAND_PIXELS // width) rows at a time whatever the band height, so
-    the term buffer and the accumulator stay one budget of rows. Raises
-    ValueError if the bands' ROI pixels are not the ``stats.roi_count``."""
+               records: Iterable[Band], stats: ScaleStats) -> ResponseMap:
+    """One record loop for both modes over the terms of ``_affine_terms``,
+    summed in the output rows or in an int64 accumulator that fixed mode
+    rounds once. The term buffer and the accumulator take the first
+    record's rows, and no later record is taller. Raises ValueError if the
+    records' ROI pixels are not the ``stats.roi_count``."""
     out = np.zeros(shape, dtype=np.float64)
     fixed = mode == "fixed"
     terms, offset = _affine_terms(params, stats, mode)
     term = acc = None
     guard = 1 << _guard_bits(params.window)
     ncols = shape[1]
-    step = max(8, BAND_PIXELS // ncols)
     count = 0
-    for rows, roi, channel, sums in bands:
+    for rows, roi, channel, sums in records:
         count += int(np.count_nonzero(roi))
         if term is None:
-            # only the last band can be lower than the first
-            term = np.empty((min(step, len(roi)), ncols), dtype=np.int64 if fixed else np.float64)
+            term = np.empty(roi.shape, dtype=np.int64 if fixed else np.float64)
             acc = np.empty_like(term) if fixed else None
-        for y in range(0, len(roi), step):
-            part = slice(y, y + step)
-            target = out[rows][part]
-            combined = acc[:len(target)] if fixed else target
-            chunk_term = term[:len(target)]
-            for k, (source, coeff) in enumerate(terms):
-                # no name holds the view, so that del sums releases the band
-                np.multiply(channel[part] if source is None else sums[source, part, :ncols], coeff,
-                            out=chunk_term if k else combined)
-                if k:
-                    combined += chunk_term
-            if y + step >= len(roi):
-                # after the last chunk's products: released before the rounding's
-                # temporaries and the next band's sums
-                del channel, sums
-            combined -= offset
-            if fixed:
-                # rounded into the term buffer, so the chunk holds no temporaries
-                np.divide(div_round_half_away_i64(combined, guard, out=chunk_term), 1 << params.frac_bits,
-                          out=target)
-            target[~roi[part]] = 0.0
+        combined = acc[:len(roi)] if fixed else out[rows]
+        record_term = term[:len(roi)]
+        for k, (source, coeff) in enumerate(terms):
+            # no name holds the view, so that del sums releases the band
+            np.multiply(channel if source is None else sums[source, :, :ncols], coeff,
+                        out=record_term if k else combined)
+            if k:
+                combined += record_term
+        # released before the rounding's temporaries and the next band's sums
+        del channel, sums
+        combined -= offset
+        if fixed:
+            # rounded into the term buffer, so the record holds no temporaries
+            np.divide(div_round_half_away_i64(combined, guard, out=record_term), 1 << params.frac_bits,
+                      out=out[rows])
+        out[rows][~roi] = 0.0
         del roi
     if count != stats.roi_count:
         raise ValueError(f"stats cover {stats.roi_count} ROI pixels but mask has {count}")
@@ -564,15 +556,18 @@ def stream_pass2(
 def sweep(img, mask, params: MsldParams, arithmetic_mode: ArithmeticMode,
           band_rows: int) -> tuple[ResponseMap, ScaleStats]:
     """Both passes over bands of band_rows rows, each band's rows read and
-    its sums formed once and kept for pass 2. Pass 1 gathers, and pass 2
-    multiplies and adds, at most one budget of max(8, BAND_PIXELS // width)
-    rows at a time, so a taller band grows no register while the kept sums
-    are alive. ``reference.msld_reference`` fixes the height."""
+    its sums formed once and kept for pass 2 (a file's channel rows copied
+    out of their halo block). Each pass takes them as records of one budget,
+    max(8, BAND_PIXELS // width) rows (``_split``), so a taller band grows
+    no register while the kept sums are alive. ``reference.msld_reference``
+    fixes the height."""
     pixels, inside = _check_inputs(img, mask, arithmetic_mode)
-    kept = list(_bands(pixels, inside, params.window, band_rows, keep=True))
-    width = pixels.shape[1]
-    stats = _run_pass1(params, arithmetic_mode, kept, max(8, BAND_PIXELS // width) * width)
-    return _run_pass2(pixels.shape, params, arithmetic_mode, kept, stats), stats
+    copy = not isinstance(pixels, np.ndarray)
+    kept = [(rows, roi, channel.copy() if copy else channel, sums)
+            for rows, roi, channel, sums in _bands(pixels, inside, params.window, band_rows)]
+    step = max(8, BAND_PIXELS // pixels.shape[1])
+    stats = _run_pass1(params, arithmetic_mode, _split(kept, step))
+    return _run_pass2(pixels.shape, params, arithmetic_mode, _split(kept, step), stats), stats
 
 
 def msld_streaming(

@@ -35,6 +35,20 @@ def test_report_at_threshold_case_runs():
     assert report.threshold == 0.5
 
 
+def once(run, *args):
+    """A stand-in for pytest-benchmark's fixture: one call."""
+    return run(*args)
+
+
+def test_pass_cases_run():
+    bench = load("bench_passes")
+    for name in bench.CASES:
+        for mode in ("float", "fixed"):
+            bench.test_pass1(once, name, mode)
+            bench.test_pass2(once, name, mode)
+        bench.test_reference(once, name)
+
+
 def test_io_cases_run(tmp_path):
     bench = load("bench_io")
     path = bench.drive_file(tmp_path)

@@ -4,6 +4,7 @@ fixed-point outputs."""
 import hashlib
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -512,10 +513,13 @@ def test_reference_peak_is_its_kept_sums_and_one_band():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rows = max(8, streaming.BAND_PIXELS // width)
-    kept_sums = (4 + 2 * params.n_scales) * height * width
+    # uint16 sums of the padded width: the window sums and the line maxima
+    # of scales 3 to 15, all rows kept; then the map and two float64
+    # registers of one budget of rows, as in the test above
+    step = max(8, streaming.BAND_PIXELS // width)
+    kept_sums = 2 * params.n_scales * height * (width + 14)
     response = 8 * height * width
-    assert peak <= kept_sums + response + band_bytes(rows, width, 15) + 8 * rows * width
+    assert peak <= kept_sums + response + 2 * 8 * step * width
 
 
 @pytest.mark.parametrize("mode", ["float", "fixed"])
@@ -553,6 +557,25 @@ def test_pass2_peak_is_the_response_and_one_band(height, width, mode):
     rows = streaming.band_height(width, height)
     registers = (2 if mode == "fixed" else 1) * 8 * rows * width
     assert peak <= 8 * height * width + band_bytes(rows, width, 15) + registers + 4096
+
+
+@pytest.mark.parametrize("mode", ["float", "fixed"])
+@pytest.mark.parametrize("height, width", [(100, 40), (64, 64), (584, 565)])
+def test_streaming_forms_a_band_after_the_last_bands_sums_are_released(monkeypatch, height, width, mode):
+    # each pass, and the splitter that cuts pass 1's bands into records,
+    # drops a band's sums before the next band is formed
+    formed = []
+
+    def watched(*args):
+        assert all(ref() is None for ref in formed)
+        sums = band_sums(*args)
+        formed.append(weakref.ref(sums))
+        return sums
+
+    monkeypatch.setattr(streaming, "band_sums", watched)
+    pixels = np.random.default_rng(7).integers(0, 256, (height, width), dtype=np.uint8)
+    msld_streaming(GrayImage(pixels), Mask(np.ones((height, width), dtype=bool)), MsldParams(window=5), mode)
+    assert len(formed) > 2
 
 
 @given(cases(max_side=40), st.sampled_from(["float", "fixed"]))
@@ -716,10 +739,12 @@ def entry_points(img, mask, params, stats, mode):
         "stream_pass2": lambda: stream_pass2(img, mask, params, stats, mode),
         "sweep": lambda: streaming.sweep(img, mask, params, mode, 8),
         "msld_reference": lambda: msld_reference(img, mask, params),
+        "StreamAccumulators.finalize": lambda: streaming.StreamAccumulators(params).finalize(mode),
     }
 
 
-@pytest.mark.parametrize("entry", ["msld_streaming", "stream_pass1", "stream_pass2", "sweep"])
+@pytest.mark.parametrize("entry", ["msld_streaming", "stream_pass1", "stream_pass2", "sweep",
+                                   "StreamAccumulators.finalize"])
 def test_unknown_mode_rejected(small_run, entry):
     img, mask, params, stats = small_run
     with pytest.raises(ValueError, match="arithmetic_mode"):
