@@ -8,12 +8,14 @@ collecting it):
     PYTHONPATH=src python -m pytest benchmarks/bench_io.py
 
 (``--benchmark-disable`` runs each case once.) ``read_bands`` reads the
-rows ``msld_streaming`` reads at W = 15: its pass-1 bands of
-``streaming.pass1_height`` rows (144 at 565 columns) and its pass-2 bands of
-``streaming.band_height`` rows (36), each with the window's halo of seven
-rows above and below, clamped at the image's edges. A band read is one
-seek and one read of its RGB rows and one inverted-green extraction, so the
-file's bytes are read about 2.5 times over against once for the whole load.
+rows ``stream_pass1`` and ``stream_pass2`` read at W = 15: pass 1's bands
+of ``streaming.pass1_height`` rows (144 at 565 columns) and pass 2's bands
+of ``streaming.band_height`` rows (36), each with the window's halo of
+seven rows above and below, clamped at the image's edges. A band read is
+one seek and one read of its RGB rows and one inverted-green extraction,
+so the file's bytes are read about 2.5 times over against once for the
+whole load. ``msld_streaming``'s pass 2 reads only the bands after the
+records whose ROI values its pass 1 kept, and the kept records' mask rows.
 """
 
 from pathlib import Path

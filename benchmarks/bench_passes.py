@@ -1,6 +1,6 @@
-"""Timings of ``stream_pass1``, ``stream_pass2`` and ``msld_reference``,
-the loops that take the kernel's bands as records of at most one register
-height (``streaming._split``).
+"""Timings of ``stream_pass1``, ``stream_pass2``, ``msld_streaming`` and
+``msld_reference``, the loops that take the kernel's bands as records of at
+most one register height (``streaming._split``).
 
 Run with pytest-benchmark (the file name keeps the tier-1 suite from
 collecting it):
@@ -9,15 +9,17 @@ collecting it):
 
 (``--benchmark-disable`` runs each case once.) ``bench_kernel.py`` times
 the kernel alone; these cases add pass 1's ROI gathers, pass 2's
-multiply-accumulate and the reference's kept sums, at W = 15 on a 565x584
-(DRIVE size) image with a circular field of view and on a 64x64 tile with
-a 0.3 random ROI, where per-record overhead dominates.
+multiply-accumulate, and the ROI values that ``msld_streaming`` keeps in
+one pass-2 band's bytes and the reference keeps whole, so that their pass
+2 forms fewer bands or none again, at W = 15 on a 565x584 (DRIVE size)
+image with a circular field of view and on a 64x64 tile with a 0.3 random
+ROI, where per-record overhead dominates.
 """
 
 import numpy as np
 import pytest
 
-from msld import GrayImage, Mask, MsldParams, msld_reference, stream_pass1, stream_pass2
+from msld import GrayImage, Mask, MsldParams, msld_reference, msld_streaming, stream_pass1, stream_pass2
 
 PARAMS = MsldParams(window=15)
 # (height, width, ROI share); no share is a circular field of view
@@ -47,6 +49,12 @@ def test_pass1(benchmark, name, mode):
 def test_pass2(benchmark, name, mode):
     img, mask = case(name)
     benchmark(stream_pass2, img, mask, PARAMS, stream_pass1(img, mask, PARAMS, mode), mode)
+
+
+@pytest.mark.parametrize("mode", ["float", "fixed"])
+@pytest.mark.parametrize("name", CASES)
+def test_streaming(benchmark, name, mode):
+    benchmark(msld_streaming, *case(name), PARAMS, mode)
 
 
 @pytest.mark.parametrize("name", CASES)

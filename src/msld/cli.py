@@ -52,7 +52,7 @@ from .metrics import (
     report_at_threshold,
 )
 from .reference import EmptyRoiError, ResponseMap, msld_reference
-from .streaming import memory_footprint, msld_streaming, stream_pass1, stream_pass2
+from .streaming import memory_footprint, msld_streaming, streaming_passes
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -285,9 +285,11 @@ def cmd_bench(args) -> int:
                 msld_reference(img, roi, params)
                 pairs.append((f"rep{rep}_seconds", f"{time.perf_counter() - start:.3f}"))
             else:
-                stats = stream_pass1(img, roi, params, mode)
+                # the passes segment runs: pass 2 forms only the bands after the values pass 1 kept
+                passes = streaming_passes(img, roi, params, mode)
+                next(passes)
                 mid = time.perf_counter()
-                stream_pass2(img, roi, params, stats, mode)
+                next(passes)
                 end = time.perf_counter()
                 pairs += [
                     (f"rep{rep}_pass1_seconds", f"{mid - start:.3f}"),

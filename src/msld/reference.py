@@ -1,8 +1,10 @@
 """Reference engine and the result types both engines share.
 
 ``msld_reference`` is the streaming engine's float datapath over bands of
-pass 1's four-budget cap, whose kernel sums are formed once and kept for
-the second pass. Its map and statistics are therefore the same values as
+pass 1's four-budget cap, whose kernel sums are formed once: the first
+pass keeps every ROI pixel's values, its sums of every scale and its
+pixel, for the second pass, which forms no band again. Its map and
+statistics are therefore the same values as
 ``msld_streaming(..., "float")``'s. ``scale_stats`` is the one
 statistics formula of float mode: it rounds the exact rational mean and
 variance of integer ROI sums once. Pixels outside the ROI are emitted as 0
@@ -96,8 +98,9 @@ def msld_reference(img, mask, params: MsldParams) -> tuple[ResponseMap, ScaleSta
     per-scale ROI statistics of the streaming engine's float datapath. Bands
     take pass 1's pixel cap, max(8, PASS1_BAND_PIXELS // width) rows: 144
     at DRIVE width, 40 at HRF width, one band on a 64 x 64 tile. Every
-    band's sums are kept, so the height sets only transient buffers, and
-    ``sweep`` keeps its registers at one budget of rows whatever it is.
+    ROI pixel's values are kept, 2 * n_scales + 1 = 17 bytes at W = 15, so
+    the height sets only transient buffers, and ``sweep`` keeps its
+    registers at one budget of rows whatever it is.
     """
     # streaming builds on this module's types, so it is imported on use
     from .streaming import PASS1_BAND_PIXELS, sweep

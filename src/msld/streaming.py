@@ -1,28 +1,34 @@
 """Raster-order two-pass engine with bounded auxiliary memory.
 
-Both engines are this one, and both sweep the image in bands of a few
-pixel budgets. For each band the integer kernel (``kernel.band_sums``)
-forms, in its padded layout and in one integer type, one array indexed by
-scale: the window sums at index 0 and the maxima of the oriented line sums
-of length 2s + 1 at index s >= 1; scale 1's line sum is the pixel. Pass 1
-adds their ROI values to exact integer sums, the same in both arithmetic
-modes; finalizing them yields each scale's mean and standard deviation,
-which ``ScaleStats`` carries to pass 2 as doubles or as fixed-point words.
-Pass 2 standardizes and combines the sums band by band, so no per-scale
-response image is ever stored. ``msld_streaming`` is its two public passes,
-``stream_pass1`` then ``stream_pass2``: pass 2 forms the sums again and
-each pass drops a band's sums before the next is formed, so its auxiliary
-state is one band of window + rows - 1 image rows with its sums, plus a
-handful of per-scale words, regardless of image height.
-``reference.msld_reference`` runs the float datapath through ``sweep``,
-which keeps every band's sums for pass 2 instead.
+Both engines are this one flow (``_two_passes``); they differ only in
+their band heights and in how many ROI values pass 1 keeps. Pass 1 sweeps
+the image in bands of a few pixel budgets. For each band the integer
+kernel (``kernel.band_sums``) forms, in its padded layout and in one
+integer type, one array indexed by scale: the window sums at index 0 and
+the maxima of the oriented line sums of length 2s + 1 at index s >= 1;
+scale 1's line sum is the pixel. Pass 1 gathers each record's ROI values
+(``_roi_values``: every scale's sums and the pixel, 17 bytes per ROI pixel
+at W = 15), adds them to exact integer sums, the same in both arithmetic
+modes, and keeps them while they fit in its room. Finalizing the sums
+yields each scale's mean and standard deviation, which ``ScaleStats``
+carries to pass 2 as doubles or as fixed-point words. Pass 2 combines the
+kept values into their ROI pixels of the map, then forms the bands after
+the last record kept again and combines them band by band, so no
+per-scale response image is ever stored, and each pass drops a band's
+sums before the next is formed. ``msld_streaming``'s room is one pass-2
+band's kernel bytes, so its auxiliary state is one band of window + rows -
+1 image rows with its sums, the kept values and a handful of per-scale
+words, regardless of image height. ``reference.msld_reference`` runs the
+float datapath through ``sweep``, whose room has no bound, so its pass 2
+forms no band again. ``stream_pass1`` keeps nothing, and ``stream_pass2``
+forms every band again.
 
 The engines take the image and the mask as a ``GrayImage`` and a ``Mask``
 or as row sources (``imageio``), such as the ``imageio.PnmRows`` that
 ``imageio.open_rows`` gives for a binary file. Each band reads its mask
-rows and then its image rows with the window's halo once; the band record
-carries those rows to both passes' arithmetic, so a run over a file holds
-no whole image or mask, and each pass reads the file once more.
+rows and then its image rows with the window's halo once, and pass 2
+reads a kept record's mask rows again, so a run over a file holds no whole
+image or mask.
 
 The streaming pass-2 band height is max(8, min(BAND_PIXELS // width,
 height // 8)) rows. The first term spends a fixed pixel budget per kernel
@@ -31,14 +37,15 @@ bounded independently of the height; the second bounds the footprint of
 pass 2, which holds the response map, on short images, where 64-row tiles
 keep 8-row bands. Pass 1 runs before the map is allocated, so its bands
 (``pass1_height``) take up to four budgets (``PASS1_BAND_PIXELS``) until
-their kernel buffers fill the map's bytes plus one pass-2 band. The
-reference keeps all its sums anyway, so its height sets only its transient
-buffers: its bands take pass 1's cap, max(8, PASS1_BAND_PIXELS // width)
-rows, and a tile is one band. Each pass sizes its registers from the
-records that ``_split`` cuts from the bands: of the pass-2 height in
-``stream_pass1``, and of one budget, max(8, BAND_PIXELS // width) rows, in
-both passes of ``sweep``. The height changes no output bit: pass 1 sums
-exact integers and pass 2 works per pixel.
+their kernel buffers fill the map's bytes; with the kept values they then
+fit in the map plus one pass-2 band. The reference keeps all its values
+anyway, so its height sets only its transient buffers: its bands take
+pass 1's cap, max(8, PASS1_BAND_PIXELS // width) rows, and a tile is one
+band. Each pass sizes its registers from the records that ``_split`` cuts
+from the bands: of the pass-2 height in the streaming engine, and of one
+budget, max(8, BAND_PIXELS // width) rows, in ``sweep``. The heights and
+the room change no output bit: pass 1 sums exact integers and pass 2 works
+per pixel.
 
 Arithmetic runs either in IEEE doubles or in integer fixed point with a
 configurable fractional width. In float mode the statistics are exact
@@ -64,6 +71,7 @@ actually holds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -126,22 +134,24 @@ class MemoryFootprint:
     mean/std pairs (one per scale plus one for the inverted input channel);
     accumulator_words counts the running sums of ``StreamAccumulators``
     (three per scale, two of the window sums) and the ROI counter;
-    peak_total_bytes bounds both passes' bands: every buffer of the kernel
+    peak_total_bytes bounds both passes: every buffer of the kernel
     (``kernel.band_bytes``: the padded band with its spare row, the column
     sums, and the padded-width sums of every scale and running line sum, all
     in one integer type) of the taller band, pass 1's of ``pass1_height``
-    rows unless the image is lower than 8 rows, four 8-byte registers of one
-    pass-2 band of ``band_height`` rows, and the words above. It models the
-    band that runs, so it counts pass 1's band of up to four pixel budgets
-    (2.50 MB at DRIVE size and W = 15), though pass 1 runs before the
-    response map exists and its measured peak stays within pass 2's. The
-    registers bound both datapaths, whose records (``_split``) are at most a
-    pass-2 band: in pass 1 both modes hold a record's ROI indices, compact
-    and padded, and the ROI values of the window sums and of one scale's
-    line sums; in pass 2 one term of the affine form, which float mode adds
-    to the output rows and fixed mode to an int64 accumulator.
-    Expression temporaries, the input image and the output response map are
-    excluded; pass 1 runs before the map is allocated.
+    rows unless the image is lower than 8 rows, the ROI values pass 1 keeps
+    (``_room``: one pass-2 band's kernel bytes), four 8-byte registers of
+    one pass-2 band of ``band_height`` rows, and the words above. It models
+    pass 1, which holds its band and the kept values (2.98 MB at DRIVE size
+    and W = 15), though pass 1 runs before the response map exists and its
+    measured peak stays within pass 2's. The registers bound both
+    datapaths, whose records (``_split``) are at most a pass-2 band: in
+    pass 1 both modes hold a record's ROI indices, compact and padded, and
+    its ROI values, and then the ROI values of the window sums and of one
+    scale's line sums in float64 or int64; in pass 2 one term of the affine
+    form, which float mode adds to the output rows and fixed mode to an
+    int64 accumulator, or a kept record's two compact registers of its ROI
+    pixels. Expression temporaries, the input image and the output response
+    map are excluded; pass 1 runs before the map is allocated.
     """
 
     line_buffer_slots: int
@@ -156,25 +166,30 @@ def band_height(width: int, height: int) -> int:
 
 
 def pass1_height(width: int, height: int, window: int) -> int:
-    """Output rows per pass-1 band over a width x height image.
+    """Output rows per pass-1 band of the streaming engine over a width x
+    height image.
 
     Pass 1 runs before the float64 response map is allocated, so its band
-    may spend the map's 8 * width * height bytes: it is the tallest band,
-    of at most max(8, PASS1_BAND_PIXELS // width) rows and at most the
+    may spend the map's 8 * width * height bytes, while the ROI values it
+    keeps for pass 2 spend one pass-2 band's (``_room``): it is the tallest
+    band, of at most max(8, PASS1_BAND_PIXELS // width) rows and at most the
     image's height, whose kernel buffers (``band_bytes``, linear in the
-    rows) fit in the map plus one pass-2 band of ``band_height`` rows. The
-    map binds on short images (27 rows on a 64 x 64 tile at W = 15), the
-    pixel cap at DRIVE (144 rows) and HRF (40 rows) widths.
+    rows) fit in the map, but never lower than a pass-2 band of
+    ``band_height`` rows. The map binds on short images (16 rows on a 64 x
+    64 tile at W = 15), the pixel cap at DRIVE (144 rows) and HRF (40 rows)
+    widths.
     """
     band_rows = band_height(width, height)
     per_row = band_bytes(band_rows + 1, width, window) - band_bytes(band_rows, width, window)
-    return min(max(8, PASS1_BAND_PIXELS // width), height, band_rows + 8 * width * height // per_row)
+    fit = band_rows + (8 * width * height - band_bytes(band_rows, width, window)) // per_row
+    return min(max(8, PASS1_BAND_PIXELS // width), height, max(band_rows, fit))
 
 
 def memory_footprint(params: MsldParams, width: int, height: int) -> MemoryFootprint:
     """Footprint of ``msld_streaming`` over a width x height image: its
-    pass-1 bands are ``pass1_height`` rows high and its pass-2 bands
-    ``band_height`` rows high."""
+    pass-1 bands are ``pass1_height`` rows high, the ROI values it keeps
+    take up to ``_room`` bytes and its pass-2 bands are ``band_height``
+    rows high."""
     window = params.window
     rows = band_height(width, height)
     # the pass-1 band is the taller unless the image is lower than 8 rows
@@ -187,6 +202,7 @@ def memory_footprint(params: MsldParams, width: int, height: int) -> MemoryFootp
         stored_stats_values=stored_stats_values,
         peak_total_bytes=(
             band_bytes(taller, width, window)
+            + _room(width, height, window)
             + 4 * 8 * rows * width
             + 8 * (accumulator_words + stored_stats_values)
         ),
@@ -198,7 +214,7 @@ class StreamAccumulators:
 
     ``update_row`` adds, in Python integers, the ROI sums of every scale's
     maximal line sum S_L, of S_L * S_L and S_L * B (B the window sum), and
-    of B and B * B, over blocks of pixels small enough that no int64
+    of B and B * B, over blocks of ROI values small enough that no int64
     partial sum can wrap. Scale 1's S_L is the pixel, so its sums are the
     channel's too. The sums serve both modes; ``finalize(mode)``
     forms from them the exact sums of a scale's raw response x = alpha *
@@ -224,36 +240,29 @@ class StreamAccumulators:
         self._largest = (255 * params.window**2) ** 2
         self._block = max(1, (2**63 - 1) // self._largest)
 
-    def update_row(self, sums: np.ndarray, channel: np.ndarray, roi: np.ndarray):
-        """Add one record (``_split``): its padded kernel sums, channel rows and ROI flags."""
-        inside = np.flatnonzero(roi)
-        self.roi_count += inside.size
-        for start in range(0, inside.size, self._block):
-            self._add_pixels(sums, channel, inside[start:start + self._block])
+    def update_row(self, values: np.ndarray, pixels: np.ndarray):
+        """Add one record's ROI values (``_roi_values``): its kernel sums of
+        every scale, one column per ROI pixel, and its pixels."""
+        self.roi_count += pixels.size
+        for start in range(0, pixels.size, self._block):
+            self._add_pixels(values[:, start:start + self._block], pixels[start:start + self._block])
 
-    def _add_pixels(self, sums: np.ndarray, channel: np.ndarray, inside: np.ndarray):
-        """Add the record pixels at the flat indices inside.
+    def _add_pixels(self, values: np.ndarray, pixels: np.ndarray):
+        """Add a block of ROI values.
 
-        Gathering by index is several times faster than by a boolean mask
-        when the ROI is scattered. Pixel i of the channel sits at i + i //
-        ncols * (W - 1) in the padded kernel sums. They are gathered as
-        float64, whose dots run in BLAS, when no partial sum can pass 2**53,
-        so every one is exact in any order, and as int64 otherwise.
+        They are converted to float64, whose dots run in BLAS, when no
+        partial sum can pass 2**53, so every one is exact in any order, and
+        to int64 otherwise.
         """
-        ncols = channel.shape[1]
-        padded = inside // ncols
-        padded *= sums.shape[2] - ncols
-        padded += inside
-        dtype = np.float64 if inside.size * self._largest <= 2**53 else np.int64
-        wsums = sums[0].reshape(-1).take(padded).astype(dtype)
+        dtype = np.float64 if pixels.size * self._largest <= 2**53 else np.int64
+        wsums = values[0].astype(dtype)
         self.window_sum += int(wsums.sum())
         self.window_sum2 += int(wsums @ wsums)
         # one scale's values at a time, in one buffer
         line = np.empty_like(wsums)
         for s in range(self.params.n_scales):
             # scale 1's line sum is the pixel
-            source, index = (channel, inside) if s == 0 else (sums[s], padded)
-            np.copyto(line, source.reshape(-1).take(index))
+            np.copyto(line, values[s] if s else pixels)
             self.line_sum[s] += int(line.sum())
             self.line_sum2[s] += int(line @ line)
             self.line_window_sum[s] += int(line @ wsums)
@@ -316,9 +325,9 @@ def _fixed_recips(window: int, frac_bits: int) -> tuple[tuple[int, ...], int]:
     return scale_recips, fx_reciprocal(window * window, frac_bits)
 
 
-def _bands(pixels, inside, window: int, band_rows: int) -> Iterator[Band]:
+def _bands(pixels, inside, window: int, band_rows: int, start: int = 0) -> Iterator[Band]:
     """Yield (rows, roi, channel, sums) for every band of band_rows output
-    rows that holds an ROI pixel.
+    rows from row start on that holds an ROI pixel.
 
     Each band reads its ROI rows, then its channel rows with the window's
     halo once, from which ``band_sums`` forms its sums; the block holds every
@@ -326,7 +335,7 @@ def _bands(pixels, inside, window: int, band_rows: int) -> Iterator[Band]:
     """
     height = pixels.shape[0]
     half = window // 2
-    for y0 in range(0, height, band_rows):
+    for y0 in range(start, height, band_rows):
         rows = slice(y0, min(y0 + band_rows, height))
         roi = inside[rows]
         if roi.any():
@@ -351,13 +360,56 @@ def _split(bands: Iterable[Band], rows: int) -> Iterator[Band]:
         del band, span, roi, channel, sums
 
 
-def _run_pass1(params: MsldParams, mode: ArithmeticMode, records: Iterable[Band]) -> ScaleStats:
+def _roi_values(roi: np.ndarray, channel: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A record's ROI values, one column per ROI pixel in raster order: its
+    kernel sums of every scale, of shape (scales, n) and indexed as
+    ``kernel.band_sums``'s, and its pixels, of shape (n,).
+
+    Gathering by index is several times faster than by a boolean mask when
+    the ROI is scattered. Pixel i of the channel sits at i + i // ncols *
+    (W - 1) in the padded kernel sums, so one index gathers every scale.
+    Each scale's rows are contiguous even in a record cut from a taller
+    band, so each is taken straight into its row of the values: a take
+    along the columns of the record would copy it whole, and an index over
+    them runs at half the speed. Mode "clip" writes into the row without
+    the buffer that "raise" takes; the indices are in range.
+    """
+    inside = np.flatnonzero(roi)
+    ncols = roi.shape[1]
+    padded = inside // ncols
+    padded *= sums.shape[2] - ncols
+    padded += inside
+    values = np.empty((len(sums), inside.size), dtype=sums.dtype)
+    for s in range(len(sums)):
+        sums[s].take(padded, out=values[s], mode="clip")
+    return values, channel.reshape(-1).take(inside)
+
+
+def _run_pass1(params: MsldParams, mode: ArithmeticMode, records: Iterable[Band],
+               room: float = 0) -> tuple[ScaleStats, list, int | None]:
+    """The statistics of the records, the records kept for pass 2 and the
+    row pass 2 resumes at.
+
+    Each record's ROI values (``_roi_values``) are summed and, while their
+    bytes fit in room, kept as (rows, values, pixels) in raster order. The
+    first record that does not fit ends the keeping, and its first row is
+    where pass 2 forms the sums again; None if every record was kept.
+    """
     acc = StreamAccumulators(params)
+    kept, resume = [], None
     for rows, roi, channel, sums in records:
-        acc.update_row(sums, channel, roi)
+        values, pixels = _roi_values(roi, channel, sums)
         # released before the next record is cut or the next band formed
         del roi, channel, sums
-    return acc.finalize(mode)
+        acc.update_row(values, pixels)
+        if resume is None:
+            room -= values.nbytes + pixels.nbytes
+            if room >= 0:
+                kept.append((rows, values, pixels))
+            else:
+                resume = rows.start
+        del values, pixels
+    return acc.finalize(mode), kept, resume
 
 
 def _check_inputs(img, mask, arithmetic_mode: str):
@@ -391,17 +443,17 @@ def stream_pass1(
 
     img and mask are a GrayImage and a Mask or row sources of their rows
     (``imageio.row_source``). Raw responses are consumed immediately and
-    never stored. The bands are ``pass1_height`` rows, up to four pixel
-    budgets and never lower than pass 2's: this sweep runs before the
-    response map exists and spends its bytes. Float statistics are exact
-    rationals rounded once; fixed-point variances that the sum-of-squares
-    formula makes negative are clamped to zero and counted on the returned
-    stats.
+    never stored, and no ROI value is kept. The bands are ``pass1_height``
+    rows, up to four pixel budgets and never lower than pass 2's: this
+    sweep runs before the response map exists and spends its bytes. Float
+    statistics are exact rationals rounded once; fixed-point variances that
+    the sum-of-squares formula makes negative are clamped to zero and
+    counted on the returned stats.
     """
     pixels, inside = _check_inputs(img, mask, arithmetic_mode)
     height, width = pixels.shape
     bands = _bands(pixels, inside, params.window, pass1_height(width, height, params.window))
-    return _run_pass1(params, arithmetic_mode, _split(bands, band_height(width, height)))
+    return _run_pass1(params, arithmetic_mode, _split(bands, band_height(width, height)))[0]
 
 
 def _guard_bits(window: int) -> int:
@@ -477,42 +529,61 @@ def _affine_terms(params: MsldParams, stats: ScaleStats,
     return [(source, word(a)) for source, a in terms], word(offset)
 
 
-def _run_pass2(shape: tuple[int, int], params: MsldParams, mode: ArithmeticMode,
-               records: Iterable[Band], stats: ScaleStats) -> ResponseMap:
-    """One record loop for both modes over the terms of ``_affine_terms``,
-    summed in the output rows or in an int64 accumulator that fixed mode
-    rounds once. The term buffer and the accumulator take the first
-    record's rows, and no later record is taller. Raises ValueError if the
-    records' ROI pixels are not the ``stats.roi_count``."""
+def _multiply_accumulate(terms: list, channel: np.ndarray, sums: np.ndarray, combined: np.ndarray,
+                         term: np.ndarray):
+    """Sum every term's coefficient times its source into combined, through
+    the term buffer: the channel for source None, else sums[source]."""
+    for k, (source, coeff) in enumerate(terms):
+        np.multiply(channel if source is None else sums[source], coeff, out=term if k else combined)
+        if k:
+            combined += term
+
+
+def _run_pass2(shape: tuple[int, int], params: MsldParams, mode: ArithmeticMode, stats: ScaleStats,
+               inside, kept: list, records: Iterable[Band]) -> ResponseMap:
+    """The terms of ``_affine_terms`` over the kept records and then over
+    the records, summed in float64 or in an int64 accumulator that fixed
+    mode rounds once, with the same operations on every pixel.
+
+    The kept records (``_run_pass1``) are drained first, each dropped once
+    used: their compact ROI values are combined in buffers of their ROI
+    pixels and scattered into their rows of the map at the ROI flags that
+    inside gives again. The records are then combined whole in the output
+    rows or in the accumulator, whose buffers each record takes and drops
+    before the next band's sums are formed. Raises ValueError if the ROI
+    pixels are not the ``stats.roi_count``."""
     out = np.zeros(shape, dtype=np.float64)
     fixed = mode == "fixed"
+    dtype = np.int64 if fixed else np.float64
     terms, offset = _affine_terms(params, stats, mode)
-    term = acc = None
-    guard = 1 << _guard_bits(params.window)
-    ncols = shape[1]
+    guard, unit = 1 << _guard_bits(params.window), 1 << params.frac_bits
     count = 0
+    kept.reverse()
+    while kept:
+        rows, values, pixels = kept.pop()
+        count += pixels.size
+        combined, term = np.empty(pixels.size, dtype=dtype), np.empty(pixels.size, dtype=dtype)
+        _multiply_accumulate(terms, pixels, values, combined, term)
+        del values, pixels
+        combined -= offset
+        if fixed:
+            combined = np.divide(div_round_half_away_i64(combined, guard, out=term), unit)
+        out[rows][inside[rows]] = combined
+        del combined, term
+    ncols = shape[1]
     for rows, roi, channel, sums in records:
         count += int(np.count_nonzero(roi))
-        if term is None:
-            term = np.empty(roi.shape, dtype=np.int64 if fixed else np.float64)
-            acc = np.empty_like(term) if fixed else None
-        combined = acc[:len(roi)] if fixed else out[rows]
-        record_term = term[:len(roi)]
-        for k, (source, coeff) in enumerate(terms):
-            # no name holds the view, so that del sums releases the band
-            np.multiply(channel if source is None else sums[source, :, :ncols], coeff,
-                        out=record_term if k else combined)
-            if k:
-                combined += record_term
-        # released before the rounding's temporaries and the next band's sums
+        term = np.empty(roi.shape, dtype=dtype)
+        combined = np.empty_like(term) if fixed else out[rows]
+        _multiply_accumulate(terms, channel, sums[:, :, :ncols], combined, term)
+        # released before the rounding's temporaries
         del channel, sums
         combined -= offset
         if fixed:
             # rounded into the term buffer, so the record holds no temporaries
-            np.divide(div_round_half_away_i64(combined, guard, out=record_term), 1 << params.frac_bits,
-                      out=out[rows])
+            np.divide(div_round_half_away_i64(combined, guard, out=term), unit, out=out[rows])
         out[rows][~roi] = 0.0
-        del roi
+        del roi, term, combined
     if count != stats.roi_count:
         raise ValueError(f"stats cover {stats.roi_count} ROI pixels but mask has {count}")
     return ResponseMap(out)
@@ -540,34 +611,66 @@ def stream_pass2(
     stats: ScaleStats,
     arithmetic_mode: ArithmeticMode = "float",
 ) -> ResponseMap:
-    """Second raster sweep: read the bands again, recompute their sums,
+    """Second raster sweep: read every band again, recompute its sums,
     standardize, combine.
 
     img and mask are taken as by ``stream_pass1``. Emits each band of the
     combined map as soon as its sums are recomputed; per-scale responses
-    exist only as one band of one scale.
+    exist only as one band of one scale. ``msld_streaming``'s own pass 2
+    forms only the bands after the ROI values its pass 1 kept.
     """
     pixels, inside = _check_pass2_inputs(img, mask, params, stats, arithmetic_mode)
     height, width = pixels.shape
     bands = _bands(pixels, inside, params.window, band_height(width, height))
-    return _run_pass2(pixels.shape, params, arithmetic_mode, bands, stats)
+    return _run_pass2(pixels.shape, params, arithmetic_mode, stats, inside, [], bands)
+
+
+def _room(width: int, height: int, window: int) -> int:
+    """Bytes of ROI values the streaming engine's pass 1 keeps for pass 2:
+    one pass-2 band's kernel bytes."""
+    return band_bytes(band_height(width, height), width, window)
+
+
+def _two_passes(pixels, inside, params: MsldParams, mode: ArithmeticMode, band_rows: int, rows: int,
+                room: float) -> Iterator:
+    """Both engines' flow: pass 1 over bands of band_rows rows, as records
+    of at most rows rows (``_split``), keeping their ROI values while they
+    fit in room bytes (``_run_pass1``); then pass 2 over the kept records
+    and over bands of rows rows formed again from the first row not kept.
+    Yields the statistics, then the map."""
+    bands = _split(_bands(pixels, inside, params.window, band_rows), rows)
+    stats, kept, resume = _run_pass1(params, mode, bands, room)
+    del bands
+    yield stats
+    records = () if resume is None else _bands(pixels, inside, params.window, rows, resume)
+    yield _run_pass2(pixels.shape, params, mode, stats, inside, kept, records)
 
 
 def sweep(img, mask, params: MsldParams, arithmetic_mode: ArithmeticMode,
           band_rows: int) -> tuple[ResponseMap, ScaleStats]:
-    """Both passes over bands of band_rows rows, each band's rows read and
-    its sums formed once and kept for pass 2 (a file's channel rows copied
-    out of their halo block). Each pass takes them as records of one budget,
-    max(8, BAND_PIXELS // width) rows (``_split``), so a taller band grows
-    no register while the kept sums are alive. ``reference.msld_reference``
-    fixes the height."""
+    """Both passes over bands of band_rows rows, whose sums are formed once:
+    their ROI values are all kept for pass 2, which forms no band again.
+    Each pass takes the bands as records of one budget, max(8, BAND_PIXELS
+    // width) rows (``_split``), so a taller band grows no register.
+    ``reference.msld_reference`` fixes the height."""
     pixels, inside = _check_inputs(img, mask, arithmetic_mode)
-    copy = not isinstance(pixels, np.ndarray)
-    kept = [(rows, roi, channel.copy() if copy else channel, sums)
-            for rows, roi, channel, sums in _bands(pixels, inside, params.window, band_rows)]
-    step = max(8, BAND_PIXELS // pixels.shape[1])
-    stats = _run_pass1(params, arithmetic_mode, _split(kept, step))
-    return _run_pass2(pixels.shape, params, arithmetic_mode, _split(kept, step), stats), stats
+    stats, response = _two_passes(pixels, inside, params, arithmetic_mode, band_rows,
+                                  max(8, BAND_PIXELS // pixels.shape[1]), math.inf)
+    return response, stats
+
+
+def streaming_passes(img, mask, params: MsldParams, arithmetic_mode: ArithmeticMode = "float") -> Iterator:
+    """``msld_streaming``'s two passes, as an iterator that yields its
+    statistics once pass 1 is done, then its map. Pass 1 takes
+    ``pass1_height`` bands as records of ``band_height`` rows and keeps ROI
+    values while they fit in one pass-2 band's kernel bytes (``_room``);
+    pass 2 forms bands of ``band_height`` rows again from the first row not
+    kept."""
+    pixels, inside = _check_inputs(img, mask, arithmetic_mode)
+    height, width = pixels.shape
+    window = params.window
+    return _two_passes(pixels, inside, params, arithmetic_mode, pass1_height(width, height, window),
+                       band_height(width, height), _room(width, height, window))
 
 
 def msld_streaming(
@@ -576,9 +679,9 @@ def msld_streaming(
     params: MsldParams,
     arithmetic_mode: ArithmeticMode = "float",
 ) -> tuple[ResponseMap, ScaleStats, MemoryFootprint]:
-    """Run ``stream_pass1``, then ``stream_pass2`` with its statistics, and
-    report the auxiliary-memory footprint of their bands."""
-    stats = stream_pass1(img, mask, params, arithmetic_mode)
-    response = stream_pass2(img, mask, params, stats, arithmetic_mode)
+    """Run ``streaming_passes`` and report the auxiliary-memory footprint of
+    their bands. The map and statistics are those of ``stream_pass1`` and
+    then ``stream_pass2`` with its statistics."""
+    stats, response = streaming_passes(img, mask, params, arithmetic_mode)
     height, width = row_source(img).shape
     return response, stats, memory_footprint(params, width, height)

@@ -46,6 +46,7 @@ def test_pass_cases_run():
         for mode in ("float", "fixed"):
             bench.test_pass1(once, name, mode)
             bench.test_pass2(once, name, mode)
+            bench.test_streaming(once, name, mode)
         bench.test_reference(once, name)
 
 

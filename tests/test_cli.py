@@ -112,15 +112,43 @@ def test_segment_of_degenerate_images(tmp_path, capsys, shape):
             assert (pairs["auc"], pairs["threshold"]) == ("0.500000", "0.0"), engine
 
 
-def test_bench_and_segment_report_the_same_footprint(inputs, tmp_path, capsys):
+def test_bench_and_segment_report_the_same_footprint(inputs, tmp_path, capsys, monkeypatch):
+    # and bench times the passes segment runs: pass 2 forms no band the
+    # values pass 1 kept cover, so both form the same bands
     keys = ("line_buffer_slots", "accumulator_words", "stored_stats_values", "peak_total_bytes")
-    args = ["--input", str(inputs["image"]), "--window", "5", "--engine", "streaming-fixed"]
-    assert main(["segment", *args, "--out", str(tmp_path / "r.msldf")]) == EXIT_OK
-    seg = report(capsys)
-    assert main(["bench", *args]) == EXIT_OK
-    bench = report(capsys)
-    assert {k: seg[k] for k in keys} == {k: bench[k] for k in keys}
-    assert int(seg["line_buffer_slots"]) == 4 * 20 + 5
+    calls = []
+    band_sums = msld.streaming.band_sums
+    monkeypatch.setattr(msld.streaming, "band_sums", lambda *band: calls.append(band[1:3]) or band_sums(*band))
+    for engine in ("streaming-float", "streaming-fixed"):
+        args = ["--input", str(inputs["image"]), "--window", "5", "--engine", engine]
+        calls.clear()
+        assert main(["segment", *args, "--out", str(tmp_path / "r.msldf")]) == EXIT_OK
+        seg, seg_calls = report(capsys), calls[:]
+        calls.clear()
+        assert main(["bench", *args]) == EXIT_OK
+        bench = report(capsys)
+        assert {k: seg[k] for k in keys} == {k: bench[k] for k in keys}
+        assert int(seg["line_buffer_slots"]) == 4 * 20 + 5
+        assert calls == seg_calls
+        assert "rep0_pass1_seconds" in bench and "rep0_pass2_seconds" in bench
+
+
+@pytest.mark.parametrize("engine", ["streaming-float", "streaming-fixed"])
+def test_tile_segment_forms_at_most_six_bands(tmp_path, capsys, monkeypatch, engine):
+    # a 64 x 64 tile with a 0.3 random ROI at W = 15: pass 1 forms four
+    # 16-row bands and keeps the ROI values of six 8-row records in one
+    # 8-row band's 17,376 kernel bytes, so pass 2 forms two bands again,
+    # where both passes formed three and eight
+    rng = np.random.default_rng(11)
+    save_pnm(GrayImage(rng.integers(0, 256, (64, 64), dtype=np.uint8)), tmp_path / "tile.pgm")
+    save_pnm(GrayImage((rng.random((64, 64)) < 0.3) * np.uint8(255)), tmp_path / "roi.pgm")
+    calls = []
+    band_sums = msld.streaming.band_sums
+    monkeypatch.setattr(msld.streaming, "band_sums", lambda *band: calls.append(band) or band_sums(*band))
+    assert main(["segment", "--input", str(tmp_path / "tile.pgm"), "--mask", str(tmp_path / "roi.pgm"),
+                 "--engine", engine, "--out", str(tmp_path / "r.msldf")]) == EXIT_OK
+    capsys.readouterr()
+    assert len(calls) <= 6
 
 
 @pytest.mark.parametrize("reps", [0, -3])

@@ -443,14 +443,16 @@ def test_reference_forms_each_budget_band_once(monkeypatch):
 
 def test_reference_chunks_split_its_bands(monkeypatch):
     # pass 1's cap gives the reference 32-row bands at 2560 columns, which
-    # pass 1 gathers and pass 2 multiplies and adds 8 rows at a time; the
-    # streaming engine's bands are one chunk each
+    # pass 1 gathers 8 rows of ROI values at a time; pass 2 combines the kept
+    # values and forms no band again. The streaming engine's bands are one
+    # record each
     calls, gathers = recorded_bands(monkeypatch), []
     add_pixels = streaming.StreamAccumulators._add_pixels
 
-    def recorded(self, sums, channel, inside):
-        gathers.append(inside.size)
-        add_pixels(self, sums, channel, inside)
+    def recorded(self, values, pixels):
+        gathers.append(pixels.size)
+        assert values.shape == (params.n_scales, pixels.size)
+        add_pixels(self, values, pixels)
 
     monkeypatch.setattr(streaming.StreamAccumulators, "_add_pixels", recorded)
     rng = np.random.default_rng(14)
@@ -476,12 +478,22 @@ def test_reference_band_schedule_at_the_workload_sizes(monkeypatch, width, heigh
     assert min(heights[0], height) == rows
 
 
+def kept_values(params, roi_count):
+    """Bytes of the ROI values pass 1 keeps: every scale's uint16 sums and the pixel."""
+    return (2 * params.n_scales + 1) * roi_count
+
+
+# the ufunc's buffer of float64 casts when pass 2 multiplies an integer
+# source at most this big
+CAST_BUFFER = 8 * np.getbufsize()
+
+
 def test_reference_registers_stay_one_budget_of_rows():
-    # DRIVE size with a circular field of view: the reference keeps the sums
-    # of its 144-row bands and the map, and pass 2 multiplies and adds 36 rows
-    # at a time, so one float64 term register of 36 rows and the temporaries
-    # of zeroing a chunk's outside pixels fit in two such registers, where a
-    # 144-row register would not
+    # DRIVE size with a circular field of view: the reference keeps the ROI
+    # values of its 144-row bands and the map, and pass 2 combines 36 rows
+    # at a time, so the compact float64 register and term buffer of 36 rows
+    # fit in two such registers with the cast buffer, where 144-row ones
+    # would not
     height, width = 584, 565
     pixels = np.random.default_rng(8).integers(0, 256, (height, width), dtype=np.uint8)
     y, x = np.ogrid[:height, :width]
@@ -496,13 +508,17 @@ def test_reference_registers_stay_one_budget_of_rows():
         tracemalloc.stop()
     rows, step = max(8, streaming.PASS1_BAND_PIXELS // width), max(8, streaming.BAND_PIXELS // width)
     assert (rows, step) == (144, 36)
-    kept_rows = sum(min(rows, height - y0) for y0 in range(0, height, rows) if inside[y0:y0 + rows].any())
-    # uint16 sums of the padded width: the window sums and the line maxima of scales 3 to 15
-    kept_sums = 2 * params.n_scales * kept_rows * (width + 14)
-    assert peak <= kept_sums + 8 * height * width + 2 * 8 * step * width
+    kept = kept_values(params, int(inside.sum()))
+    assert peak <= kept + 8 * height * width + 2 * 8 * step * width + CAST_BUFFER
 
 
 def test_reference_peak_is_its_kept_sums_and_one_band():
+    # a full-frame ROI: 17 bytes of kept values per pixel at W = 15, more
+    # than the 16 * (1024 + 14) / 1024 bytes of the padded sums a kept band
+    # held; then the map, the two compact float64 registers of one budget of
+    # rows, as in the test above, and the kept records' objects: two arrays,
+    # their tuple and their slice of rows each, and 4 KB of the engine's
+    # small objects
     height, width = 300, 1024
     pixels = np.random.default_rng(8).integers(0, 256, (height, width), dtype=np.uint8)
     img, mask, params = GrayImage(pixels), Mask(np.ones((height, width), dtype=bool)), MsldParams(window=15)
@@ -513,13 +529,33 @@ def test_reference_peak_is_its_kept_sums_and_one_band():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # uint16 sums of the padded width: the window sums and the line maxima
-    # of scales 3 to 15, all rows kept; then the map and two float64
-    # registers of one budget of rows, as in the test above
     step = max(8, streaming.BAND_PIXELS // width)
-    kept_sums = 2 * params.n_scales * height * (width + 14)
     response = 8 * height * width
-    assert peak <= kept_sums + response + 2 * 8 * step * width
+    registers = 2 * 8 * step * width
+    objects = -(-height // step) * 4 * 160 + 4096
+    assert peak <= kept_values(params, height * width) + response + registers + CAST_BUFFER + objects
+
+
+def test_reference_peak_does_not_grow_with_its_band_height():
+    # the ROI is six of 200 rows: the reference keeps their ROI values, not
+    # the sums of the bands that hold them, so its peak is the map's and
+    # pass 2's up to the height where pass 1's kernel buffers pass the map
+    height, width = 200, 120
+    pixels = np.random.default_rng(4).integers(0, 256, (height, width), dtype=np.uint8)
+    inside = np.zeros((height, width), dtype=bool)
+    inside[90:96] = True
+    img, mask, params = GrayImage(pixels), Mask(inside), MsldParams(window=15)
+    peaks = []
+    for rows in (8, 16, 32, 48):
+        assert band_bytes(rows, width, 15) <= 8 * height * width
+        streaming.sweep(img, mask, params, "float", rows)  # fills the line-geometry cache outside the trace
+        tracemalloc.start()
+        try:
+            streaming.sweep(img, mask, params, "float", rows)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) - min(peaks) <= 1024
 
 
 @pytest.mark.parametrize("mode", ["float", "fixed"])
@@ -606,10 +642,12 @@ def test_pass1_height_rule(width, height):
     first = streaming.pass1_height(width, height, 15)
     budget = max(8, streaming.PASS1_BAND_PIXELS // width)
     assert min(rows, height) <= first <= min(budget, height)
-    # its kernel buffers fit in the response map plus one pass-2 band, and
-    # one more row would not, unless the budget or the image stops it first
-    room = 8 * width * height + band_bytes(rows, width, 15)
-    assert band_bytes(first, width, 15) <= room
+    # its kernel buffers fit in the response map, so that with one pass-2
+    # band's kept values they fit in the map plus that band, and one more
+    # row would not, unless the budget or the image stops it first or a
+    # pass-2 band already passes the map
+    room = 8 * width * height
+    assert band_bytes(first, width, 15) <= room or first == min(rows, height)
     assert first == min(budget, height) or band_bytes(first + 1, width, 15) > room
 
 
@@ -620,11 +658,13 @@ def test_pass1_height_is_the_budget_where_it_binds(width, height):
 
 
 @pytest.mark.parametrize("width, height, pass1, pass2, peak", [
-    (565, 584, 144, 36, 2_504_190), (2048, 1536, 40, 10, 2_533_448), (64, 64, 27, 8, 66_724),
+    pytest.param(565, 584, 144, 36, 2_981_436, id="565x584"),
+    pytest.param(2048, 1536, 40, 10, 3_050_256, id="2048x1536"),
+    pytest.param(64, 64, 16, 8, 65_224, id="64x64"),
 ])
 def test_band_schedule_at_the_workload_sizes(width, height, pass1, pass2, peak):
     # DRIVE, HRF and a 64 x 64 tile at W = 15: the map binds pass 1 only on
-    # the tile, where it still takes three kernel calls
+    # the tile, where it takes four kernel calls
     assert streaming.pass1_height(width, height, 15) == pass1
     assert streaming.band_height(width, height) == pass2
     assert streaming.memory_footprint(MsldParams(window=15), width, height).peak_total_bytes == peak
@@ -669,27 +709,41 @@ def test_footprint_models_the_band(width, height):
     first = streaming.pass1_height(width, height, 15)
     footprint = streaming.memory_footprint(params, width, height)
     words = footprint.accumulator_words + footprint.stored_stats_values
-    # the taller band's kernel buffers and four registers of a pass-2 band
+    # the taller band's kernel buffers, the kept values of one pass-2 band's
+    # kernel bytes and four registers of a pass-2 band
     taller = max(rows, first)
+    kept = band_bytes(rows, width, 15)
     registers = 4 * 8 * rows * width
-    assert footprint.peak_total_bytes == band_bytes(taller, width, 15) + registers + 8 * words
+    assert footprint.peak_total_bytes == band_bytes(taller, width, 15) + kept + registers + 8 * words
     assert footprint.line_buffer_slots == 14 * width + 15
     # three sums per scale, two of the window sums, the ROI counter
     assert footprint.accumulator_words == 3 * params.n_scales + 3 == 27
 
 
 def test_streaming_sweeps_bands_of_the_budget_height(monkeypatch):
-    calls = recorded_bands(monkeypatch)
+    calls, gathers = recorded_bands(monkeypatch), []
+    update_row = streaming.StreamAccumulators.update_row
+
+    def recorded(self, values, pixels):
+        gathers.append(values.shape)
+        update_row(self, values, pixels)
+
+    monkeypatch.setattr(streaming.StreamAccumulators, "update_row", recorded)
     pixels = np.random.default_rng(6).integers(0, 256, (100, 40), dtype=np.uint8)
     img, mask, params = GrayImage(pixels), Mask(np.ones((100, 40), dtype=bool)), MsldParams(window=5)
     msld_streaming(img, mask, params)
     stream_pass2(img, mask, params, stream_pass1(img, mask, params))
     # an eighth of 100 rows caps pass 2 below the 512 rows the budget allows
     # at 40 columns; pass 1 runs before the 32,000-byte response map and
-    # spends it at 528 kernel bytes a row on 60 more rows
-    first = [(0, 72), (72, 100)]
+    # spends it at 528 kernel bytes a row on 57 rows. Its 12-row records
+    # hold 480 ROI pixels of 7 bytes, of which a 12-row band's 8,064 kernel
+    # bytes keep two, so pass 2 forms the bands from row 24 on again, where
+    # stream_pass2 forms them all
+    first = [(0, 57), (57, 100)]
     bands = [(y0, min(y0 + 12, 100)) for y0 in range(0, 100, 12)]
-    assert calls == (first + bands) * 2
+    assert calls == first + bands[2:] + first + bands
+    records = [(3, 12 * 40)] * 4 + [(3, 9 * 40)] + [(3, 12 * 40)] * 3 + [(3, 7 * 40)]
+    assert gathers == records * 2
 
 
 @pytest.mark.parametrize("mode", ["float", "fixed"])
@@ -703,26 +757,39 @@ def test_empty_roi_rejected(mode):
             run()
 
 
-def test_streaming_is_its_two_public_passes(monkeypatch):
-    calls = []
+@st.composite
+def banded_cases(draw):
+    """Images of 9 to 60 rows of up to 30 pixels, so of at least two
+    records, whose ROI leaves whole bands of rows empty, which no pass
+    forms, at W = 3 to 7."""
+    height = draw(st.integers(9, 60))
+    width = draw(st.integers(1, 30))
+    window = draw(st.sampled_from([3, 5, 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pixels = rng.integers(0, 256, (height, width), dtype=np.uint8)
+    roi = rng.random((height, width)) < draw(st.floats(0.1, 1.0))
+    for y0 in range(0, height, 4):
+        if rng.random() < 0.4:
+            roi[y0:y0 + draw(st.sampled_from([4, 8, 12]))] = False
+    roi[rng.integers(height), rng.integers(width)] = True
+    return pixels, roi, window
 
-    def recorded(run):
-        def wrapper(*args):
-            result = run(*args)
-            calls.append((run.__name__, args, result))
-            return result
-        return wrapper
 
-    monkeypatch.setattr(streaming, "stream_pass1", recorded(stream_pass1))
-    monkeypatch.setattr(streaming, "stream_pass2", recorded(stream_pass2))
-    pixels = np.random.default_rng(9).integers(0, 256, (20, 16), dtype=np.uint8)
-    img, mask, params = GrayImage(pixels), Mask(pixels > 60), MsldParams(window=5)
-    resp, stats, _ = msld_streaming(img, mask, params, "fixed")
-    assert [name for name, *_ in calls] == ["stream_pass1", "stream_pass2"]
-    (_, pass1_args, pass1_stats), (_, pass2_args, pass2_resp) = calls
-    assert pass1_args == (img, mask, params, "fixed")
-    assert pass2_args == (img, mask, params, pass1_stats, "fixed")
-    assert stats is pass1_stats and resp is pass2_resp
+@given(banded_cases(), st.sampled_from(["float", "fixed"]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_streaming_is_its_public_passes_bit_for_bit(case, mode, data):
+    # the room holds the ROI values of the rows above a cut below the first
+    # 8-row record, so it ends mid-image unless no ROI pixel lies below: pass
+    # 2 combines the kept records and forms the bands after them again, and
+    # gives the bits of stream_pass2, which forms every band
+    pixels, roi, window = case
+    img, mask, params = GrayImage(pixels), Mask(roi), MsldParams(window=window)
+    room = kept_values(params, int(roi[:data.draw(st.integers(8, len(roi)))].sum()))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(streaming, "_room", lambda width, height, window: room)
+        resp, stats, _ = msld_streaming(img, mask, params, mode)
+    assert stats == stream_pass1(img, mask, params, mode)
+    assert np.array_equal(resp.values, stream_pass2(img, mask, params, stats, mode).values)
 
 
 @pytest.fixture
