@@ -1,6 +1,6 @@
 """Timings of ``stream_pass1``, ``stream_pass2``, ``msld_streaming`` and
 ``msld_reference``, the loops that take the kernel's bands as records of at
-most one register height (``streaming._split``).
+most one register height's ROI pixels (``streaming._split``).
 
 Run with pytest-benchmark (the file name keeps the tier-1 suite from
 collecting it):
@@ -10,10 +10,11 @@ collecting it):
 (``--benchmark-disable`` runs each case once.) ``bench_kernel.py`` times
 the kernel alone; these cases add pass 1's ROI gathers, pass 2's
 multiply-accumulate, and the ROI values that ``msld_streaming`` keeps in
-one pass-2 band's bytes and the reference keeps whole, so that their pass
-2 forms fewer bands or none again, at W = 15 on a 565x584 (DRIVE size)
-image with a circular field of view and on a 64x64 tile with a 0.3 random
-ROI, where per-record overhead dominates.
+one pass-2 band's kernel bytes and term register and the reference keeps
+whole, so that their pass 2 forms fewer bands or none again, at W = 15 on
+a 565x584 (DRIVE size) image with a circular field of view and on a 64x64
+tile with a 0.3 random ROI, where per-record overhead dominates and pass 1
+sums four whole bands whose values pass 2 combines without forming any.
 """
 
 import numpy as np

@@ -98,9 +98,10 @@ def msld_reference(img, mask, params: MsldParams) -> tuple[ResponseMap, ScaleSta
     per-scale ROI statistics of the streaming engine's float datapath. Bands
     take pass 1's pixel cap, max(8, PASS1_BAND_PIXELS // width) rows: 144
     at DRIVE width, 40 at HRF width, one band on a 64 x 64 tile. Every
-    ROI pixel's values are kept, 2 * n_scales + 1 = 17 bytes at W = 15, so
-    the height sets only transient buffers, and ``sweep`` keeps its
-    registers at one budget of rows whatever it is.
+    ROI pixel's values are kept, 2 * n_scales + 1 = 17 bytes at W = 15, and
+    combined into 8 bytes before the map is allocated, so the height sets
+    only transient buffers, and ``sweep`` keeps its registers at one
+    budget's ROI pixels whatever it is.
     """
     # streaming builds on this module's types, so it is imported on use
     from .streaming import PASS1_BAND_PIXELS, sweep

@@ -12,16 +12,18 @@ at W = 15), adds them to exact integer sums, the same in both arithmetic
 modes, and keeps them while they fit in its room. Finalizing the sums
 yields each scale's mean and standard deviation, which ``ScaleStats``
 carries to pass 2 as doubles or as fixed-point words. Pass 2 combines the
-kept values into their ROI pixels of the map, then forms the bands after
-the last record kept again and combines them band by band, so no
-per-scale response image is ever stored, and each pass drops a band's
-sums before the next is formed. ``msld_streaming``'s room is one pass-2
-band's kernel bytes, so its auxiliary state is one band of window + rows -
-1 image rows with its sums, the kept values and a handful of per-scale
-words, regardless of image height. ``reference.msld_reference`` runs the
-float datapath through ``sweep``, whose room has no bound, so its pass 2
-forms no band again. ``stream_pass1`` keeps nothing, and ``stream_pass2``
-forms every band again.
+kept values into 8 float64 bytes per ROI pixel, dropping each record's as
+it goes, then allocates the map, scatters them into it, and forms the
+bands after the last record kept again and combines them band by band, so
+no per-scale response image is ever stored, and each pass drops a band's
+sums before the next is formed. ``msld_streaming``'s room is what pass 2
+would hold beside the map to form one band, its kernel bytes and a
+float64 term register, so its auxiliary state is one band of window +
+rows - 1 image rows with its sums, the kept values and a handful of
+per-scale words, regardless of image height. ``reference.msld_reference``
+runs the float datapath through ``sweep``, whose room has no bound, so its
+pass 2 forms no band again. ``stream_pass1`` keeps nothing, and
+``stream_pass2`` forms every band again.
 
 The engines take the image and the mask as a ``GrayImage`` and a ``Mask``
 or as row sources (``imageio``), such as the ``imageio.PnmRows`` that
@@ -38,14 +40,15 @@ pass 2, which holds the response map, on short images, where 64-row tiles
 keep 8-row bands. Pass 1 runs before the map is allocated, so its bands
 (``pass1_height``) take up to four budgets (``PASS1_BAND_PIXELS``) until
 their kernel buffers fill the map's bytes; with the kept values they then
-fit in the map plus one pass-2 band. The reference keeps all its values
-anyway, so its height sets only its transient buffers: its bands take
-pass 1's cap, max(8, PASS1_BAND_PIXELS // width) rows, and a tile is one
-band. Each pass sizes its registers from the records that ``_split`` cuts
-from the bands: of the pass-2 height in the streaming engine, and of one
-budget, max(8, BAND_PIXELS // width) rows, in ``sweep``. The heights and
-the room change no output bit: pass 1 sums exact integers and pass 2 works
-per pixel.
+fit in the map plus one pass-2 band and its term register. The reference
+keeps all its values anyway, so its height sets only its transient
+buffers: its bands take pass 1's cap, max(8, PASS1_BAND_PIXELS // width)
+rows, and a tile is one band. Each pass sizes its registers, which are
+per ROI pixel, from the records of ``_split``: a band whole while it holds
+at most rows * width ROI pixels, else records of rows rows, with rows the
+pass-2 height in the streaming engine and one budget, max(8, BAND_PIXELS
+// width) rows, in ``sweep``. The heights, the records and the room change
+no output bit: pass 1 sums exact integers and pass 2 works per pixel.
 
 Arithmetic runs either in IEEE doubles or in integer fixed point with a
 configurable fractional width. In float mode the statistics are exact
@@ -139,19 +142,19 @@ class MemoryFootprint:
     sums, and the padded-width sums of every scale and running line sum, all
     in one integer type) of the taller band, pass 1's of ``pass1_height``
     rows unless the image is lower than 8 rows, the ROI values pass 1 keeps
-    (``_room``: one pass-2 band's kernel bytes), four 8-byte registers of
-    one pass-2 band of ``band_height`` rows, and the words above. It models
-    pass 1, which holds its band and the kept values (2.98 MB at DRIVE size
-    and W = 15), though pass 1 runs before the response map exists and its
-    measured peak stays within pass 2's. The registers bound both
-    datapaths, whose records (``_split``) are at most a pass-2 band: in
-    pass 1 both modes hold a record's ROI indices, compact and padded, and
-    its ROI values, and then the ROI values of the window sums and of one
-    scale's line sums in float64 or int64; in pass 2 one term of the affine
-    form, which float mode adds to the output rows and fixed mode to an
-    int64 accumulator, or a kept record's two compact registers of its ROI
-    pixels. Expression temporaries, the input image and the output response
-    map are excluded; pass 1 runs before the map is allocated.
+    (``_room``: a pass-2 band's kernel bytes and term register), four 8-byte
+    registers of one pass-2 band of ``band_height`` rows, and the words
+    above. It models pass 1, which holds its band and the kept values (3.14
+    MB at DRIVE size and W = 15), though pass 1 runs before the response map
+    exists and its measured peak stays within pass 2's. The registers bound
+    both datapaths, whose records (``_split``) hold at most a pass-2 band's
+    ROI pixels: in pass 1 both modes hold a record's ROI indices, compact
+    and padded, and its ROI values, and then the ROI values of the window
+    sums and of one scale's line sums in float64 or int64; in pass 2 one
+    term of the affine form, which float mode adds to the output rows and
+    fixed mode to an int64 accumulator, or, before the map exists, a kept
+    record's two compact registers. Expression temporaries, the input image
+    and the output response map are excluded.
     """
 
     line_buffer_slots: int
@@ -171,13 +174,13 @@ def pass1_height(width: int, height: int, window: int) -> int:
 
     Pass 1 runs before the float64 response map is allocated, so its band
     may spend the map's 8 * width * height bytes, while the ROI values it
-    keeps for pass 2 spend one pass-2 band's (``_room``): it is the tallest
-    band, of at most max(8, PASS1_BAND_PIXELS // width) rows and at most the
-    image's height, whose kernel buffers (``band_bytes``, linear in the
-    rows) fit in the map, but never lower than a pass-2 band of
-    ``band_height`` rows. The map binds on short images (16 rows on a 64 x
-    64 tile at W = 15), the pixel cap at DRIVE (144 rows) and HRF (40 rows)
-    widths.
+    keeps for pass 2 spend a pass-2 band's and its register's (``_room``):
+    it is the tallest band, of at most max(8, PASS1_BAND_PIXELS // width)
+    rows and at most the image's height, whose kernel buffers
+    (``band_bytes``, linear in the rows) fit in the map, but never lower
+    than a pass-2 band of ``band_height`` rows. The map binds on short
+    images (16 rows on a 64 x 64 tile at W = 15), the pixel cap at DRIVE
+    (144 rows) and HRF (40 rows) widths.
     """
     band_rows = band_height(width, height)
     per_row = band_bytes(band_rows + 1, width, window) - band_bytes(band_rows, width, window)
@@ -345,12 +348,13 @@ def _bands(pixels, inside, window: int, band_rows: int, start: int = 0) -> Itera
 
 
 def _split(bands: Iterable[Band], rows: int) -> Iterator[Band]:
-    """Yield every band as records of at most rows rows: a band that fits as
-    it is, a taller one as views of its rows. The passes size every register
-    from a record, so this height is the only one they know."""
+    """Yield every band as records: a band whole while it holds at most
+    rows * width ROI pixels, a larger one as views of at most rows rows. The
+    passes size every register from a record's ROI pixels, so this bound is
+    the only one they know."""
     for band in bands:
         span, roi, channel, sums = band
-        if len(roi) <= rows:
+        if np.count_nonzero(roi) <= rows * roi.shape[1]:
             yield band
         else:
             for y in range(0, len(roi), rows):
@@ -445,7 +449,8 @@ def stream_pass1(
     (``imageio.row_source``). Raw responses are consumed immediately and
     never stored, and no ROI value is kept. The bands are ``pass1_height``
     rows, up to four pixel budgets and never lower than pass 2's: this
-    sweep runs before the response map exists and spends its bytes. Float
+    sweep runs before the response map exists and spends its bytes, as
+    records of at most a pass-2 band's ROI pixels (``_split``). Float
     statistics are exact rationals rounded once; fixed-point variances that
     the sum-of-squares formula makes negative are clamped to zero and
     counted on the returned stats.
@@ -545,22 +550,21 @@ def _run_pass2(shape: tuple[int, int], params: MsldParams, mode: ArithmeticMode,
     the records, summed in float64 or in an int64 accumulator that fixed
     mode rounds once, with the same operations on every pixel.
 
-    The kept records (``_run_pass1``) are drained first, each dropped once
-    used: their compact ROI values are combined in buffers of their ROI
-    pixels and scattered into their rows of the map at the ROI flags that
-    inside gives again. The records are then combined whole in the output
-    rows or in the accumulator, whose buffers each record takes and drops
-    before the next band's sums are formed. Raises ValueError if the ROI
-    pixels are not the ``stats.roi_count``."""
-    out = np.zeros(shape, dtype=np.float64)
+    The kept records (``_run_pass1``) are combined first, in buffers of
+    their ROI pixels, each one's compact values dropped as its float64 ones
+    are made; the map is then allocated, and each record's values are
+    scattered into its rows at the ROI flags that inside gives again. The
+    records are then combined whole in the output rows or in the
+    accumulator, whose buffers each record takes and drops before the next
+    band's sums are formed. Raises ValueError if the ROI pixels are not the
+    ``stats.roi_count``."""
     fixed = mode == "fixed"
     dtype = np.int64 if fixed else np.float64
     terms, offset = _affine_terms(params, stats, mode)
     guard, unit = 1 << _guard_bits(params.window), 1 << params.frac_bits
     count = 0
-    kept.reverse()
-    while kept:
-        rows, values, pixels = kept.pop()
+    for k in range(len(kept)):
+        rows, values, pixels = kept[k]
         count += pixels.size
         combined, term = np.empty(pixels.size, dtype=dtype), np.empty(pixels.size, dtype=dtype)
         _multiply_accumulate(terms, pixels, values, combined, term)
@@ -568,8 +572,14 @@ def _run_pass2(shape: tuple[int, int], params: MsldParams, mode: ArithmeticMode,
         combined -= offset
         if fixed:
             combined = np.divide(div_round_half_away_i64(combined, guard, out=term), unit)
-        out[rows][inside[rows]] = combined
+        kept[k] = rows, combined
         del combined, term
+    out = np.zeros(shape, dtype=np.float64)
+    kept.reverse()
+    while kept:
+        rows, combined = kept.pop()
+        out[rows][inside[rows]] = combined
+        del combined
     ncols = shape[1]
     for rows, roi, channel, sums in records:
         count += int(np.count_nonzero(roi))
@@ -627,17 +637,19 @@ def stream_pass2(
 
 def _room(width: int, height: int, window: int) -> int:
     """Bytes of ROI values the streaming engine's pass 1 keeps for pass 2:
-    one pass-2 band's kernel bytes."""
-    return band_bytes(band_height(width, height), width, window)
+    what pass 2 would hold beside the map to form the band they save, its
+    kernel bytes and one float64 term register."""
+    rows = band_height(width, height)
+    return band_bytes(rows, width, window) + 8 * rows * width
 
 
 def _two_passes(pixels, inside, params: MsldParams, mode: ArithmeticMode, band_rows: int, rows: int,
                 room: float) -> Iterator:
     """Both engines' flow: pass 1 over bands of band_rows rows, as records
-    of at most rows rows (``_split``), keeping their ROI values while they
-    fit in room bytes (``_run_pass1``); then pass 2 over the kept records
-    and over bands of rows rows formed again from the first row not kept.
-    Yields the statistics, then the map."""
+    of at most rows * width ROI pixels (``_split``), keeping their ROI
+    values while they fit in room bytes (``_run_pass1``); then pass 2 over
+    the kept records and over bands of rows rows formed again from the
+    first row not kept. Yields the statistics, then the map."""
     bands = _split(_bands(pixels, inside, params.window, band_rows), rows)
     stats, kept, resume = _run_pass1(params, mode, bands, room)
     del bands
@@ -650,8 +662,9 @@ def sweep(img, mask, params: MsldParams, arithmetic_mode: ArithmeticMode,
           band_rows: int) -> tuple[ResponseMap, ScaleStats]:
     """Both passes over bands of band_rows rows, whose sums are formed once:
     their ROI values are all kept for pass 2, which forms no band again.
-    Each pass takes the bands as records of one budget, max(8, BAND_PIXELS
-    // width) rows (``_split``), so a taller band grows no register.
+    Each pass takes the bands as records of at most one budget's ROI
+    pixels, of max(8, BAND_PIXELS // width) rows (``_split``), so a taller
+    band grows no register.
     ``reference.msld_reference`` fixes the height."""
     pixels, inside = _check_inputs(img, mask, arithmetic_mode)
     stats, response = _two_passes(pixels, inside, params, arithmetic_mode, band_rows,
@@ -662,10 +675,10 @@ def sweep(img, mask, params: MsldParams, arithmetic_mode: ArithmeticMode,
 def streaming_passes(img, mask, params: MsldParams, arithmetic_mode: ArithmeticMode = "float") -> Iterator:
     """``msld_streaming``'s two passes, as an iterator that yields its
     statistics once pass 1 is done, then its map. Pass 1 takes
-    ``pass1_height`` bands as records of ``band_height`` rows and keeps ROI
-    values while they fit in one pass-2 band's kernel bytes (``_room``);
-    pass 2 forms bands of ``band_height`` rows again from the first row not
-    kept."""
+    ``pass1_height`` bands as records of at most a ``band_height`` band's
+    ROI pixels (``_split``) and keeps ROI values while they fit in
+    ``_room``; pass 2 forms bands of ``band_height`` rows again from the
+    first row not kept."""
     pixels, inside = _check_inputs(img, mask, arithmetic_mode)
     height, width = pixels.shape
     window = params.window

@@ -512,6 +512,28 @@ def test_reference_registers_stay_one_budget_of_rows():
     assert peak <= kept + 8 * height * width + 2 * 8 * step * width + CAST_BUFFER
 
 
+def test_reference_peak_holds_no_map_beside_its_kept_values():
+    # the 0.9-circle DRIVE field of view above: pass 2 combines the kept
+    # values into 8 bytes a pixel before it allocates the map, so the peak is
+    # pass 1's, its kept values, one 144-row band's kernel buffers and the two
+    # registers of a 36-row record, and not the map beside the kept values
+    height, width = 584, 565
+    pixels = np.random.default_rng(8).integers(0, 256, (height, width), dtype=np.uint8)
+    y, x = np.ogrid[:height, :width]
+    inside = (2 * y - height) ** 2 + (2 * x - width) ** 2 <= (0.9 * width) ** 2
+    img, mask, params = GrayImage(pixels), Mask(inside), MsldParams(window=15)
+    msld_reference(img, mask, params)  # fills the line-geometry cache outside the trace
+    tracemalloc.start()
+    try:
+        msld_reference(img, mask, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows, step = max(8, streaming.PASS1_BAND_PIXELS // width), max(8, streaming.BAND_PIXELS // width)
+    kept = kept_values(params, int(inside.sum()))
+    assert peak <= kept + band_bytes(rows, width, 15) + 2 * 8 * step * width
+
+
 def test_reference_peak_is_its_kept_sums_and_one_band():
     # a full-frame ROI: 17 bytes of kept values per pixel at W = 15, more
     # than the 16 * (1024 + 14) / 1024 bytes of the padded sums a kept band
@@ -658,9 +680,9 @@ def test_pass1_height_is_the_budget_where_it_binds(width, height):
 
 
 @pytest.mark.parametrize("width, height, pass1, pass2, peak", [
-    pytest.param(565, 584, 144, 36, 2_981_436, id="565x584"),
-    pytest.param(2048, 1536, 40, 10, 3_050_256, id="2048x1536"),
-    pytest.param(64, 64, 16, 8, 65_224, id="64x64"),
+    pytest.param(565, 584, 144, 36, 3_144_156, id="565x584"),
+    pytest.param(2048, 1536, 40, 10, 3_214_096, id="2048x1536"),
+    pytest.param(64, 64, 16, 8, 69_320, id="64x64"),
 ])
 def test_band_schedule_at_the_workload_sizes(width, height, pass1, pass2, peak):
     # DRIVE, HRF and a 64 x 64 tile at W = 15: the map binds pass 1 only on
@@ -710,9 +732,10 @@ def test_footprint_models_the_band(width, height):
     footprint = streaming.memory_footprint(params, width, height)
     words = footprint.accumulator_words + footprint.stored_stats_values
     # the taller band's kernel buffers, the kept values of one pass-2 band's
-    # kernel bytes and four registers of a pass-2 band
+    # kernel bytes and one float64 term register, and four registers of a
+    # pass-2 band
     taller = max(rows, first)
-    kept = band_bytes(rows, width, 15)
+    kept = band_bytes(rows, width, 15) + 8 * rows * width
     registers = 4 * 8 * rows * width
     assert footprint.peak_total_bytes == band_bytes(taller, width, 15) + kept + registers + 8 * words
     assert footprint.line_buffer_slots == 14 * width + 15
@@ -737,13 +760,51 @@ def test_streaming_sweeps_bands_of_the_budget_height(monkeypatch):
     # at 40 columns; pass 1 runs before the 32,000-byte response map and
     # spends it at 528 kernel bytes a row on 57 rows. Its 12-row records
     # hold 480 ROI pixels of 7 bytes, of which a 12-row band's 8,064 kernel
-    # bytes keep two, so pass 2 forms the bands from row 24 on again, where
-    # stream_pass2 forms them all
+    # bytes and 3,840-byte term register keep three, so pass 2 forms the
+    # bands from row 36 on again, where stream_pass2 forms them all
     first = [(0, 57), (57, 100)]
     bands = [(y0, min(y0 + 12, 100)) for y0 in range(0, 100, 12)]
-    assert calls == first + bands[2:] + first + bands
+    assert calls == first + bands[3:] + first + bands
     records = [(3, 12 * 40)] * 4 + [(3, 9 * 40)] + [(3, 12 * 40)] * 3 + [(3, 7 * 40)]
     assert gathers == records * 2
+
+
+@pytest.mark.parametrize("mode", ["float", "fixed"])
+def test_pass2_forms_no_band_on_a_tile(monkeypatch, mode):
+    # a 64 x 64 tile with a 0.3 random ROI at W = 15, the tiles workload's
+    # shape: its 1,161 ROI pixels keep 19,737 bytes of values within the
+    # 21,472-byte room, and each 16-row pass-1 band holds fewer than the 512
+    # ROI pixels of an 8-row record, so it is summed whole and pass 2 forms
+    # no band again
+    rng = np.random.default_rng(8)
+    pixels = rng.integers(0, 256, (64, 64), dtype=np.uint8)
+    roi = rng.random((64, 64)) < 0.3
+    img, mask, params = GrayImage(pixels), Mask(roi), MsldParams(window=15)
+    count = int(roi.sum())
+    assert kept_values(params, count) <= streaming._room(64, 64, 15) == 21_472
+    calls, records = recorded_bands(monkeypatch), []
+    update_row = streaming.StreamAccumulators.update_row
+
+    def recorded(self, values, pixels):
+        records.append(pixels.size)
+        update_row(self, values, pixels)
+
+    monkeypatch.setattr(streaming.StreamAccumulators, "update_row", recorded)
+    msld_streaming(img, mask, params, mode)  # fills the line-geometry cache outside the trace
+    assert calls == [(y0, y0 + 16) for y0 in range(0, 64, 16)]
+    assert len(records) == 4 and sum(records) == count
+    passes = streaming.streaming_passes(img, mask, params, mode)
+    next(passes)
+    tracemalloc.start()
+    try:
+        next(passes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the map and the combined float64 values of every ROI pixel; 2 KB holds
+    # each record's array and tuple objects (under 200 bytes), the affine
+    # terms (under 400 bytes) and the views the scatter takes
+    assert peak <= 8 * 64 * 64 + 8 * count + 2048
 
 
 @pytest.mark.parametrize("mode", ["float", "fixed"])
@@ -790,6 +851,35 @@ def test_streaming_is_its_public_passes_bit_for_bit(case, mode, data):
         resp, stats, _ = msld_streaming(img, mask, params, mode)
     assert stats == stream_pass1(img, mask, params, mode)
     assert np.array_equal(resp.values, stream_pass2(img, mask, params, stats, mode).values)
+
+
+@given(banded_cases(), st.integers(1, 24), st.integers(1, 12))
+@settings(max_examples=40, deadline=None)
+def test_split_passes_a_band_whole_while_its_roi_fits(case, band_rows, rows):
+    # a record's registers are per ROI pixel: a band is one record while it
+    # holds at most rows * width of them, and else is cut into records of
+    # at most rows rows, which cover its rows in order and give its ROI values
+    pixels, roi, window = case
+    width = pixels.shape[1]
+    bands = list(streaming._bands(pixels, roi, window, band_rows))
+    records = iter(list(streaming._split(bands, rows)))
+    for span, band_roi, channel, sums in bands:
+        mine, y = [], span.start
+        while y < span.stop:
+            record = next(records)
+            assert record[0].start == y
+            mine.append(record)
+            y = record[0].stop
+        assert y == span.stop
+        if np.count_nonzero(band_roi) <= rows * width:
+            assert [record[0] for record in mine] == [span]
+        else:
+            assert all(record[0].stop - record[0].start <= rows for record in mine)
+        values, pixel_values = zip(*(streaming._roi_values(*record[1:]) for record in mine))
+        expected = streaming._roi_values(band_roi, channel, sums)
+        assert np.array_equal(np.concatenate(values, axis=1), expected[0])
+        assert np.array_equal(np.concatenate(pixel_values), expected[1])
+    assert next(records, None) is None
 
 
 @pytest.fixture
