@@ -9,13 +9,11 @@ collecting it):
 sum in one array of one integer type, uint16 at W = 15. ``msld_streaming``
 calls the kernel on pass-1 bands of ``streaming.pass1_height(width,
 height, W)`` rows and on pass-2 bands of ``streaming.band_height(width,
-height)`` rows: 144 rows and then 36 at 565 columns (DRIVE size); 40 rows
-and then 10 at 2048 columns (HRF size); 27 rows and then 8 on 64-row
-tiles, where per-call overhead dominates. The reference
-(``streaming.sweep``) forms the sums once, in bands of pass 1's cap,
-max(8, PASS1_BAND_PIXELS // width) rows, that it keeps: 144 rows at 565
-columns, 40 at 2048 and one band on a 64-row tile. This file's ``sweep``
-runs all three schedules.
+height)`` rows. The reference (``streaming.sweep``) forms the sums once,
+in bands of pass 1's cap, max(8, PASS1_BAND_PIXELS // width) rows, and
+keeps their ROI values. ``streaming``'s module docstring gives these
+heights at the three sizes below; on 64-row tiles per-call overhead
+dominates. This file's ``sweep`` runs all three schedules.
 """
 
 import numpy as np

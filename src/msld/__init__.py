@@ -4,15 +4,13 @@ One raster-order two-pass engine produces the combined response map from
 one exact integer kernel (``kernel.band_sums``) of window sums and
 oriented line-sum maxima. It keeps only per-scale statistics between
 passes and runs its datapath in floating point, with exact integer
-statistics, or in configurable fixed point. Both entry points hand the
-kernel bands of up to four pixel budgets, and both passes size their
-registers from records of at most one budget of rows. The first pass
-keeps the ROI values of the kernel sums while they fit in a fixed room,
-and the second forms only the bands after them again: ``msld_streaming``
-gives the map and statistics of ``stream_pass1`` then ``stream_pass2``
-in one pass-2 band's bytes of kept values, and the reference is the
-float datapath that keeps every ROI value, and gives the same map and
-statistics as the streaming engine in float mode.
+statistics, or in configurable fixed point. The first pass keeps the ROI
+values of the kernel sums while they fit in a room, and the second forms
+only the bands after them again: ``msld_streaming`` gives the map and
+statistics of ``stream_pass1`` then ``stream_pass2``, and the reference is
+the float datapath that keeps every ROI value, and gives the same map and
+statistics as the streaming engine in float mode. Their band heights,
+records and rooms are in ``streaming``'s module docstring.
 """
 
 from .detector import (

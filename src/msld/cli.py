@@ -84,10 +84,8 @@ def read_response_file(path) -> ResponseMap:
     parts = data[:newline].split()
     if len(parts) != 3 or parts[0] != RESPONSE_MAGIC.encode("ascii"):
         raise PnmFormatError(f"bad response header {data[:newline]!r}")
-    try:
-        width, height = int(parts[1]), int(parts[2])
-    except ValueError:
-        width = height = 0
+    # ASCII digits only: int() would also take a sign and underscores
+    width, height = (int(part) if part.isdigit() else 0 for part in parts[1:])
     if width <= 0 or height <= 0:
         raise PnmFormatError(f"bad response dimensions {data[:newline]!r}")
     count = width * height
@@ -138,10 +136,6 @@ def _check_paths(args):
         seen.add(os.path.abspath(path))
 
 
-def _atomic_write_text(path: Path, text: str):
-    _atomic_write_bytes(path, [text.encode("ascii")])
-
-
 @contextlib.contextmanager
 def _inputs(args):
     """The gray input and the ROI of a run as row sources: the mask file or,
@@ -157,14 +151,6 @@ def _params(args) -> MsldParams:
     return MsldParams(window=args.window, frac_bits=args.frac_bits)
 
 
-def _run_engine(engine: str, img, mask, params):
-    """Returns (response, stats, footprint_or_None)."""
-    mode = ENGINES[engine]
-    if mode is None:
-        return (*msld_reference(img, mask, params), None)
-    return msld_streaming(img, mask, params, mode)
-
-
 def _report_lines(pairs) -> str:
     return "".join(f"{key} {value}\n" for key, value in pairs)
 
@@ -172,7 +158,7 @@ def _report_lines(pairs) -> str:
 def _emit_report(args, lines: str):
     # the file first, so a run whose report write fails prints no report
     if args.report:
-        _atomic_write_text(Path(args.report), lines)
+        _atomic_write_bytes(Path(args.report), [lines.encode("ascii")])
     sys.stdout.write(lines)
 
 
@@ -188,10 +174,13 @@ def _segmentation(resp: ResponseMap, roi, threshold: float) -> GrayImage:
 
 
 def cmd_segment(args) -> int:
-    params = _params(args)
+    params, mode = _params(args), ENGINES[args.engine]
     with _inputs(args) as (img, roi):
         start = time.perf_counter()
-        resp, stats, footprint = _run_engine(args.engine, img, roi, params)
+        if mode is None:
+            (resp, stats), footprint = msld_reference(img, roi, params), None
+        else:
+            resp, stats, footprint = msld_streaming(img, roi, params, mode)
         elapsed = time.perf_counter() - start
         # binarize before writing anything, so a bad threshold leaves no output
         if args.threshold is not None:

@@ -131,10 +131,10 @@ _NOT_GRAY = "mask must be a grayscale PGM file"
 
 
 def _header_int(token: bytes, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise PnmFormatError(f"malformed header: {what} is not an integer: {token!r}") from None
+    # ASCII digits only: int() would also take a sign and underscores
+    if not token.isdigit():
+        raise PnmFormatError(f"malformed header: {what} is not an integer: {token!r}")
+    return int(token)
 
 
 def _sample(token: bytes) -> int:

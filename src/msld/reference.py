@@ -1,15 +1,15 @@
 """Reference engine and the result types both engines share.
 
-``msld_reference`` is the streaming engine's float datapath over bands of
-pass 1's four-budget cap, whose kernel sums are formed once: the first
-pass keeps every ROI pixel's values, its sums of every scale and its
-pixel, for the second pass, which forms no band again. Its map and
-statistics are therefore the same values as
-``msld_streaming(..., "float")``'s. ``scale_stats`` is the one
-statistics formula of float mode: it rounds the exact rational mean and
-variance of integer ROI sums once. Pixels outside the ROI are emitted as 0
-and excluded from all statistics. ``ResponseMap`` is an ``imageio.Grid``:
-a frozen, C-contiguous float64 array of at least 1x1.
+``msld_reference`` is the streaming engine's float datapath on the
+reference's schedule (``streaming.sweep``; the schedules are in
+``streaming``'s module docstring), which forms each band's kernel sums once
+and keeps every ROI value for the second pass. Its map and statistics are
+therefore the same values as ``msld_streaming(..., "float")``'s.
+``scale_stats`` is the one statistics formula of float mode: it rounds the
+exact rational mean and variance of integer ROI sums once. Pixels outside
+the ROI are emitted as 0 and excluded from all statistics. ``ResponseMap``
+is an ``imageio.Grid``: a frozen, C-contiguous float64 array of at least
+1x1.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .detector import MsldParams
 from .fixedpoint import RAW_LIMIT
-from .imageio import Grid, row_source
+from .imageio import Grid
 
 
 class EmptyRoiError(ValueError):
@@ -95,15 +95,10 @@ def msld_reference(img, mask, params: MsldParams) -> tuple[ResponseMap, ScaleSta
 
     img and mask are a GrayImage and a Mask or row sources of their rows
     (``imageio.row_source``). Returns the combined response map and the
-    per-scale ROI statistics of the streaming engine's float datapath. Bands
-    take pass 1's pixel cap, max(8, PASS1_BAND_PIXELS // width) rows: 144
-    at DRIVE width, 40 at HRF width, one band on a 64 x 64 tile. Every
-    ROI pixel's values are kept, 2 * n_scales + 1 = 17 bytes at W = 15, and
-    combined into 8 bytes before the map is allocated, so the height sets
-    only transient buffers, and ``sweep`` keeps its registers at one
-    budget's ROI pixels whatever it is.
+    per-scale ROI statistics of the streaming engine's float datapath on the
+    reference's schedule (``streaming.sweep``).
     """
     # streaming builds on this module's types, so it is imported on use
-    from .streaming import PASS1_BAND_PIXELS, sweep
+    from .streaming import sweep
 
-    return sweep(img, mask, params, "float", max(8, PASS1_BAND_PIXELS // row_source(img).shape[1]))
+    return sweep(img, mask, params, "float")

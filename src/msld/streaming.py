@@ -1,12 +1,12 @@
 """Raster-order two-pass engine with bounded auxiliary memory.
 
 Both engines are this one flow (``_two_passes``); they differ only in
-their band heights and in how many ROI values pass 1 keeps. Pass 1 sweeps
-the image in bands of a few pixel budgets. For each band the integer
-kernel (``kernel.band_sums``) forms, in its padded layout and in one
-integer type, one array indexed by scale: the window sums at index 0 and
-the maxima of the oriented line sums of length 2s + 1 at index s >= 1;
-scale 1's line sum is the pixel. Pass 1 gathers each record's ROI values
+their schedule, below: their band heights and how many ROI values pass 1
+keeps. Pass 1 sweeps the image in bands. For each band the integer kernel
+(``kernel.band_sums``) forms, in its padded layout and in one integer
+type, one array indexed by scale: the window sums at index 0 and the
+maxima of the oriented line sums of length 2s + 1 at index s >= 1; scale
+1's line sum is the pixel. Pass 1 gathers each record's ROI values
 (``_roi_values``: every scale's sums and the pixel, 17 bytes per ROI pixel
 at W = 15), adds them to exact integer sums, the same in both arithmetic
 modes, and keeps them while they fit in its room. Finalizing the sums
@@ -16,14 +16,7 @@ kept values into 8 float64 bytes per ROI pixel, dropping each record's as
 it goes, then allocates the map, scatters them into it, and forms the
 bands after the last record kept again and combines them band by band, so
 no per-scale response image is ever stored, and each pass drops a band's
-sums before the next is formed. ``msld_streaming``'s room is what pass 2
-would hold beside the map to form one band, its kernel bytes and a
-float64 term register, so its auxiliary state is one band of window +
-rows - 1 image rows with its sums, the kept values and a handful of
-per-scale words, regardless of image height. ``reference.msld_reference``
-runs the float datapath through ``sweep``, whose room has no bound, so its
-pass 2 forms no band again. ``stream_pass1`` keeps nothing, and
-``stream_pass2`` forms every band again.
+sums before the next is formed.
 
 The engines take the image and the mask as a ``GrayImage`` and a ``Mask``
 or as row sources (``imageio``), such as the ``imageio.PnmRows`` that
@@ -32,23 +25,34 @@ rows and then its image rows with the window's halo once, and pass 2
 reads a kept record's mask rows again, so a run over a file holds no whole
 image or mask.
 
-The streaming pass-2 band height is max(8, min(BAND_PIXELS // width,
-height // 8)) rows. The first term spends a fixed pixel budget per kernel
-call, so per-call overhead is amortized on wide images while the rows stay
-bounded independently of the height; the second bounds the footprint of
-pass 2, which holds the response map, on short images, where 64-row tiles
-keep 8-row bands. Pass 1 runs before the map is allocated, so its bands
-(``pass1_height``) take up to four budgets (``PASS1_BAND_PIXELS``) until
-their kernel buffers fill the map's bytes; with the kept values they then
-fit in the map plus one pass-2 band and its term register. The reference
-keeps all its values anyway, so its height sets only its transient
-buffers: its bands take pass 1's cap, max(8, PASS1_BAND_PIXELS // width)
-rows, and a tile is one band. Each pass sizes its registers, which are
+The schedule. ``msld_streaming``'s pass-2 bands (``band_height``) are
+max(8, min(BAND_PIXELS // width, height // 8)) rows: 36 at DRIVE width
+(565 columns), 10 at HRF width (2048 columns) and 8 on a 64 x 64 tile. The
+first term spends a fixed pixel budget per kernel call, so per-call
+overhead is amortized on wide images while the rows stay bounded
+independently of the height; the second bounds the footprint of pass 2,
+which holds the response map, on short images. Pass 1 runs before the map
+is allocated, so its bands (``pass1_height``) take up to four budgets,
+max(8, PASS1_BAND_PIXELS // width) rows (144 at DRIVE and 40 at HRF
+width), until their kernel buffers fill the map's bytes (16 rows on the
+tile), and never fewer than a pass-2 band's. Its room (``_room``) is what
+pass 2 would hold beside the map to form one band, that band's kernel
+bytes and a float64 term register (21,472 bytes on the tile at W = 15), so
+the engine's auxiliary state is one band of window + rows - 1 image rows
+with its sums, the kept values and a handful of per-scale words,
+regardless of image height, and pass 1 fits in the map plus one pass-2
+band and its register. ``stream_pass1`` is this pass 1 with an empty
+room, and ``stream_pass2`` forms every ``band_height`` band again. The
+reference (``sweep``) keeps all its values whatever its bands, so its
+height sets only its transient buffers: bands of pass 1's cap, max(8,
+PASS1_BAND_PIXELS // width) rows (one band on the tile), records of one
+budget, max(8, BAND_PIXELS // width) rows, and a room with no bound, so
+its pass 2 forms no band again. Each pass sizes its registers, which are
 per ROI pixel, from the records of ``_split``: a band whole while it holds
 at most rows * width ROI pixels, else records of rows rows, with rows the
-pass-2 height in the streaming engine and one budget, max(8, BAND_PIXELS
-// width) rows, in ``sweep``. The heights, the records and the room change
-no output bit: pass 1 sums exact integers and pass 2 works per pixel.
+pass-2 height in ``msld_streaming`` and one budget in ``sweep``. The
+heights, the records and the room change no output bit: pass 1 sums exact
+integers and pass 2 works per pixel.
 
 Arithmetic runs either in IEEE doubles or in integer fixed point with a
 configurable fractional width. In float mode the statistics are exact
@@ -59,7 +63,7 @@ data-dependent divisions (by the ROI count and by each standard deviation)
 are made once per scale, between the passes. The combined map is an affine
 form, n + 2 (source, coefficient) terms over the pixel and the kernel sums
 for n live scales, that one builder (``_affine_terms``) forms in both modes
-and pass 2 multiplies and adds in one loop. The modes differ only in the
+and pass 2 multiplies and adds in one loop (``_combine``). The modes differ only in the
 constants (divisions by L and W*W, or quantized reciprocals), the rounding
 (doubles, or exact rationals rounded once to guard bits beyond the
 fractional width, which fixed mode accumulates in int64 and rounds once)
@@ -110,10 +114,9 @@ Band = tuple[slice, np.ndarray, np.ndarray, np.ndarray]
 # rows) the largest budget of a sweep at which the float engine's measured
 # peak stays that of the response write
 BAND_PIXELS = 20480
-# pixels per pass-1 band above the 8-row floor: four pass-2 budgets, 144
-# rows at DRIVE width and 40 at HRF width (2048 columns). Pass 1 runs before
-# the response map exists, so only this cap and the map's bytes hold its
-# band. Kernel sweeps over the whole image (in process, interleaved,
+# pixels per pass-1 band above the 8-row floor: four pass-2 budgets. Pass 1
+# runs before the response map exists, so only this cap and the map's bytes
+# hold its band. Kernel sweeps over the whole image (in process, interleaved,
 # medians) gain from taller bands, but not without end, so a cap stays:
 #   565 x 584:   36 rows 11.3 ms, 144 rows 8.8 ms
 #   2048 x 1536: 10 rows 191 ms, 40 rows 105 ms, 518 rows 238 ms (the
@@ -164,23 +167,18 @@ class MemoryFootprint:
 
 
 def band_height(width: int, height: int) -> int:
-    """Output rows per pass-2 band of the streaming engine over a width x height image."""
+    """Output rows per pass-2 band of ``msld_streaming`` over a width x
+    height image (see the module docstring)."""
     return max(8, min(BAND_PIXELS // width, height // 8))
 
 
 def pass1_height(width: int, height: int, window: int) -> int:
-    """Output rows per pass-1 band of the streaming engine over a width x
-    height image.
-
-    Pass 1 runs before the float64 response map is allocated, so its band
-    may spend the map's 8 * width * height bytes, while the ROI values it
-    keeps for pass 2 spend a pass-2 band's and its register's (``_room``):
-    it is the tallest band, of at most max(8, PASS1_BAND_PIXELS // width)
-    rows and at most the image's height, whose kernel buffers
-    (``band_bytes``, linear in the rows) fit in the map, but never lower
-    than a pass-2 band of ``band_height`` rows. The map binds on short
-    images (16 rows on a 64 x 64 tile at W = 15), the pixel cap at DRIVE
-    (144 rows) and HRF (40 rows) widths.
+    """Output rows per pass-1 band of ``msld_streaming`` over a width x
+    height image (see the module docstring): the tallest band of at most
+    max(8, PASS1_BAND_PIXELS // width) rows and the image's height whose
+    kernel buffers (``band_bytes``, linear in the rows) fit in the response
+    map's 8 * width * height bytes, but never lower than a ``band_height``
+    band.
     """
     band_rows = band_height(width, height)
     per_row = band_bytes(band_rows + 1, width, window) - band_bytes(band_rows, width, window)
@@ -351,7 +349,8 @@ def _split(bands: Iterable[Band], rows: int) -> Iterator[Band]:
     """Yield every band as records: a band whole while it holds at most
     rows * width ROI pixels, a larger one as views of at most rows rows. The
     passes size every register from a record's ROI pixels, so this bound is
-    the only one they know."""
+    the only one they know; each engine's rows are in the module
+    docstring."""
     for band in bands:
         span, roi, channel, sums = band
         if np.count_nonzero(roi) <= rows * roi.shape[1]:
@@ -389,33 +388,6 @@ def _roi_values(roi: np.ndarray, channel: np.ndarray, sums: np.ndarray) -> tuple
     return values, channel.reshape(-1).take(inside)
 
 
-def _run_pass1(params: MsldParams, mode: ArithmeticMode, records: Iterable[Band],
-               room: float = 0) -> tuple[ScaleStats, list, int | None]:
-    """The statistics of the records, the records kept for pass 2 and the
-    row pass 2 resumes at.
-
-    Each record's ROI values (``_roi_values``) are summed and, while their
-    bytes fit in room, kept as (rows, values, pixels) in raster order. The
-    first record that does not fit ends the keeping, and its first row is
-    where pass 2 forms the sums again; None if every record was kept.
-    """
-    acc = StreamAccumulators(params)
-    kept, resume = [], None
-    for rows, roi, channel, sums in records:
-        values, pixels = _roi_values(roi, channel, sums)
-        # released before the next record is cut or the next band formed
-        del roi, channel, sums
-        acc.update_row(values, pixels)
-        if resume is None:
-            room -= values.nbytes + pixels.nbytes
-            if room >= 0:
-                kept.append((rows, values, pixels))
-            else:
-                resume = rows.start
-        del values, pixels
-    return acc.finalize(mode), kept, resume
-
-
 def _check_inputs(img, mask, arithmetic_mode: str):
     """The row sources of img and mask (``imageio.row_source``). Rejects an
     unknown mode, rows that are not 2-D uint8 pixels and bool flags, and a
@@ -446,19 +418,16 @@ def stream_pass1(
     """Single raster sweep accumulating per-scale ROI statistics.
 
     img and mask are a GrayImage and a Mask or row sources of their rows
-    (``imageio.row_source``). Raw responses are consumed immediately and
-    never stored, and no ROI value is kept. The bands are ``pass1_height``
-    rows, up to four pixel budgets and never lower than pass 2's: this
-    sweep runs before the response map exists and spends its bytes, as
-    records of at most a pass-2 band's ROI pixels (``_split``). Float
-    statistics are exact rationals rounded once; fixed-point variances that
-    the sum-of-squares formula makes negative are clamped to zero and
-    counted on the returned stats.
+    (``imageio.row_source``). This is ``msld_streaming``'s pass 1, with its
+    bands and records (see the module docstring), keeping no ROI value.
+    Float statistics are exact rationals rounded once; fixed-point
+    variances that the sum-of-squares formula makes negative are clamped to
+    zero and counted on the returned stats.
     """
     pixels, inside = _check_inputs(img, mask, arithmetic_mode)
     height, width = pixels.shape
-    bands = _bands(pixels, inside, params.window, pass1_height(width, height, params.window))
-    return _run_pass1(params, arithmetic_mode, _split(bands, band_height(width, height)))[0]
+    return next(_two_passes(pixels, inside, params, arithmetic_mode, pass1_height(width, height, params.window),
+                            band_height(width, height), 0))
 
 
 def _guard_bits(window: int) -> int:
@@ -534,23 +503,31 @@ def _affine_terms(params: MsldParams, stats: ScaleStats,
     return [(source, word(a)) for source, a in terms], word(offset)
 
 
-def _multiply_accumulate(terms: list, channel: np.ndarray, sums: np.ndarray, combined: np.ndarray,
-                         term: np.ndarray):
-    """Sum every term's coefficient times its source into combined, through
-    the term buffer: the channel for source None, else sums[source]."""
+def _combine(terms: list, offset, rounding: tuple[int, int] | None, channel: np.ndarray, sums: np.ndarray,
+             combined: np.ndarray, term: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """The combined map of a record: every term's coefficient times its
+    source (the channel for source None, else sums[source]) summed into
+    combined through the term buffer, less the offset. Float mode returns
+    combined; fixed mode's rounding is (guard, unit), and it returns the
+    int64 sum rounded once, through the term buffer, into out (a new array
+    if out is None)."""
     for k, (source, coeff) in enumerate(terms):
         np.multiply(channel if source is None else sums[source], coeff, out=term if k else combined)
         if k:
             combined += term
+    combined -= offset
+    if rounding is None:
+        return combined
+    return np.divide(div_round_half_away_i64(combined, rounding[0], out=term), rounding[1], out=out)
 
 
 def _run_pass2(shape: tuple[int, int], params: MsldParams, mode: ArithmeticMode, stats: ScaleStats,
                inside, kept: list, records: Iterable[Band]) -> ResponseMap:
     """The terms of ``_affine_terms`` over the kept records and then over
     the records, summed in float64 or in an int64 accumulator that fixed
-    mode rounds once, with the same operations on every pixel.
+    mode rounds once, with the same operations on every pixel (``_combine``).
 
-    The kept records (``_run_pass1``) are combined first, in buffers of
+    The kept records (``_two_passes``) are combined first, in buffers of
     their ROI pixels, each one's compact values dropped as its float64 ones
     are made; the map is then allocated, and each record's values are
     scattered into its rows at the ROI flags that inside gives again. The
@@ -561,19 +538,14 @@ def _run_pass2(shape: tuple[int, int], params: MsldParams, mode: ArithmeticMode,
     fixed = mode == "fixed"
     dtype = np.int64 if fixed else np.float64
     terms, offset = _affine_terms(params, stats, mode)
-    guard, unit = 1 << _guard_bits(params.window), 1 << params.frac_bits
+    rounding = (1 << _guard_bits(params.window), 1 << params.frac_bits) if fixed else None
     count = 0
     for k in range(len(kept)):
         rows, values, pixels = kept[k]
         count += pixels.size
         combined, term = np.empty(pixels.size, dtype=dtype), np.empty(pixels.size, dtype=dtype)
-        _multiply_accumulate(terms, pixels, values, combined, term)
-        del values, pixels
-        combined -= offset
-        if fixed:
-            combined = np.divide(div_round_half_away_i64(combined, guard, out=term), unit)
-        kept[k] = rows, combined
-        del combined, term
+        kept[k] = rows, _combine(terms, offset, rounding, pixels, values, combined, term, None)
+        del values, pixels, combined, term
     out = np.zeros(shape, dtype=np.float64)
     kept.reverse()
     while kept:
@@ -583,35 +555,14 @@ def _run_pass2(shape: tuple[int, int], params: MsldParams, mode: ArithmeticMode,
     ncols = shape[1]
     for rows, roi, channel, sums in records:
         count += int(np.count_nonzero(roi))
-        term = np.empty(roi.shape, dtype=dtype)
-        combined = np.empty_like(term) if fixed else out[rows]
-        _multiply_accumulate(terms, channel, sums[:, :, :ncols], combined, term)
-        # released before the rounding's temporaries
-        del channel, sums
-        combined -= offset
-        if fixed:
-            # rounded into the term buffer, so the record holds no temporaries
-            np.divide(div_round_half_away_i64(combined, guard, out=term), unit, out=out[rows])
-        out[rows][~roi] = 0.0
-        del roi, term, combined
+        target, term = out[rows], np.empty(roi.shape, dtype=dtype)
+        combined = np.empty_like(term) if fixed else target
+        _combine(terms, offset, rounding, channel, sums[:, :, :ncols], combined, term, target)
+        target[~roi] = 0.0
+        del roi, channel, sums, target, term, combined
     if count != stats.roi_count:
         raise ValueError(f"stats cover {stats.roi_count} ROI pixels but mask has {count}")
     return ResponseMap(out)
-
-
-def _check_pass2_inputs(img, mask, params: MsldParams, stats: ScaleStats, arithmetic_mode: str):
-    pixels, inside = _check_inputs(img, mask, arithmetic_mode)
-    if stats.n_scales != params.n_scales:
-        raise ValueError(
-            f"stats carry {stats.n_scales} scales but params require {params.n_scales}"
-        )
-    expected_frac = params.frac_bits if arithmetic_mode == "fixed" else None
-    if stats.frac_bits != expected_frac:
-        raise ValueError(
-            f"stats were produced with frac_bits={stats.frac_bits}, "
-            f"expected {expected_frac} for {arithmetic_mode} mode"
-        )
-    return pixels, inside
 
 
 def stream_pass2(
@@ -624,61 +575,81 @@ def stream_pass2(
     """Second raster sweep: read every band again, recompute its sums,
     standardize, combine.
 
-    img and mask are taken as by ``stream_pass1``. Emits each band of the
-    combined map as soon as its sums are recomputed; per-scale responses
-    exist only as one band of one scale. ``msld_streaming``'s own pass 2
-    forms only the bands after the ROI values its pass 1 kept.
+    img and mask are taken as by ``stream_pass1``. Forms every band of
+    ``band_height`` rows again and emits each band of the combined map as
+    soon as its sums are recomputed; per-scale responses exist only as one
+    band of one scale. Raises ValueError for stats of another scale count
+    or fractional width.
     """
-    pixels, inside = _check_pass2_inputs(img, mask, params, stats, arithmetic_mode)
+    pixels, inside = _check_inputs(img, mask, arithmetic_mode)
+    if stats.n_scales != params.n_scales:
+        raise ValueError(f"stats carry {stats.n_scales} scales but params require {params.n_scales}")
+    expected_frac = params.frac_bits if arithmetic_mode == "fixed" else None
+    if stats.frac_bits != expected_frac:
+        raise ValueError(f"stats were produced with frac_bits={stats.frac_bits}, "
+                         f"expected {expected_frac} for {arithmetic_mode} mode")
     height, width = pixels.shape
     bands = _bands(pixels, inside, params.window, band_height(width, height))
     return _run_pass2(pixels.shape, params, arithmetic_mode, stats, inside, [], bands)
 
 
 def _room(width: int, height: int, window: int) -> int:
-    """Bytes of ROI values the streaming engine's pass 1 keeps for pass 2:
-    what pass 2 would hold beside the map to form the band they save, its
-    kernel bytes and one float64 term register."""
+    """Bytes of ROI values ``msld_streaming``'s pass 1 keeps for pass 2: one
+    pass-2 band's kernel bytes and float64 term register (see the module
+    docstring)."""
     rows = band_height(width, height)
     return band_bytes(rows, width, window) + 8 * rows * width
 
 
 def _two_passes(pixels, inside, params: MsldParams, mode: ArithmeticMode, band_rows: int, rows: int,
                 room: float) -> Iterator:
-    """Both engines' flow: pass 1 over bands of band_rows rows, as records
-    of at most rows * width ROI pixels (``_split``), keeping their ROI
-    values while they fit in room bytes (``_run_pass1``); then pass 2 over
-    the kept records and over bands of rows rows formed again from the
-    first row not kept. Yields the statistics, then the map."""
-    bands = _split(_bands(pixels, inside, params.window, band_rows), rows)
-    stats, kept, resume = _run_pass1(params, mode, bands, room)
-    del bands
+    """Both engines' flow, on the schedule their callers give (see the
+    module docstring); yields the statistics, then the map.
+
+    Pass 1 sums the ROI values (``_roi_values``) of bands of band_rows rows
+    as records of at most rows * width ROI pixels (``_split``), and keeps
+    each record's as (rows, values, pixels) in raster order while their
+    bytes fit in room. The first record that does not fit ends the keeping;
+    pass 2 combines the kept records and forms bands of rows rows again from
+    that record's first row on.
+    """
+    acc = StreamAccumulators(params)
+    kept, resume = [], None
+    for span, roi, channel, sums in _split(_bands(pixels, inside, params.window, band_rows), rows):
+        values, roi_pixels = _roi_values(roi, channel, sums)
+        # released before the next record is cut or the next band formed
+        del roi, channel, sums
+        acc.update_row(values, roi_pixels)
+        if resume is None:
+            room -= values.nbytes + roi_pixels.nbytes
+            if room >= 0:
+                kept.append((span, values, roi_pixels))
+            else:
+                resume = span.start
+        del values, roi_pixels
+    stats = acc.finalize(mode)
+    # the frame outlives the yield, so it holds no more of pass 1
+    del acc, span
     yield stats
     records = () if resume is None else _bands(pixels, inside, params.window, rows, resume)
     yield _run_pass2(pixels.shape, params, mode, stats, inside, kept, records)
 
 
-def sweep(img, mask, params: MsldParams, arithmetic_mode: ArithmeticMode,
-          band_rows: int) -> tuple[ResponseMap, ScaleStats]:
-    """Both passes over bands of band_rows rows, whose sums are formed once:
-    their ROI values are all kept for pass 2, which forms no band again.
-    Each pass takes the bands as records of at most one budget's ROI
-    pixels, of max(8, BAND_PIXELS // width) rows (``_split``), so a taller
-    band grows no register.
-    ``reference.msld_reference`` fixes the height."""
+def sweep(img, mask, params: MsldParams, arithmetic_mode: ArithmeticMode) -> tuple[ResponseMap, ScaleStats]:
+    """Both passes on the reference's schedule (see the module docstring):
+    every ROI value is kept, so each band's sums are formed once and pass 2
+    forms no band again."""
     pixels, inside = _check_inputs(img, mask, arithmetic_mode)
-    stats, response = _two_passes(pixels, inside, params, arithmetic_mode, band_rows,
-                                  max(8, BAND_PIXELS // pixels.shape[1]), math.inf)
+    width = pixels.shape[1]
+    stats, response = _two_passes(pixels, inside, params, arithmetic_mode, max(8, PASS1_BAND_PIXELS // width),
+                                  max(8, BAND_PIXELS // width), math.inf)
     return response, stats
 
 
 def streaming_passes(img, mask, params: MsldParams, arithmetic_mode: ArithmeticMode = "float") -> Iterator:
-    """``msld_streaming``'s two passes, as an iterator that yields its
-    statistics once pass 1 is done, then its map. Pass 1 takes
-    ``pass1_height`` bands as records of at most a ``band_height`` band's
-    ROI pixels (``_split``) and keeps ROI values while they fit in
-    ``_room``; pass 2 forms bands of ``band_height`` rows again from the
-    first row not kept."""
+    """``msld_streaming``'s two passes on its schedule (see the module
+    docstring), as an iterator that yields its statistics once pass 1 is
+    done, then its map."""
     pixels, inside = _check_inputs(img, mask, arithmetic_mode)
     height, width = pixels.shape
     window = params.window
@@ -693,8 +664,9 @@ def msld_streaming(
     arithmetic_mode: ArithmeticMode = "float",
 ) -> tuple[ResponseMap, ScaleStats, MemoryFootprint]:
     """Run ``streaming_passes`` and report the auxiliary-memory footprint of
-    their bands. The map and statistics are those of ``stream_pass1`` and
-    then ``stream_pass2`` with its statistics."""
+    their bands (the schedule is in the module docstring). The map and
+    statistics are those of ``stream_pass1`` and then ``stream_pass2`` with
+    its statistics."""
     stats, response = streaming_passes(img, mask, params, arithmetic_mode)
     height, width = row_source(img).shape
     return response, stats, memory_footprint(params, width, height)

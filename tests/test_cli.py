@@ -351,6 +351,9 @@ def test_eval_failures_exit_with_their_code_and_write_no_report(inputs, tmp_path
         "no_newline": b"MSLDF 20 24",
         "magic": b"MSLDX" + payload[5:],
         "non_integer": b"MSLDF 20 x4\n" + payload[payload.index(b"\n") + 1:],
+        # int() would read these headers as 20 x 24
+        "underscore": b"MSLDF 2_0 24\n" + payload[payload.index(b"\n") + 1:],
+        "signed": b"MSLDF 20 +24\n" + payload[payload.index(b"\n") + 1:],
     }
     for name, data in malformed.items():
         (tmp_path / f"{name}.msldf").write_bytes(data)

@@ -433,6 +433,15 @@ def recorded_bands(monkeypatch) -> list:
     return calls
 
 
+def banded_sweep(img, mask, params, mode, band_rows):
+    """``streaming.sweep`` over bands of band_rows rows, with its records of
+    one budget of rows and its room with no bound."""
+    pixels, inside = streaming._check_inputs(img, mask, mode)
+    step = max(8, streaming.BAND_PIXELS // pixels.shape[1])
+    stats, resp = streaming._two_passes(pixels, inside, params, mode, band_rows, step, math.inf)
+    return resp, stats
+
+
 def test_reference_forms_each_budget_band_once(monkeypatch):
     calls = recorded_bands(monkeypatch)
     pixels = np.random.default_rng(5).integers(0, 256, (200, 1024), dtype=np.uint8)
@@ -462,20 +471,26 @@ def test_reference_chunks_split_its_bands(monkeypatch):
     assert calls == [(0, 32), (32, 50)]
     assert sum(gathers) == stats.roi_count and max(gathers) <= 8 * 2560
     for other, other_stats in (msld_streaming(img, mask, params, "float")[:2],
-                               streaming.sweep(img, mask, params, "float", 8)):
+                               banded_sweep(img, mask, params, "float", 8)):
         assert np.array_equal(resp.values, other.values)
         assert stats == other_stats
 
 
-@pytest.mark.parametrize("width, height, rows", [(565, 584, 144), (2048, 1536, 40), (64, 64, 64)])
-def test_reference_band_schedule_at_the_workload_sizes(monkeypatch, width, height, rows):
-    # DRIVE and HRF take pass 1's cap; a 64 x 64 tile is one band
-    heights = []
-    monkeypatch.setattr(streaming, "sweep", lambda img, mask, params, mode, band_rows: heights.append(band_rows))
+@pytest.mark.parametrize("width, height, rows, band, step", [
+    pytest.param(565, 584, 144, 144, 36, id="565-584-144"),
+    pytest.param(2048, 1536, 40, 40, 10, id="2048-1536-40"),
+    pytest.param(64, 64, 64, 1280, 320, id="64-64-64"),
+])
+def test_reference_band_schedule_at_the_workload_sizes(monkeypatch, width, height, rows, band, step):
+    # DRIVE and HRF take pass 1's cap; a 64 x 64 tile is one band. The
+    # (band rows, record rows, room) that sweep hands _two_passes
+    schedules = []
+    monkeypatch.setattr(streaming, "_two_passes", lambda *args: schedules.append(args[4:]) or (None, None))
     image = GrayImage(np.zeros((height, width), dtype=np.uint8))
     msld_reference(image, Mask(np.ones((height, width), dtype=bool)), MsldParams(window=15))
-    assert heights == [max(8, streaming.PASS1_BAND_PIXELS // width)]
-    assert min(heights[0], height) == rows
+    assert schedules == [(band, step, math.inf)]
+    assert band == max(8, streaming.PASS1_BAND_PIXELS // width)
+    assert min(band, height) == rows
 
 
 def kept_values(params, roi_count):
@@ -488,32 +503,8 @@ def kept_values(params, roi_count):
 CAST_BUFFER = 8 * np.getbufsize()
 
 
-def test_reference_registers_stay_one_budget_of_rows():
-    # DRIVE size with a circular field of view: the reference keeps the ROI
-    # values of its 144-row bands and the map, and pass 2 combines 36 rows
-    # at a time, so the compact float64 register and term buffer of 36 rows
-    # fit in two such registers with the cast buffer, where 144-row ones
-    # would not
-    height, width = 584, 565
-    pixels = np.random.default_rng(8).integers(0, 256, (height, width), dtype=np.uint8)
-    y, x = np.ogrid[:height, :width]
-    inside = (2 * y - height) ** 2 + (2 * x - width) ** 2 <= (0.9 * width) ** 2
-    img, mask, params = GrayImage(pixels), Mask(inside), MsldParams(window=15)
-    msld_reference(img, mask, params)  # fills the line-geometry cache outside the trace
-    tracemalloc.start()
-    try:
-        msld_reference(img, mask, params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    rows, step = max(8, streaming.PASS1_BAND_PIXELS // width), max(8, streaming.BAND_PIXELS // width)
-    assert (rows, step) == (144, 36)
-    kept = kept_values(params, int(inside.sum()))
-    assert peak <= kept + 8 * height * width + 2 * 8 * step * width + CAST_BUFFER
-
-
 def test_reference_peak_holds_no_map_beside_its_kept_values():
-    # the 0.9-circle DRIVE field of view above: pass 2 combines the kept
+    # DRIVE size with a 0.9-circle field of view: pass 2 combines the kept
     # values into 8 bytes a pixel before it allocates the map, so the peak is
     # pass 1's, its kept values, one 144-row band's kernel buffers and the two
     # registers of a 36-row record, and not the map beside the kept values
@@ -530,6 +521,7 @@ def test_reference_peak_holds_no_map_beside_its_kept_values():
     finally:
         tracemalloc.stop()
     rows, step = max(8, streaming.PASS1_BAND_PIXELS // width), max(8, streaming.BAND_PIXELS // width)
+    assert (rows, step) == (144, 36)
     kept = kept_values(params, int(inside.sum()))
     assert peak <= kept + band_bytes(rows, width, 15) + 2 * 8 * step * width
 
@@ -570,10 +562,10 @@ def test_reference_peak_does_not_grow_with_its_band_height():
     peaks = []
     for rows in (8, 16, 32, 48):
         assert band_bytes(rows, width, 15) <= 8 * height * width
-        streaming.sweep(img, mask, params, "float", rows)  # fills the line-geometry cache outside the trace
+        banded_sweep(img, mask, params, "float", rows)  # fills the line-geometry cache outside the trace
         tracemalloc.start()
         try:
-            streaming.sweep(img, mask, params, "float", rows)
+            banded_sweep(img, mask, params, "float", rows)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -643,7 +635,7 @@ def test_band_height_changes_no_bit(case, mode):
     pixels, roi, window = case
     img, mask, params = GrayImage(pixels), Mask(roi), MsldParams(window=window)
     height, width = pixels.shape
-    runs = [streaming.sweep(img, mask, params, mode, rows)
+    runs = [banded_sweep(img, mask, params, mode, rows)
             for rows in (1, 8, streaming.band_height(width, height), height)]
     for resp, stats in runs[1:]:
         assert np.array_equal(resp.values, runs[0][0].values)
@@ -671,12 +663,6 @@ def test_pass1_height_rule(width, height):
     room = 8 * width * height
     assert band_bytes(first, width, 15) <= room or first == min(rows, height)
     assert first == min(budget, height) or band_bytes(first + 1, width, 15) > room
-
-
-@pytest.mark.parametrize("width, height", [(565, 584), (2048, 1536)])
-def test_pass1_height_is_the_budget_where_it_binds(width, height):
-    # four pass-2 budgets
-    assert streaming.pass1_height(width, height, 15) == {565: 144, 2048: 40}[width]
 
 
 @pytest.mark.parametrize("width, height, pass1, pass2, peak", [
@@ -894,7 +880,7 @@ def entry_points(img, mask, params, stats, mode):
         "msld_streaming": lambda: msld_streaming(img, mask, params, mode),
         "stream_pass1": lambda: stream_pass1(img, mask, params, mode),
         "stream_pass2": lambda: stream_pass2(img, mask, params, stats, mode),
-        "sweep": lambda: streaming.sweep(img, mask, params, mode, 8),
+        "sweep": lambda: streaming.sweep(img, mask, params, mode),
         "msld_reference": lambda: msld_reference(img, mask, params),
         "StreamAccumulators.finalize": lambda: streaming.StreamAccumulators(params).finalize(mode),
     }

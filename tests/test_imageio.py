@@ -119,10 +119,21 @@ def test_truncated_payload_rejected(tmp_path):
     (opened, b"P5 # " + b"long comment " * 100 + b"\n4 4\n255\n\x00\x00", "truncated"),
     (functools.partial(opened, mask=True), b"P6\n1 1\n255\n\x00\x00\x00", "grayscale"),
     (opened, b"P2\n2 1\n255\n0 256\n", "out of range"),
+    # int() would read these as 10, 2 and 255 and the sample as 5
+    (load_pnm, b"P5 1_0 2 255\n" + b"\x00" * 20, "width is not an integer"),
+    (load_pnm, b"P5 10 +2 255\n" + b"\x00" * 20, "height is not an integer"),
+    (load_pnm, b"P5 10 2 2_55\n" + b"\x00" * 20, "maxval is not an integer"),
+    (load_pnm, b"P2\n1 1\n255\n+5\n", "sample is not an integer"),
+    (opened, b"P5 1_0 2 255\n" + b"\x00" * 20, "width is not an integer"),
+    (opened, b"P5 10 +2 255\n" + b"\x00" * 20, "height is not an integer"),
+    (opened, b"P5 10 2 2_55\n" + b"\x00" * 20, "maxval is not an integer"),
+    (opened, b"P2\n1 1\n255\n+5\n", "sample is not an integer"),
 ], ids=["non_integer_width", "empty", "zero_width", "no_whitespace_before_raster",
         "ascii_sample_256", "mask_is_ppm", "rows_non_integer_width", "rows_empty", "rows_magic",
         "rows_zero_width", "rows_maxval", "rows_no_whitespace_before_raster", "rows_truncated",
-        "rows_truncated_after_a_long_header", "rows_mask_is_ppm", "rows_ascii_sample_256"])
+        "rows_truncated_after_a_long_header", "rows_mask_is_ppm", "rows_ascii_sample_256",
+        "underscore_width", "signed_height", "underscore_maxval", "signed_ascii_sample",
+        "rows_underscore_width", "rows_signed_height", "rows_underscore_maxval", "rows_signed_ascii_sample"])
 def test_malformed_header_rejected(tmp_path, load, data, match):
     path = tmp_path / "h.pgm"
     path.write_bytes(data)
